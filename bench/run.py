@@ -1,6 +1,6 @@
 """cubint benchmark: one command, three workloads, outputs checked.
 
-    python3 bench/run.py --workload decide-suite --seed 1 --seconds 10 --trace 0
+    python3 bench/run.py --workload decide-suite --seed 1 --seconds 5 --trace 0
 
 Workloads (see bench/README.md for their make-up and why each exists):
 
@@ -11,11 +11,15 @@ Workloads (see bench/README.md for their make-up and why each exists):
 * geodesic-flow  -- `cubint geodesic ... --integral f.ini` on planted
                     (metric, integral) pairs, endpoints checked with DOP853.
 
-Every workload runs whole rounds of operations from one thread until
---seconds have passed, then checks every output.  With --trace 0 the last
-line of stdout is a JSON object with the end-to-end metrics; with
---trace 1 the program's modules are wrapped (bench/tracing.py) and the
-object holds the per-layer metrics, while the spans go to bench/out/.
+The seed fixes a run's operations; every round repeats all of them, from
+one thread, at least three times and until --seconds have passed.  Each
+timing is scaled to the reference speed by a fixed reference workload
+timed beside it, and an operation's latency is the median of its
+repetitions.  Every output of every round is checked after the timed
+loop.  With --trace 0 the last line of stdout is a JSON object with the
+end-to-end metrics; with --trace 1 the program's modules are wrapped
+(bench/tracing.py) and the object holds the per-layer metrics, while the
+spans go to bench/out/.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ import contextlib
 import io
 import json
 import math
+import multiprocessing
 import os
 import random
 import resource
@@ -37,15 +42,23 @@ import shutil
 import statistics
 import sys
 import tempfile
+from fractions import Fraction
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 OUT = os.path.join(HERE, "out")
 TAIL_PERCENTILE = 80
+MIN_ROUNDS = 3          # least repetitions of every operation in a run
+# Every timing is reported at the reference speed: scaled by the time of
+# reference_work() measured beside it, as a share of REFERENCE_S, the time
+# reference_work() takes on the reference machine in its fast state.  The
+# shared host's speed swings by up to 1.8x for tens of seconds at a time,
+# and the program and reference_work() slow down alike (bench/README.md).
+REFERENCE_S = 0.0056
 
 # ---------------------------------------------------------------- inputs
 
-# Seeded families: every round holds the same metrics and the same multiset
+# Seeded families: every seed gives the same metrics and the same multiset
 # of codifferential scales k; the seed orders each family and pairs its
 # metrics with the scales.  A round's cost then hardly depends on the seed
 # (drawing coefficients freely moved it by 20-30 %).  Every (metric, k)
@@ -56,7 +69,7 @@ KILLING_X = (("1", "1/3"), ("1/2", "1/3"), ("2/3", "1/5"), ("3/2", "1/5"),
 KILLING_Y = (("2/3", "1/3"), ("3/2", "1/5"))
 SPHERE = ("1", "1/2", "3/2", "2")
 ROTATIONAL = ("1", "1/2", "2/3", "2")
-FLAT = ("1/2", "2/3", "3/2", "2")
+FLAT = ("1/2", "2/3", "3/2", "2", "3")
 HALF_PLANE = ("1", "1/2", "3/2", "2")
 BAD_CODIFF = ("2/3", "3/2")
 NULL_X = (("1/2", "1/3"), ("2", "1/5"))
@@ -77,7 +90,7 @@ FAULT_LAMBDA = "2 + x/3 + y^2/5"
 TRIVIAL_NULL = ("1 + x^2 + y^2/2", "1 + 2*x^2 + 2/3*y^2")
 TRIVIAL_ISO = ("1 + x^2 + y^2/2", "1 + 3/2*x^2 + 2/3*y^2",
                "1 + 2/3*x^2 + 3/2*y^2")
-GENERIC = ("1 + x^2 + y^2/2", "1 + 2/3*x^2 + 2*y^2", "1 + 3/2*x^2 + y^2")
+GENERIC = ("1 + x^2 + y^2/2", "1 + 2/3*x^2 + 2*y^2")
 # A = 0 on a metric whose normal forms dominate the decision
 HEAVY_LAMBDA = "1 + x^2*y + y^2"
 
@@ -86,12 +99,13 @@ def _k(text, k):
     return text.replace("k", k) if k != "1" else text.replace("(k)*", "")
 
 
-def decide_items(rng: random.Random, rnd: int):
-    """The pairs of one decide-suite round (50 decisions)."""
+def decide_items(rng: random.Random):
+    """The 50 pairs of a decide-suite round; every round of a run repeats
+    them."""
     items, twins = [], []
 
     def add(kind, lane, metric, codiff, box=BOX, expect=None, planted=None):
-        items.append(dict(id="r%d-%02d-%s" % (rnd, len(items), kind),
+        items.append(dict(id="d%02d-%s" % (len(items), kind),
                           kind=kind, lane=lane, metric=list(metric),
                           codiff=tuple(codiff), box=box, expect=expect,
                           planted_F=planted, group=None))
@@ -123,17 +137,18 @@ def decide_items(rng: random.Random, rnd: int):
         planted("iso", ["4*%s/(1 + x^2 + y^2)^2" % c],
                 tuple(_k(s, k) for s in L3_A), tuple(_k(s, k) for s in L3))
     for c, k in family(ROTATIONAL):         # F = k L^3 on 1 + c r^2
-        twin(c == ROTATIONAL[0])
         planted("iso", ["1 + %s*(x^2 + y^2)" % c],
                 tuple(_k(s, k) for s in L3_A), tuple(_k(s, k) for s in L3))
     for c, k in family(FLAT):               # F = k px py L on the flat plane
         planted("iso", [c], ("-(%s)*x" % k, "-(%s)*y" % k),
                 ("0", "-(%s)*y/3" % k, "(%s)*x/3" % k, "0"))
     for c, k in family(HALF_PLANE):         # F = k px^3 on c/y^2
+        twin(c == HALF_PLANE[0])
         planted("iso", ["%s/y^2" % c], (k, "0"), (k, "0", "0", "0"),
                 box=(-1, 1, "1/2", "3/2"))
     # constant curvature with a codifferential that is not a leading part
     for c, k in family(BAD_CODIFF):
+        twin(c == BAD_CODIFF[0])
         add("badcodiff", "iso", ["4*%s/(1 + x^2 + y^2)^2" % c],
             ("(%s)*(x^2 - y^2)" % k, "(%s)*2*x*y" % k),
             expect="incompatible")
@@ -157,8 +172,7 @@ def decide_items(rng: random.Random, rnd: int):
             ("0", "0"), box=(1, 2, "1/2", "3/2"), expect="compatible")
     add("heavy", "iso", [HEAVY_LAMBDA], ("0", "0"), expect="compatible")
     # generic polynomial metrics with a != 0
-    for i, (lam, k) in enumerate(zip(GENERIC, rng.sample(SCALES, 3))):
-        twin(i == 1)
+    for i, (lam, k) in enumerate(zip(GENERIC, rng.sample(SCALES, 2))):
         add("generic", "iso", [lam], (k, "0") if i % 2 == 0 else ("0", k))
     # general-chart re-encodings of isothermal pairs
     for src in [items[i] for i in twins]:
@@ -208,6 +222,9 @@ def write_file(tmp, name, text):
 
 # ------------------------------------------------------------- harness
 
+# Every workload runs its operations in a seeded random order, so that a
+# slow spell of the host does not fall on one family of them in every round.
+
 def run_cli(cli, argv):
     """cubint's cli.main in-process with stdout captured: (code, report)."""
     buf = io.StringIO()
@@ -223,11 +240,95 @@ def percentile(values, p):
     return s[max(0, math.ceil(len(s) * p / 100) - 1)]
 
 
-def latency_metrics(lat_s, wall_s):
-    return {"verdicts_per_s": (len(lat_s) / wall_s, "1/s"),
-            "verdict_p50_ms": (statistics.median(lat_s) * 1e3, "ms"),
-            "verdict_tail_ms": (percentile(lat_s, TAIL_PERCENTILE) * 1e3,
+def reference_work():
+    """A fixed pure-Python workload made of what the program itself does
+    most: Fraction arithmetic in dicts keyed by exponent tuples (it squares
+    a 30-term polynomial twice).  Its time tracks the host's speed."""
+    r = random.Random(5)
+    p = {(r.randrange(6), r.randrange(6)):
+         Fraction(r.randrange(1, 9), r.randrange(1, 9)) for _ in range(30)}
+    q = p
+    for _ in range(2):
+        out = {}
+        for (a, b), c in p.items():
+            for (d, e), f in q.items():
+                k = (a + d, b + e)
+                out[k] = out.get(k, 0) + c * f
+        q = out
+    return q
+
+
+def reference_s():
+    t = time.perf_counter()
+    reference_work()
+    return time.perf_counter() - t
+
+
+SETUP_REFERENCE = []    # reference times taken inside a long set-up
+
+
+def setup_reference():
+    """Time reference_work() inside a set-up of several seconds, so that
+    setup_s is scaled by the host's speed over the whole set-up; the time
+    spent here is not counted as set-up."""
+    SETUP_REFERENCE.append(reference_s())
+
+
+def run_round(wl, note_op):
+    """One pass over the workload's operations.  Returns each operation's
+    wall time and that time scaled to the reference speed: multiplied by
+    REFERENCE_S over the mean of the reference runs just before and just
+    after it."""
+    wall, scaled, outs = [], [], []
+    before = reference_s()
+    for op in wl.ops:
+        note_op()
+        t = time.perf_counter()
+        raw = wl.call(op)
+        dt = time.perf_counter() - t
+        outs.append(wl.collect(op, raw))
+        after = reference_s()
+        wall.append(dt)
+        scaled.append(dt * 2 * REFERENCE_S / (before + after))
+        before = after
+    wl.outs.append(outs)
+    return wall, scaled
+
+
+def per_op_median(rounds):
+    """Per operation, the median of its repetitions."""
+    return [statistics.median(col) for col in zip(*rounds)]
+
+
+def latency_metrics(lat):
+    return {"verdicts_per_s": (len(lat) / sum(lat), "1/s"),
+            "verdict_p50_ms": (statistics.median(lat) * 1e3, "ms"),
+            "verdict_tail_ms": (percentile(lat, TAIL_PERCENTILE) * 1e3,
                                 "ms")}
+
+
+_FORKED = [None]        # the function map_forked's workers call
+
+
+def _call_forked(arg):
+    return _FORKED[0](arg)
+
+
+def map_forked(fn, args, workers=2):
+    """[fn(a) for a in args] in `workers` forked processes.  Only the checks
+    use it: they run after the timed loop and cost more than it on
+    decide-suite.  Every worker has ended when this returns."""
+    _FORKED[0] = fn
+    pool = multiprocessing.get_context("fork").Pool(workers)
+    try:
+        out = pool.map(_call_forked, args, chunksize=1)
+        pool.close()
+    except BaseException:
+        pool.terminate()
+        raise
+    finally:
+        pool.join()
+    return out
 
 
 def import_cubint():
@@ -245,29 +346,21 @@ def import_cubint():
 
 class DecideSuite:
     def __init__(self, seed, tmp):
-        self.seed, self.tmp = seed, tmp
         self.cub = import_cubint()
-        self.rounds = []
-
-    def make_round(self, rnd):
-        rng = random.Random(self.seed * 1_000_003 + rnd)
-        items = decide_items(rng, rnd)
-        for it in items:
-            it["manifest"] = write_file(self.tmp, it["id"] + ".ini",
+        rng = random.Random(seed)
+        self.items = decide_items(rng)
+        rng.shuffle(self.items)
+        for it in self.items:
+            it["manifest"] = write_file(tmp, it["id"] + ".ini",
                                         manifest_text(it))
-        return items
+        self.ops = self.items
+        self.outs = []          # per round, (exit code, report) per item
 
-    def run_round(self, rnd, note_op):
-        items = self.make_round(rnd)
-        lat, outs = [], []
-        for it in items:
-            note_op()
-            t = time.perf_counter()
-            code, text = run_cli(self.cub.cli, ["check", it["manifest"]])
-            lat.append(time.perf_counter() - t)
-            outs.append((code, text))
-        self.rounds.append((items, outs))
-        return lat
+    def call(self, item):
+        return run_cli(self.cub.cli, ["check", item["manifest"]])
+
+    def collect(self, _item, raw):
+        return raw
 
     def other_lane(self, item, failed, witness):
         """A failed invariant at the witness, through the other lane."""
@@ -297,32 +390,47 @@ class DecideSuite:
             return None
         return eval_at(getattr(eng, attr), witness)
 
+    def check_one(self, key):
+        """Reasons the report `text` of item i is wrong (an empty list when
+        it passes)."""
+        import checks
+        i, text = key
+        if self.cache is None:
+            self.cache = checks.OracleCache()
+        return checks.check_verdict(self.items[i], json.loads(text),
+                                    self.cache, self.other_lane)
+
     def check(self):
         import checks
-        cache = checks.OracleCache()
-        failed_ids, problems = [], []
-        for items, outs in self.rounds:
-            reps = []
-            for it, (code, text) in zip(items, outs):
-                rep = json.loads(text)
-                reps.append(rep)
-                if it["planted_F"] is not None and not checks.check_planted(
-                        it):
-                    problems.append("planted F of %s is no integral"
-                                    % it["id"])
-                bad = checks.check_verdict(it, rep, cache, self.other_lane)
-                if bad:
-                    failed_ids.append((it, bad))
-            split = checks.lane_disagreements(items, reps)
-            for it in items:
-                if it["id"] in split:
-                    failed_ids.append((it, ["lane disagreement"]))
-        ids = {it["id"] for it, _ in failed_ids}
-        known = {it["id"] for it, _ in failed_ids if it["kind"] == "fault"}
-        for it, bad in failed_ids:
-            sys.stderr.write("FAILED %s %s: %s\n" % (it["id"], it["metric"],
-                                                     "; ".join(bad)))
-        return len(ids), ids == known and not problems, problems
+        problems = ["planted F of %s is no integral" % it["id"]
+                    for it in self.items if it["planted_F"] is not None
+                    and not checks.check_planted(it)]
+        # every distinct (item, report) once; a repeated report repeats
+        # the verdict on it
+        keys = sorted({(i, text) for outs in self.outs
+                       for i, (_code, text) in enumerate(outs)})
+        self.cache = None
+        verdicts = dict(zip(keys, map_forked(self.check_one, keys)))
+        failed, faults = 0, {}
+        for outs in self.outs:
+            reps, bad = [], {}
+            for i, (it, (_code, text)) in enumerate(zip(self.items, outs)):
+                reps.append(json.loads(text))
+                if verdicts[i, text]:
+                    bad[it["id"]] = list(verdicts[i, text])
+            for i in checks.lane_disagreements(self.items, reps):
+                bad.setdefault(i, []).append("lane disagreement")
+            failed += len(bad)
+            for i, why in bad.items():
+                faults.setdefault((i, "; ".join(why)), 0)
+                faults[(i, "; ".join(why))] += 1
+        kinds = {it["id"]: it for it in self.items}
+        for (i, why), n in sorted(faults.items()):
+            sys.stderr.write("FAILED %s %s in %d of %d rounds: %s\n"
+                             % (i, kinds[i]["metric"], n, len(self.outs),
+                                why))
+        correct = all(kinds[i]["kind"] == "fault" for i, _ in faults)
+        return failed, correct and not problems, problems
 
 
 # ----------------------------------------------------------- invariant-grid
@@ -349,7 +457,6 @@ def flat_report(rep):
 
 class InvariantGrid:
     def __init__(self, seed, tmp):
-        self.seed = seed
         cub = self.cub = import_cubint()
         from cubint.expr import Box
         from cubint.tensorcoords import a_hat_from_complex
@@ -361,64 +468,71 @@ class InvariantGrid:
             cub.general_metric(lam, "0", lam),
             cub.Codifferential.general(
                 a_hat_from_complex(cub.parse_complex(*a))), self.box)
-        self.iso = flat_report(iso.report())
-        self.gen = flat_report(gen.report())
-        self.results = []
-
-    def run_round(self, rnd, note_op):
-        cub = self.cub
-        rng = random.Random(self.seed * 1_000_003 + rnd)
+        setup_reference()
+        self.lanes = {"iso": flat_report(iso.report())}
+        setup_reference()
+        self.lanes["general"] = flat_report(gen.report())
+        rng = random.Random(seed)
         # odd multiples of 1/32: off the axes, where phi2 (the denominator
         # of K and K*) vanishes for this symmetric metric
-        pts = [((2 * rng.randint(-16, 15) + 1) / 32,
-                (2 * rng.randint(-16, 15) + 1) / 32) for _ in range(8)]
-        cfg = cub.ZeroTestConfig().with_seed(rng.randrange(1, 10 ** 6))
-        lat = []
-        for name in self.iso:
-            note_op()
-            t = time.perf_counter()
-            e, g = self.iso[name], self.gen[name]
-            vals = [cub.eval_at(e, p) for p in pts]
-            gvals = [cub.eval_at(g, p) for p in pts]
-            v = cub.is_zero(e, self.box, cfg)
-            d = (cub.is_zero(e - g, self.box, cfg) if name in DIFF_NAMES
-                 else None)
-            lat.append(time.perf_counter() - t)
-            self.results.append((name, pts, vals, gvals, v, d))
-        return lat
+        self.pts = [((2 * rng.randint(-16, 15) + 1) / 32,
+                     (2 * rng.randint(-16, 15) + 1) / 32) for _ in range(8)]
+        self.cfg = cub.ZeroTestConfig().with_seed(rng.randrange(1, 10 ** 6))
+        # one operation: an invariant of one lane, evaluated on the grid and
+        # zero-tested, or the zero test of an iso-minus-general difference
+        self.ops = [(name, lane) for name in self.lanes["iso"]
+                    for lane in ("iso", "general")]
+        self.ops += [(name, "diff") for name in DIFF_NAMES]
+        rng.shuffle(self.ops)
+        self.outs = []
+
+    def call(self, op):
+        cub, (name, lane) = self.cub, op
+        if lane == "diff":
+            diff = self.lanes["iso"][name] - self.lanes["general"][name]
+            return None, cub.is_zero(diff, self.box, self.cfg)
+        e = self.lanes[lane][name]
+        return ([cub.eval_at(e, p) for p in self.pts],
+                cub.is_zero(e, self.box, self.cfg))
+
+    def collect(self, _op, raw):
+        return raw
 
     def check(self):
         import oracle
-        chart = oracle.Chart("iso", [GRID_PAIR[0]])
-        lad = chart.ladder()
-        exact = {}
-        failed, ok = 0, True
-        for name, pts, vals, gvals, v, d in self.results:
-            bad = []
-            for p, a, b in zip(pts, vals, gvals):
-                if not oracle.close(a, b, 1e-7):
-                    bad.append("lanes disagree at %s: %r vs %r" % (p, a, b))
-                if name in LADDER:
-                    key = (name, p)
-                    if key not in exact:
-                        exact[key] = float(oracle.value(lad[name], p))
-                    if not oracle.close(a, exact[key], 1e-9):
-                        bad.append("%s(%s) = %r, oracle %r"
-                                   % (name, p, a, exact[key]))
-            if name in LADDER:
-                if v.kind == "zero" or (v.kind == "nonzero" and float(
-                        oracle.value(lad[name], v.witness)) == 0):
-                    bad.append("%s verdict %r contradicts the oracle"
-                               % (name, v))
-            if v.kind == "unknown":
-                bad.append("%s verdict Unknown" % name)
-            if d is not None and d.kind != "zero":
-                bad.append("iso - general %s is %r" % (name, d))
-            if bad:
-                failed += 1
-                ok = False
-                sys.stderr.write("FAILED %s: %s\n" % (name, "; ".join(bad)))
-        return failed, ok, []
+        lad = oracle.Chart("iso", [GRID_PAIR[0]]).ladder()
+        exact = {(name, p): float(oracle.value(lad[name], p))
+                 for name in LADDER for p in self.pts}
+        failed, faults = 0, set()
+        for outs in self.outs:
+            got = dict(zip(self.ops, outs))
+            for (name, lane), (vals, v) in got.items():
+                bad = []
+                if v.kind == "unknown":
+                    bad.append("verdict Unknown")
+                if lane == "diff":
+                    if v.kind != "zero":
+                        bad.append("iso - general is %r" % v)
+                elif lane == "general":
+                    for p, a, b in zip(self.pts, got[name, "iso"][0], vals):
+                        if not oracle.close(a, b, 1e-7):
+                            bad.append("lanes disagree at %s: %r vs %r"
+                                       % (p, a, b))
+                elif name in LADDER:
+                    for p, a in zip(self.pts, vals):
+                        if not oracle.close(a, exact[name, p], 1e-9):
+                            bad.append("%s(%s) = %r, oracle %r"
+                                       % (name, p, a, exact[name, p]))
+                    if v.kind == "zero" or (v.kind == "nonzero" and float(
+                            oracle.value(lad[name], v.witness)) == 0):
+                        bad.append("verdict %r contradicts the oracle" % v)
+                if bad:
+                    failed += 1
+                    faults.add("FAILED %s (%s): %s\n"
+                               % (name, lane, "; ".join(bad)))
+        for f in sorted(faults):
+            sys.stderr.write(f)
+        return failed, failed == 0, []
 
 
 # ------------------------------------------------------------ geodesic-flow
@@ -435,67 +549,76 @@ GEO_PAIRS = (  # (lane, metric, F components, box for the start point)
     ("null", ["1 + x^2"], ("0", "0", "0", "1"), (-0.5, 0.5, -0.5, 0.5)),
 )
 GEO_STEPS, GEO_DT = 1500, 1e-3
+GEO_STARTS = 8           # seeded start points per pair
+
+
+def reference_endpoint(op):
+    """DOP853's state at the end of the geodesic of operation op."""
+    import oracle
+    i, s0, _argv = op
+    return oracle.geodesic_endpoint(oracle.Chart(*GEO_PAIRS[i][:2]), s0,
+                                    GEO_STEPS * GEO_DT)
 
 
 class GeodesicFlow:
     def __init__(self, seed, tmp):
-        self.seed, self.tmp = seed, tmp
         self.cub = import_cubint()
-        self.files = []
-        for i, (lane, metric, f, _box) in enumerate(GEO_PAIRS):
+        rng = random.Random(seed)
+        self.ops = []           # (pair index, start state, argv)
+        self.csv = os.path.join(tmp, "traj.csv")
+        for i, (lane, metric, f, box) in enumerate(GEO_PAIRS):
             man = write_file(tmp, "geo%d.ini" % i, manifest_text(dict(
                 lane=lane, metric=metric, codiff=("0", "0"), box=BOX)))
             fint = write_file(tmp, "geo%d-F.ini" % i,
                               "[integral]\nF111 = %s\nF112 = %s\nF122 = %s\n"
                               "F222 = %s\n" % tuple(f))
-            self.files.append((man, fint))
-        self.csv = os.path.join(tmp, "traj.csv")
-        self.results = []
+            for _ in range(GEO_STARTS):
+                s0 = (rng.uniform(box[0], box[1]),
+                      rng.uniform(box[2], box[3]),
+                      rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
+                # "--x0=-5e-05": a separate "-5e-05" would read as an option
+                argv = ["geodesic", man, "--x0=%r" % s0[0],
+                        "--y0=%r" % s0[1], "--px0=%r" % s0[2],
+                        "--py0=%r" % s0[3], "--steps", str(GEO_STEPS),
+                        "--dt", repr(GEO_DT), "--integral", fint,
+                        "--csv", self.csv]
+                self.ops.append((i, s0, argv))
+        rng.shuffle(self.ops)
+        self.outs = []
 
-    def run_round(self, rnd, note_op):
-        rng = random.Random(self.seed * 1_000_003 + rnd)
-        lat = []
-        for i, (lane, metric, f, box) in enumerate(GEO_PAIRS):
-            s0 = (rng.uniform(box[0], box[1]), rng.uniform(box[2], box[3]),
-                  rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
-            man, fint = self.files[i]
-            argv = ["geodesic", man, "--x0", repr(s0[0]), "--y0", repr(s0[1]),
-                    "--px0", repr(s0[2]), "--py0", repr(s0[3]),
-                    "--steps", str(GEO_STEPS), "--dt", repr(GEO_DT),
-                    "--integral", fint, "--csv", self.csv]
-            note_op()
-            t = time.perf_counter()
-            code, text = run_cli(self.cub.cli, argv)
-            lat.append(time.perf_counter() - t)
-            with open(self.csv) as fh:
-                last = fh.read().rstrip("\n").rsplit("\n", 1)[-1]
-            end = tuple(float(v) for v in last.split(",")[1:5])
-            self.results.append((i, s0, code, text, end))
-        return lat
+    def call(self, op):
+        return run_cli(self.cub.cli, op[2])
+
+    def collect(self, _op, raw):
+        with open(self.csv) as fh:
+            last = fh.read().rstrip("\n").rsplit("\n", 1)[-1]
+        return raw + (tuple(float(v) for v in last.split(",")[1:5]),)
 
     def check(self):
         import oracle
-        failed, planted_ok = 0, []
-        for i, (lane, metric, f, _box) in enumerate(GEO_PAIRS):
-            planted_ok.append(oracle.bracket_vanishes(
-                oracle.Chart(lane, metric), f))
-        t_end = GEO_STEPS * GEO_DT
-        for i, s0, code, text, end in self.results:
-            lane, metric = GEO_PAIRS[i][:2]
-            rep = json.loads(text)
-            bad = []
-            if code != 0 or not rep.get("within_tolerance"):
-                bad.append("drift over tolerance: %s" % rep.get("conservation"))
-            ref = oracle.geodesic_endpoint(oracle.Chart(lane, metric), s0,
-                                           t_end)
-            if not all(oracle.close(a, b, 1e-8) for a, b in zip(end, ref)):
-                bad.append("endpoint %s, DOP853 %s" % (end, ref))
-            if bad:
-                failed += 1
-                sys.stderr.write("FAILED geodesic %s %s: %s\n"
-                                 % (metric, s0, "; ".join(bad)))
-        problems = ["planted F of %s is no integral" % (GEO_PAIRS[i][1],)
-                    for i, ok in enumerate(planted_ok) if not ok]
+        problems = ["planted F of %s is no integral" % (metric,)
+                    for lane, metric, f, _box in GEO_PAIRS
+                    if not oracle.bracket_vanishes(oracle.Chart(lane, metric),
+                                                   f)]
+        refs = map_forked(reference_endpoint, self.ops)
+        failed, faults = 0, set()
+        for outs in self.outs:
+            for (i, s0, _argv), ref, (code, text, end) in zip(
+                    self.ops, refs, outs):
+                rep = json.loads(text)
+                bad = []
+                if code != 0 or not rep.get("within_tolerance"):
+                    bad.append("drift over tolerance: %s"
+                               % rep.get("conservation"))
+                if not all(oracle.close(a, b, 1e-8)
+                           for a, b in zip(end, ref)):
+                    bad.append("endpoint %s, DOP853 %s" % (end, ref))
+                if bad:
+                    failed += 1
+                    faults.add("FAILED geodesic %s %s: %s\n"
+                               % (GEO_PAIRS[i][1], s0, "; ".join(bad)))
+        for f in sorted(faults):
+            sys.stderr.write(f)
         return failed, failed == 0 and not problems, problems
 
 
@@ -524,7 +647,12 @@ def main(argv=None):
             tracer = Tracer()
             tracer.install()
         wl = WORKLOADS[args.workload](args.seed, tmp)
-        setup_s = _CPU0 + (time.perf_counter() - _T0)
+        setup_wall = (_CPU0 + (time.perf_counter() - _T0)
+                      - sum(SETUP_REFERENCE))
+        # the host's speed over the set-up: the references taken inside
+        # it and the median of five taken right after it
+        setup_ref = statistics.mean(SETUP_REFERENCE + [statistics.median(
+            reference_s() for _ in range(5))])
 
         ops = [0]
 
@@ -533,14 +661,14 @@ def main(argv=None):
                 tracer.current_op = ops[0]
             ops[0] += 1
 
-        lat, rnd = [], 0
+        rounds = []
         t_start = time.perf_counter()
-        while True:
-            lat += wl.run_round(rnd, note_op)
-            rnd += 1
-            if time.perf_counter() - t_start >= args.seconds:
-                break
-        wall = sum(lat)
+        while (len(rounds) < MIN_ROUNDS
+               or time.perf_counter() - t_start < args.seconds):
+            rounds.append(run_round(wl, note_op))
+        attempted = sum(len(wall) for wall, _ in rounds)
+        wall = per_op_median([w for w, _ in rounds])
+        lat = per_op_median([s for _, s in rounds])
         peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
         if tracer is not None:
             tracer.uninstall()
@@ -550,17 +678,26 @@ def main(argv=None):
         for p in problems:
             sys.stderr.write("BENCHMARK INPUT ERROR: %s\n" % p)
 
+        speed = sum(wall) / sum(lat)
+        sys.stderr.write(
+            "wall clock: setup_s %.4g, %s; the host ran at %.2fx the "
+            "reference time (set-up %.2fx)\n"
+            % (setup_wall, ", ".join("%s %.4g" % (k, v) for k, (v, _u) in
+                                     latency_metrics(wall).items()),
+               speed, setup_ref / REFERENCE_S))
         if tracer is None:
-            metrics = {"setup_s": (setup_s, "s"), "peak_rss_mb": (peak_mb, "MB")}
-            metrics.update(latency_metrics(lat, wall))
+            metrics = {"setup_s": (setup_wall * REFERENCE_S / setup_ref, "s"),
+                       "peak_rss_mb": (peak_mb, "MB")}
+            metrics.update(latency_metrics(lat))
         else:
             from tracing import unit_of
             layer = tracer.layer_metrics()
             metrics = {k: (v, unit_of(k)) for k, v in layer.items()}
             tracer.dump(os.path.join(OUT, "trace-%s.tsv" % args.workload))
-            sys.stderr.write("traced: %d spans, %.1f ops/s\n"
-                             % (len(tracer.start), len(lat) / wall))
-        result = {"correct": bool(correct), "attempted": len(lat),
+            sys.stderr.write("traced: %d spans, %d rounds, %.2f ops/s\n"
+                             % (len(tracer.start), len(rounds),
+                                len(lat) / sum(lat)))
+        result = {"correct": bool(correct), "attempted": attempted,
                   "failed": int(failed),
                   "metrics": {k: {"value": v, "unit": u}
                               for k, (v, u) in metrics.items()}}
