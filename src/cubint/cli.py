@@ -482,8 +482,33 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+_START_OPTIONS = ("--x0", "--y0", "--px0", "--py0")
+
+
+def _attach_start_values(argv):
+    """Rewrite "--x0 -7.8e-05" as "--x0=-7.8e-05": argparse reads a separate
+    negative value in exponent notation as an option flag."""
+    out = []
+    for a in argv:
+        if out and out[-1] in _START_OPTIONS and a.startswith("-") \
+                and _is_float(a):
+            out[-1] += "=" + a
+        else:
+            out.append(a)
+    return out
+
+
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser().parse_args(_attach_start_values(argv))
     try:
         return args.func(args)
     except ManifestError as exc:

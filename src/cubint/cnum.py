@@ -12,8 +12,8 @@ from fractions import Fraction
 from typing import Union
 
 from .expr import (
-    Box, Expr, Rat, Var, ZeroTestConfig, ZeroVerdict, as_expr, diff,
-    eval_at, is_zero, nf_is_zero, parse, simplify, to_str, DEFAULT_CFG,
+    Box, Expr, Rat, Var, ZeroTestConfig, ZeroVerdict, _combine, as_expr,
+    diff, eval_at, is_zero, nf_is_zero, parse, simplify, to_str, DEFAULT_CFG,
 )
 
 __all__ = [
@@ -115,19 +115,12 @@ class CExpr:
         return CExpr(diff(self.re, var), diff(self.im, var))
 
     def is_zero(self, domain: Box, cfg: ZeroTestConfig = DEFAULT_CFG) -> ZeroVerdict:
-        """Tri-state zero test of both components jointly."""
+        """Tri-state zero test of both components jointly; the imaginary
+        part is not tested once the real part is NonZero."""
         vr = is_zero(self.re, domain, cfg)
         if vr.is_nonzero:
             return vr
-        vi = is_zero(self.im, domain, cfg)
-        if vi.is_nonzero:
-            return vi
-        if vr.is_unknown:
-            return vr
-        if vi.is_unknown:
-            return vi
-        method = "symbolic" if (vr.method == vi.method == "symbolic") else "probed"
-        return ZeroVerdict.zero(method=method)
+        return _combine(vr, is_zero(self.im, domain, cfg))
 
 
 def _coerce(v) -> CExpr:

@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .expr import (Box, DEFAULT_CFG, Expr, ZeroTestConfig, ZeroVerdict, diff,
-                   eval_at, is_zero)
+from .expr import (Box, DEFAULT_CFG, Expr, ZeroTestConfig, ZeroVerdict,
+                   _combine, diff, eval_at, is_zero)
 from .geometry import ChartMismatch, Metric
 from .invariants import (Codifferential, DEFAULT_DOMAIN, DegenerateBracket,
                          InvariantEngine)
@@ -86,22 +86,6 @@ class Verdict:
         if self.reason:
             bits.append(self.reason)
         return "Verdict(%s)" % ", ".join(bits)
-
-
-def _combine(*vs: ZeroVerdict) -> ZeroVerdict:
-    """Conjunction of zero-verdicts: NonZero dominates (the conjunct is
-    falsified), then Unknown; all-Zero keeps the weaker method."""
-    for v in vs:
-        if v.is_nonzero:
-            return v
-    for v in vs:
-        if v.is_unknown:
-            return v
-    if not vs:
-        return ZeroVerdict.zero(method="symbolic")
-    method = ("symbolic" if all(v.method == "symbolic" for v in vs)
-              else "probed")
-    return ZeroVerdict.zero(method=method)
 
 
 def _undetermined(trace, reason, **extra) -> Verdict:

@@ -16,15 +16,17 @@ blowing up under the quotient rule.
 
 from __future__ import annotations
 
+import copy
 import math
 import random
+from contextvars import ContextVar
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Union
 
 __all__ = [
     "Expr", "Rat", "Const", "Var", "Add", "Mul", "Pow", "Func",
     "X", "Y", "ZERO", "ONE",
-    "parse", "to_str", "diff", "simplify", "simplify_with_notes",
+    "parse", "to_str", "diff", "simplify",
     "eval_at", "eval_scaled", "is_zero", "nf_is_zero",
     "Box", "ZeroTestConfig", "ZeroVerdict",
     "ExprError", "ExpressionSyntaxError", "UnknownIdentifier",
@@ -84,7 +86,8 @@ class Expr:
     """Immutable expression node.  Structural equality, cached hash.
 
     _dord is the cumulative derivative order used to produce the value
-    (metadata, excluded from equality); _nf caches the normal form.
+    (metadata, excluded from equality, fixed when the node is built); _nf
+    caches the normal form.
     """
 
     __slots__ = ("_hash", "_dord", "_nf", "_skey")
@@ -389,10 +392,6 @@ def pw(base: Expr, e) -> Expr:
     return Pow(base, e)
 
 
-def func(name: str, arg: Expr) -> Expr:
-    return Func(name, arg)
-
-
 # --------------------------------------------------------------------------
 # normal form
 #
@@ -473,43 +472,18 @@ class _BudgetExceeded(Exception):
     pass
 
 
-_BUDGET: list = [None]  # [None] = unbounded; [int] = remaining term-products
-
-
-class _budget:
-    def __init__(self, n: int):
-        self.n = n
-
-    def __enter__(self):
-        self._saved = _BUDGET[0]
-        _BUDGET[0] = self.n
-
-    def __exit__(self, *exc):
-        _BUDGET[0] = self._saved
-        return False
+# Term-products the current thread (or task) may still spend; None means
+# unbounded.  A context variable, so a budget charges only its own thread.
+_BUDGET_LEFT: ContextVar = ContextVar("cubint_term_budget", default=None)
 
 
 def _charge(cost: int):
-    if _BUDGET[0] is not None:
-        _BUDGET[0] -= cost
-        if _BUDGET[0] < 0:
+    left = _BUDGET_LEFT.get()
+    if left is not None:
+        left -= cost
+        _BUDGET_LEFT.set(left)
+        if left < 0:
             raise _BudgetExceeded
-
-
-# ---- removable-singularity notes -----------------------------------------
-
-_NOTES: list = [None]  # [None] = inactive; [list] = collecting
-
-
-def _note_cancel(base):
-    if _NOTES[0] is not None:
-        if isinstance(base, _PolyBase):
-            txt = to_str(nf_to_expr(NF(_thaw(base.fp), ())))
-        else:
-            txt = to_str(_base_expr(base))
-        msg = f"removable singularity: canceled denominator factor ({txt})"
-        if msg not in _NOTES[0]:
-            _NOTES[0].append(msg)
 
 
 # ---- monomial helpers ----------------------------------------------------
@@ -843,7 +817,6 @@ def _mk_nf(num: dict, den: tuple) -> NF:
         if k > 0:
             den_d[b] -= k
             changed = True
-            _note_cancel(b)
             if den_d[b] == 0:
                 del den_d[b]
     if changed:
@@ -862,7 +835,6 @@ def _mk_nf(num: dict, den: tuple) -> NF:
                     break
                 num = q
                 e -= 1
-                _note_cancel(b)
         if e > 0:
             out_den.append((b, e))
     if not num:
@@ -940,10 +912,6 @@ def nf_recip(a: NF) -> NF:
     pb = _PolyBase(_freeze(core_monic))
     num = _p_mul_mono(den_poly, inv_mono, inv_cm / lc)
     return _mk_nf(num, ((pb, 1),))
-
-
-def nf_div(a: NF, b: NF) -> NF:
-    return nf_mul(a, nf_recip(b))
 
 
 def nf_pow(a: NF, e: Fraction) -> NF:
@@ -1178,26 +1146,22 @@ def _mono_key_for_sort(m: tuple):
 # --------------------------------------------------------------------------
 # public operations
 
-def simplify(e: Expr) -> Expr:
-    """Canonical rational-normal form of e (idempotent)."""
-    out, _notes = simplify_with_notes(e)
+def _with_dord(e: Expr, dord: int) -> Expr:
+    """e if it carries derivative order dord, else a fresh copy that does.
+
+    Normalization hands back nodes shared with its caches and with the
+    input, so the order is never written into an existing node.  The
+    interned zero keeps order 0: an exact-zero result ends a chain."""
+    if e is ZERO or e._dord == dord:
+        return e
+    out = copy.copy(e)
+    out._dord = dord
     return out
 
 
-def simplify_with_notes(e: Expr):
-    """simplify plus the list of removable-singularity notes recorded while
-    normalizing (denominator factors canceled exactly)."""
-    saved = _NOTES[0]
-    _NOTES[0] = []
-    try:
-        nf = to_nf(e)
-        out = nf_to_expr(nf)
-        notes = tuple(_NOTES[0])
-    finally:
-        _NOTES[0] = saved
-    if out is not ZERO:  # never mutate the interned zero
-        out._dord = e._dord
-    return out, notes
+def simplify(e: Expr) -> Expr:
+    """Canonical rational-normal form of e (idempotent)."""
+    return _with_dord(nf_to_expr(to_nf(e)), e._dord)
 
 
 def diff(e: Expr, v: Union[str, Var]) -> Expr:
@@ -1210,13 +1174,7 @@ def diff(e: Expr, v: Union[str, Var]) -> Expr:
     if nd > ORDER_CAP:
         raise OrderCapExceeded(
             f"derivative order {nd} exceeds cap {ORDER_CAP}")
-    nf = _nf_diff(to_nf(e), name)
-    out = nf_to_expr(nf)
-    # an exact-zero derivative ends the chain; bumping the shared interned
-    # zero would poison the order ledger for every later caller
-    if out is not ZERO and out._dord < nd:
-        out._dord = nd
-    return out
+    return _with_dord(nf_to_expr(_nf_diff(to_nf(e), name)), nd)
 
 
 def _nf_diff(a: NF, var: str) -> NF:
@@ -1299,10 +1257,6 @@ def _func_outer_deriv(b: Func) -> NF:
     if name == "tanh":
         t = _atom_nf(Func("tanh", u))
         return nf_sub(NF({(): Fraction(1)}, ()), nf_mul(t, t))
-    if name == "sqrt":
-        # sqrt is rewritten to a half power during normalization, but keep
-        # the chain-rule factor correct if one ever reaches here
-        return nf_scale(nf_pow(to_nf(u), Fraction(-1, 2)), Fraction(1, 2))
     raise TypeError(name)
 
 
@@ -1324,14 +1278,13 @@ def eval_at(e: Expr, point) -> float:
     """Double-precision evaluation at (x, y).  Raises EvalDomainError on
     poles, ln(<=0), sqrt(<0), fractional powers of negatives, or non-finite
     intermediates."""
-    v, _ = _eval(e, float(point[0]), float(point[1]), None)
-    return v
+    return _eval(e, float(point[0]), float(point[1]), None)
 
 
 def eval_scaled(e: Expr, point):
     """(value, scale) where scale = max |value| over all subexpressions."""
     acc = [0.0]
-    v, _ = _eval(e, float(point[0]), float(point[1]), acc)
+    v = _eval(e, float(point[0]), float(point[1]), acc)
     return v, acc[0]
 
 
@@ -1347,15 +1300,13 @@ def _eval(e: Expr, x: float, y: float, acc):
         elif t is Add:
             v = 0.0
             for s in e.terms:
-                sv, _ = _eval(s, x, y, acc)
-                v += sv
+                v += _eval(s, x, y, acc)
         elif t is Mul:
             v = 1.0
             for f in e.factors:
-                fv, _ = _eval(f, x, y, acc)
-                v *= fv
+                v *= _eval(f, x, y, acc)
         elif t is Pow:
-            b, _ = _eval(e.base, x, y, acc)
+            b = _eval(e.base, x, y, acc)
             ex = e.exp
             if ex.denominator == 1:
                 n = int(ex)
@@ -1369,7 +1320,7 @@ def _eval(e: Expr, x: float, y: float, acc):
                     raise EvalDomainError("pole: 0 raised to negative power")
                 v = b ** float(ex)
         elif t is Func:
-            a, _ = _eval(e.arg, x, y, acc)
+            a = _eval(e.arg, x, y, acc)
             n = e.name
             if n == "ln":
                 if a <= 0.0:
@@ -1389,7 +1340,7 @@ def _eval(e: Expr, x: float, y: float, acc):
         raise EvalDomainError("non-finite value")
     if acc is not None and abs(v) > acc[0]:
         acc[0] = abs(v)
-    return v, None
+    return v
 
 
 # --------------------------------------------------------------------------
@@ -1431,26 +1382,29 @@ class Box:
         return hash((self.x_min, self.x_max, self.y_min, self.y_max))
 
 
+# A probe counts as a NonZero witness only above this multiple of its
+# threshold; values between the threshold and it are "in the band".
+_STRONG_FACTOR = 10.0
+# Unknown when more than this share of the probes fails to evaluate.
+_MAX_FAIL_FRAC = 0.5
+# Term-products the symbolic confirmation of an all-vanishing probe run
+# may spend before settling for a probed Zero.
+_TERM_BUDGET = 200_000
+
+
 class ZeroTestConfig:
-    __slots__ = ("n_probes", "seeds", "abs_tol", "rel_tol",
-                 "strong_factor", "max_fail_frac", "term_budget")
+    __slots__ = ("n_probes", "seeds", "abs_tol", "rel_tol")
 
     def __init__(self, n_probes: int = 64, seeds=(10007, 20011, 30013),
-                 abs_tol: float = 1e-9, rel_tol: float = 1e-9,
-                 strong_factor: float = 10.0, max_fail_frac: float = 0.5,
-                 term_budget: int = 200_000):
+                 abs_tol: float = 1e-9, rel_tol: float = 1e-9):
         self.n_probes = n_probes
         self.seeds = tuple(seeds)
         self.abs_tol = abs_tol
         self.rel_tol = rel_tol
-        self.strong_factor = strong_factor
-        self.max_fail_frac = max_fail_frac
-        self.term_budget = term_budget
 
     def with_seed(self, seed: int) -> "ZeroTestConfig":
         return ZeroTestConfig(self.n_probes, (seed, seed + 1, seed + 2),
-                              self.abs_tol, self.rel_tol, self.strong_factor,
-                              self.max_fail_frac, self.term_budget)
+                              self.abs_tol, self.rel_tol)
 
 
 DEFAULT_CFG = ZeroTestConfig()
@@ -1499,16 +1453,21 @@ class ZeroVerdict:
             return f"NonZero(witness={self.witness}, value={self.value:g})"
         return f"Unknown({self.reason})"
 
-    def to_json(self) -> dict:
-        out = {"kind": self.kind}
-        if self.kind == "zero":
-            out["method"] = self.method
-        elif self.kind == "nonzero":
-            out["witness"] = list(self.witness)
-            out["value"] = self.value
-        else:
-            out["reason"] = self.reason
-        return out
+
+def _combine(*vs: ZeroVerdict) -> ZeroVerdict:
+    """Conjunction of zero-verdicts: NonZero dominates (the conjunct is
+    falsified), then Unknown; all-Zero keeps the weaker method."""
+    for v in vs:
+        if v.is_nonzero:
+            return v
+    for v in vs:
+        if v.is_unknown:
+            return v
+    if not vs:
+        return ZeroVerdict.zero(method="symbolic")
+    method = ("symbolic" if all(v.method == "symbolic" for v in vs)
+              else "probed")
+    return ZeroVerdict.zero(method=method)
 
 
 def is_zero(e: Expr, domain: Box, cfg: ZeroTestConfig = DEFAULT_CFG) -> ZeroVerdict:
@@ -1543,7 +1502,7 @@ def is_zero(e: Expr, domain: Box, cfg: ZeroTestConfig = DEFAULT_CFG) -> ZeroVerd
             av = abs(v)
             if av <= thr:
                 continue
-            if av > cfg.strong_factor * thr:
+            if av > _STRONG_FACTOR * thr:
                 if av > abs(best_val):
                     best_val = v
                     best_pt = pt
@@ -1551,21 +1510,21 @@ def is_zero(e: Expr, domain: Box, cfg: ZeroTestConfig = DEFAULT_CFG) -> ZeroVerd
                 n_band += 1
     if best_pt is not None:
         return ZeroVerdict.nonzero(best_pt, best_val)
-    if n_fail > cfg.max_fail_frac * total:
+    if n_fail > _MAX_FAIL_FRAC * total:
         return ZeroVerdict.unknown(
             f"evaluation failed at {n_fail}/{total} probes")
     if n_band > 0:
         return ZeroVerdict.unknown(
             f"{n_band} probe values inside the tolerance band")
     # all probes vanish; try to upgrade to a symbolic certificate
+    token = _BUDGET_LEFT.set(_TERM_BUDGET)
     try:
-        with _budget(cfg.term_budget):
-            if to_nf(e).is_zero():
-                return ZeroVerdict.zero(method="symbolic")
-    except (_BudgetExceeded, OverflowError):
+        if to_nf(e).is_zero():
+            return ZeroVerdict.zero(method="symbolic")
+    except (_BudgetExceeded, OverflowError, ZeroDivisionError):
         pass
-    except ZeroDivisionError:
-        pass
+    finally:
+        _BUDGET_LEFT.reset(token)
     return ZeroVerdict.zero(method="probed")
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .expr import (Box, DEFAULT_CFG, Expr, Rat, ZeroTestConfig, as_expr, diff,
-                   nf_is_zero, parse, simplify)
+                   is_zero, nf_is_zero, parse, simplify)
 from .cnum import CExpr, parse_complex, wirtinger_z, wirtinger_zbar
 from .geometry import (ChartMismatch, Metric, Section, complex_structure,
                        gauss_curvature, grad_half_square, grad_pairing,
@@ -148,6 +148,59 @@ _TAGS = {
 }
 
 
+# --------------------------------------------------------------------------
+# formulas shared by the engine and the functional wrappers
+
+def _gee(metric: Metric, fa, fb, fc, da, db, dc) -> Expr:
+    """{fa,fb} dc + {fb,fc} da + {fc,fa} db.
+
+    Terms with an identically-zero D-multiplier are dropped before the
+    bracket is ever formed, and the surviving combination is left
+    unnormalized: expanding these products over a common denominator
+    is the single most expensive simplification in the whole chain,
+    and the zero tests downstream neither need nor reward it."""
+    om = metric.omega12
+    terms = []
+    for (f1, f2, d) in ((fa, fb, dc), (fb, fc, da), (fc, fa, db)):
+        if nf_is_zero(d):
+            continue
+        br = (diff(f1, "x") * diff(f2, "y")
+              - diff(f1, "y") * diff(f2, "x")) / om
+        terms.append(br * d)
+    if not terms:
+        return as_expr(0)
+    out = terms[0]
+    for t in terms[1:]:
+        out = out + t
+    return out
+
+
+def _det_form(metric: Metric, rows) -> Expr:
+    """(1/omega12) det[[f_x, f_y, D] per row] for rows of (f, D)."""
+    m = [[diff(f, "x"), diff(f, "y"), d] for (f, d) in rows]
+    det = (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+           - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+           + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+    return simplify(det / metric.omega12)
+
+
+def _kay(phi0: Expr, dee0: Expr, phi1_like: Expr, dee1_like: Expr,
+         denom: Expr, denom_name: str, domain: Box,
+         cfg: ZeroTestConfig) -> Tuple[Expr, Expr]:
+    """K_i = ((phi0)_i D1 - D0 (phi1)_i) / phi2, or its star variant;
+    raises DegenerateBracket unless denom is certified NonZero."""
+    v = is_zero(denom, domain, cfg)
+    if v.kind != "nonzero":
+        raise DegenerateBracket(
+            "%s is %s on the sampled domain; covector undefined"
+            % (denom_name, v.kind))
+    out = []
+    for var in ("x", "y"):
+        num = diff(phi0, var) * dee1_like - dee0 * diff(phi1_like, var)
+        out.append(simplify(num / denom))
+    return tuple(out)
+
+
 class InvariantEngine:
     """Lazy, memoized invariant computation for one (metric, codifferential).
 
@@ -178,7 +231,6 @@ class InvariantEngine:
         return self._memo[key]
 
     def _is_zero(self, e: Expr):
-        from .expr import is_zero
         return is_zero(e, self.domain, self.cfg)
 
     def check_holomorphic(self) -> None:
@@ -370,118 +422,79 @@ class InvariantEngine:
 
     # -- G combinations ----------------------------------------------------
 
-    def _gee(self, fa, fb, fc, da, db, dc) -> Expr:
-        """{fa,fb} dc + {fb,fc} da + {fc,fa} db.
-
-        Terms with an identically-zero D-multiplier are dropped before the
-        bracket is ever formed, and the surviving combination is left
-        unnormalized: expanding these products over a common denominator
-        is the single most expensive simplification in the whole chain,
-        and the zero tests downstream neither need nor reward it."""
-        om = self.metric.omega12
-        terms = []
-        for (f1, f2, d) in ((fa, fb, dc), (fb, fc, da), (fc, fa, db)):
-            if nf_is_zero(d):
-                continue
-            br = (diff(f1, "x") * diff(f2, "y")
-                  - diff(f1, "y") * diff(f2, "x")) / om
-            terms.append(br * d)
-        if not terms:
-            return as_expr(0)
-        out = terms[0]
-        for t in terms[1:]:
-            out = out + t
-        return out
-
     @property
     def gee0(self) -> Expr:
-        return self._get("G0", lambda: self._gee(
-            self.phi1, self.phi2, self.phi3, self.dee1, self.dee2, self.dee3))
+        return self._get("G0", lambda: _gee(
+            self.metric, self.phi1, self.phi2, self.phi3,
+            self.dee1, self.dee2, self.dee3))
 
     @property
     def gee1(self) -> Expr:
-        return self._get("G1", lambda: self._gee(
-            self.phi0, self.phi2, self.phi3, self.dee0, self.dee2, self.dee3))
+        return self._get("G1", lambda: _gee(
+            self.metric, self.phi0, self.phi2, self.phi3,
+            self.dee0, self.dee2, self.dee3))
 
     @property
     def gee2(self) -> Expr:
-        return self._get("G2", lambda: self._gee(
-            self.phi0, self.phi1, self.phi3, self.dee0, self.dee1, self.dee3))
+        return self._get("G2", lambda: _gee(
+            self.metric, self.phi0, self.phi1, self.phi3,
+            self.dee0, self.dee1, self.dee3))
 
     @property
     def gee3(self) -> Expr:
-        return self._get("G3", lambda: self._gee(
-            self.phi0, self.phi1, self.phi2, self.dee0, self.dee1, self.dee2))
+        return self._get("G3", lambda: _gee(
+            self.metric, self.phi0, self.phi1, self.phi2,
+            self.dee0, self.dee1, self.dee2))
 
     @property
     def geestar2(self) -> Expr:
-        return self._get("Gstar2", lambda: self._gee(
-            self.phi0, self.phistar1, self.phistar3,
+        return self._get("Gstar2", lambda: _gee(
+            self.metric, self.phi0, self.phistar1, self.phistar3,
             self.dee0, self.deestar1, self.deestar3))
 
     @property
     def geestar3(self) -> Expr:
-        return self._get("Gstar3", lambda: self._gee(
-            self.phi0, self.phistar1, self.phistar2,
+        return self._get("Gstar3", lambda: _gee(
+            self.metric, self.phi0, self.phistar1, self.phistar2,
             self.dee0, self.deestar1, self.deestar2))
-
-    def _det_form(self, rows) -> Expr:
-        """(1/omega12) det[[f_x, f_y, D] per row] for rows of (f, D)."""
-        m = [[diff(f, "x"), diff(f, "y"), d] for (f, d) in rows]
-        det = (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-               - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-               + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-        return simplify(det / self.metric.omega12)
 
     @property
     def gee2_det(self) -> Expr:
-        return self._get("G2det", lambda: self._det_form(
-            ((self.phi0, self.dee0), (self.phi1, self.dee1),
-             (self.phi3, self.dee3))))
+        return self._get("G2det", lambda: _det_form(
+            self.metric, ((self.phi0, self.dee0), (self.phi1, self.dee1),
+                          (self.phi3, self.dee3))))
 
     @property
     def gee3_det(self) -> Expr:
-        return self._get("G3det", lambda: self._det_form(
-            ((self.phi0, self.dee0), (self.phi1, self.dee1),
-             (self.phi2, self.dee2))))
+        return self._get("G3det", lambda: _det_form(
+            self.metric, ((self.phi0, self.dee0), (self.phi1, self.dee1),
+                          (self.phi2, self.dee2))))
 
     @property
     def geestar2_det(self) -> Expr:
-        return self._get("Gstar2det", lambda: self._det_form(
-            ((self.phi0, self.dee0), (self.phistar1, self.deestar1),
-             (self.phistar3, self.deestar3))))
+        return self._get("Gstar2det", lambda: _det_form(
+            self.metric, ((self.phi0, self.dee0), (self.phistar1, self.deestar1),
+                          (self.phistar3, self.deestar3))))
 
     @property
     def geestar3_det(self) -> Expr:
-        return self._get("Gstar3det", lambda: self._det_form(
-            ((self.phi0, self.dee0), (self.phistar1, self.deestar1),
-             (self.phistar2, self.deestar2))))
+        return self._get("Gstar3det", lambda: _det_form(
+            self.metric, ((self.phi0, self.dee0), (self.phistar1, self.deestar1),
+                          (self.phistar2, self.deestar2))))
 
     # -- K covector, B-hat, candidate F ------------------------------------
 
-    def _kay_generic(self, phi1_like: Expr, dee1_like: Expr,
-                     denom: Expr, denom_name: str) -> Tuple[Expr, Expr]:
-        v = self._is_zero(denom)
-        if v.kind != "nonzero":
-            raise DegenerateBracket(
-                "%s is %s on the sampled domain; covector undefined"
-                % (denom_name, v.kind))
-        out = []
-        for var in ("x", "y"):
-            num = (diff(self.phi0, var) * dee1_like
-                   - self.dee0 * diff(phi1_like, var))
-            out.append(simplify(num / denom))
-        return tuple(out)
-
     @property
     def kay(self) -> Tuple[Expr, Expr]:
-        return self._get("K", lambda: self._kay_generic(
-            self.phi1, self.dee1, self.phi2, "phi2"))
+        return self._get("K", lambda: _kay(
+            self.phi0, self.dee0, self.phi1, self.dee1, self.phi2, "phi2",
+            self.domain, self.cfg))
 
     @property
     def kaystar(self) -> Tuple[Expr, Expr]:
-        return self._get("Kstar", lambda: self._kay_generic(
-            self.phistar1, self.deestar1, self.phistar2, "phi*2"))
+        return self._get("Kstar", lambda: _kay(
+            self.phi0, self.dee0, self.phistar1, self.deestar1,
+            self.phistar2, "phi*2", self.domain, self.cfg))
 
     def b_hat(self, kay: Tuple[Expr, Expr]) -> SymTensor3:
         """B-hat^{ijk} = (1/24)(g^{ij}g^{kl} + g^{ik}g^{jl} + g^{jk}g^{il})
@@ -592,27 +605,11 @@ def dee_family(metric: Metric, codiff: Codifferential,
 
 
 def gee_family(metric: Metric, phi: List[Expr], dee: List[Expr]) -> List[Expr]:
-    om = metric.omega12
-
-    def g(fa, fb, fc, da, db, dc):
-        terms = []
-        for (f1, f2, d) in ((fa, fb, dc), (fb, fc, da), (fc, fa, db)):
-            if nf_is_zero(d):
-                continue
-            br = (diff(f1, "x") * diff(f2, "y")
-                  - diff(f1, "y") * diff(f2, "x")) / om
-            terms.append(br * d)
-        if not terms:
-            return as_expr(0)
-        out = terms[0]
-        for t in terms[1:]:
-            out = out + t
-        return out
     return [
-        g(phi[1], phi[2], phi[3], dee[1], dee[2], dee[3]),
-        g(phi[0], phi[2], phi[3], dee[0], dee[2], dee[3]),
-        g(phi[0], phi[1], phi[3], dee[0], dee[1], dee[3]),
-        g(phi[0], phi[1], phi[2], dee[0], dee[1], dee[2]),
+        _gee(metric, phi[1], phi[2], phi[3], dee[1], dee[2], dee[3]),
+        _gee(metric, phi[0], phi[2], phi[3], dee[0], dee[2], dee[3]),
+        _gee(metric, phi[0], phi[1], phi[3], dee[0], dee[1], dee[3]),
+        _gee(metric, phi[0], phi[1], phi[2], dee[0], dee[1], dee[2]),
     ]
 
 
@@ -620,30 +617,17 @@ def gee_det_forms(metric: Metric, phi: List[Expr],
                   dee: List[Expr]) -> Tuple[Expr, Expr]:
     """Determinant forms of G2 and G3 (rows (phi_i, D_i); third rows
     (phi3, D3) and (phi2, D2) respectively), divided by omega12."""
-    def det(rows):
-        m = [[diff(f, "x"), diff(f, "y"), d] for (f, d) in rows]
-        val = (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-               - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-               + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-        return simplify(val / metric.omega12)
-    g2 = det(((phi[0], dee[0]), (phi[1], dee[1]), (phi[3], dee[3])))
-    g3 = det(((phi[0], dee[0]), (phi[1], dee[1]), (phi[2], dee[2])))
+    g2 = _det_form(metric, ((phi[0], dee[0]), (phi[1], dee[1]),
+                            (phi[3], dee[3])))
+    g3 = _det_form(metric, ((phi[0], dee[0]), (phi[1], dee[1]),
+                            (phi[2], dee[2])))
     return g2, g3
 
 
 def kay_covector(metric: Metric, phi: List[Expr], dee: List[Expr],
                  domain: Box = DEFAULT_DOMAIN,
                  cfg: ZeroTestConfig = DEFAULT_CFG) -> Tuple[Expr, Expr]:
-    from .expr import is_zero
-    v = is_zero(phi[2], domain, cfg)
-    if v.kind != "nonzero":
-        raise DegenerateBracket(
-            "phi2 is %s on the sampled domain; covector undefined" % v.kind)
-    out = []
-    for var in ("x", "y"):
-        num = diff(phi[0], var) * dee[1] - dee[0] * diff(phi[1], var)
-        out.append(simplify(num / phi[2]))
-    return tuple(out)
+    return _kay(phi[0], dee[0], phi[1], dee[1], phi[2], "phi2", domain, cfg)
 
 
 def f_tensor(metric: Metric, codiff: Codifferential,

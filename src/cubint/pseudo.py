@@ -16,9 +16,10 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from .decision import TraceStep, Verdict, _combine, _decision_walk
+from .decision import TraceStep, Verdict, _decision_walk
 from .expr import (Box, DEFAULT_CFG, Expr, Rat, ZeroTestConfig, ZeroVerdict,
-                   as_expr, diff, is_zero, nf_is_zero, parse, simplify)
+                   _combine, as_expr, diff, is_zero, nf_is_zero, parse,
+                   simplify)
 from .geometry import ChartMismatch, Metric, null_metric
 from .invariants import Codifferential, DEFAULT_DOMAIN, InvariantEngine
 from .verify import MomentumPoly, _structured_null, bracket_certificate

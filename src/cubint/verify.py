@@ -20,9 +20,9 @@ from fractions import Fraction
 from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from .expr import (
-    Box, Const, Add, Expr, Func, Mul, Pow, Rat, Var, ZeroTestConfig,
-    ZeroVerdict, as_expr, diff, eval_at, is_zero, nf_is_zero, simplify,
-    to_str, DEFAULT_CFG,
+    Box, Const, Add, EvalDomainError, Expr, Func, Mul, Pow, Rat, Var,
+    ZeroTestConfig, ZeroVerdict, as_expr, diff, eval_at, is_zero, nf_is_zero,
+    simplify, to_str, DEFAULT_CFG,
 )
 from .geometry import Metric
 
@@ -332,6 +332,8 @@ def integrate_geodesic(metric: Metric, state0, dt: float, steps: int):
     """Fixed-step RK4 for Hamilton's equations of H = (1/2) g^{ij} p_i p_j.
 
     state0 = (x, y, px, py); returns the list of (t, x, y, px, py).
+    Raises EvalDomainError when a step fails to evaluate or leaves a
+    non-finite or non-real state (the trajectory left the metric's domain).
     """
     i11, i12, i22 = metric.inv
     c11, c12, c22 = compile_expr(i11), compile_expr(i12), compile_expr(i22)
@@ -351,15 +353,23 @@ def integrate_geodesic(metric: Metric, state0, dt: float, steps: int):
     out = [(0.0,) + tuple(float(v) for v in state0)]
     s = tuple(float(v) for v in state0)
     t = 0.0
-    for _ in range(steps):
-        k1 = rhs(s)
-        k2 = rhs(tuple(si + 0.5 * dt * k for si, k in zip(s, k1)))
-        k3 = rhs(tuple(si + 0.5 * dt * k for si, k in zip(s, k2)))
-        k4 = rhs(tuple(si + dt * k for si, k in zip(s, k3)))
-        s = tuple(si + dt / 6.0 * (a + 2 * b + 2 * c + d)
-                  for si, a, b, c, d in zip(s, k1, k2, k3, k4))
-        t += dt
-        out.append((t,) + s)
+    try:
+        for _ in range(steps):
+            k1 = rhs(s)
+            k2 = rhs(tuple(si + 0.5 * dt * k for si, k in zip(s, k1)))
+            k3 = rhs(tuple(si + 0.5 * dt * k for si, k in zip(s, k2)))
+            k4 = rhs(tuple(si + dt * k for si, k in zip(s, k3)))
+            s = tuple(si + dt / 6.0 * (a + 2 * b + 2 * c + d)
+                      for si, a, b, c, d in zip(s, k1, k2, k3, k4))
+            t += dt
+            if not all(map(math.isfinite, s)):
+                raise EvalDomainError("non-finite state at t = %g" % t)
+            out.append((t,) + s)
+    except (ArithmeticError, ValueError, TypeError) as exc:
+        # math domain errors, overflow and poles; a fractional power of a
+        # negative base makes a value complex, and math functions (the
+        # finiteness check too) reject it with TypeError
+        raise EvalDomainError("%s near t = %g" % (exc, t)) from None
     return out
 
 

@@ -1,11 +1,13 @@
 """End-to-end CLI tests: every exit code, every subcommand, JSON schema."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import cubint
 from cubint.cli import main
 
 FLAT_TRIVIAL = """\
@@ -307,6 +309,30 @@ def test_geodesic_threshold_failure_exit_1(tmp_path, capsys):
     assert rep["within_tolerance"] is False
 
 
+@pytest.mark.parametrize("lam, x0", [("(2 + x)^(1/2)", "-3"),
+                                     ("2 + ln(x)", "-1")])
+def test_geodesic_aborts_outside_metric_domain(tmp_path, capsys, lam, x0):
+    # the start lies where lambda is complex (resp. ln is undefined)
+    man = _write(tmp_path, "m.ini", FLAT_TRIVIAL.replace(
+        "lambda = 1", "lambda = " + lam))
+    code, rep = _run(capsys, ["geodesic", man, "--x0=" + x0, "--y0", "0",
+                              "--px0", "0.3", "--py0", "0.2",
+                              "--steps", "50"])
+    assert code == 1
+    assert rep["aborted"] is True
+    assert rep["conservation"] is None
+
+
+def test_geodesic_negative_start_in_exponent_notation(tmp_path, capsys):
+    man = _write(tmp_path, "m.ini", FLAT_TRIVIAL)
+    args = ["geodesic", man, "--y0", "0", "--px0", "0.3", "--py0",
+            "-2e-1", "--steps", "10", "--dt", "0.1"]
+    code, rep = _run(capsys, args + ["--x0", "-7.8e-05"])
+    assert code == 0
+    assert rep["state0"] == [-7.8e-05, 0.0, 0.3, -0.2]
+    assert _run(capsys, args + ["--x0=-7.8e-05"])[1] == rep
+
+
 def test_geodesic_rejects_bad_step_parameters(tmp_path, capsys):
     man = _write(tmp_path, "m.ini", FLAT_TRIVIAL)
     args = ["geodesic", man, "--x0", "0", "--y0", "0",
@@ -325,8 +351,12 @@ def test_usage_error_exits_64(capsys):
 
 def test_module_invocation_round_trip(tmp_path):
     man = _write(tmp_path, "m.ini", FLAT_TRIVIAL)
+    # the child process imports the cubint under test, installed or not
+    src = os.path.dirname(os.path.dirname(cubint.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run([sys.executable, "-m", "cubint.cli", "check", man],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     rep = json.loads(proc.stdout)
     assert rep["status"] == "CompatibleConstCurvature"

@@ -184,3 +184,39 @@ def test_trace_steps_carry_verdicts():
     assert v.trace[0].box == "Input g and A" and v.trace[0].verdict is None
     for step in v.trace[1:]:
         assert step.verdict is not None
+
+
+def test_concurrent_decisions_match_serial_ones():
+    # decide keeps no state between calls outside its arguments, so
+    # threads switching every 0.1 ms reach the verdicts of a serial run
+    import sys
+    import threading
+    pairs = [("1 + x^2", ("0", "-1")), ("1 + x^2 + y^2/2", ("0", "0")),
+             ("4/(1 + x^2 + y^2)^2", ("x^2 - y^2", "2*x*y"))] * 2
+
+    def run(lam, a):
+        v = decide(isothermal_metric(lam), Codifferential.isothermal(a))
+        return v.status, v.path(), v.witness
+
+    got, errors = {}, []
+
+    def worker(i):
+        try:
+            got[i] = run(*pairs[i])
+        except Exception as exc:  # reported below with the verdicts
+            errors.append(repr(exc))
+
+    threads = [threading.Thread(target=worker, args=(i,))
+               for i in range(len(pairs))]
+    saved = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(120)
+    finally:
+        sys.setswitchinterval(saved)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert [got[i] for i in range(len(pairs))] == [run(*p) for p in pairs]
