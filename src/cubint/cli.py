@@ -41,7 +41,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
-import re
 import sys
 from typing import Dict, Optional, Tuple
 
@@ -484,7 +483,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 _START_OPTIONS = ("--x0", "--y0", "--px0", "--py0")
-_NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?", re.I)
 
 
 def _attach_start_values(argv):
@@ -492,11 +490,20 @@ def _attach_start_values(argv):
     negative value in exponent notation as an option flag."""
     out = []
     for a in argv:
-        if out and out[-1] in _START_OPTIONS and _NEGATIVE_NUMBER.fullmatch(a):
+        if out and out[-1] in _START_OPTIONS and a.startswith("-") \
+                and _is_float(a):
             out[-1] += "=" + a
         else:
             out.append(a)
     return out
+
+
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
 
 
 def main(argv=None) -> int:

@@ -552,52 +552,15 @@ def _nf_const_value(nf: NF) -> Optional[Fraction]:
 
 
 def _m_mul(m1: tuple, m2: tuple):
-    if _m_plain(m1) and _m_plain(m2):
-        return 1, _m_merge(m1, m2)
     return _m_build(list(m1) + list(m2))
-
-
-def _m_plain(m: tuple) -> bool:
-    """No exp-atom or _RatPow base, so none of _m_build's folds applies."""
-    for (b, _) in m:
-        if type(b) is _RatPow or (type(b) is Func and b.name == "exp"):
-            return False
-    return True
-
-
-def _m_merge(m1: tuple, m2: tuple) -> tuple:
-    """_m_build's product of two plain monomials, each sorted by _skey,
-    found by a merge instead of a dict and a sort."""
-    out = []
-    i = j = 0
-    while i < len(m1) and j < len(m2):
-        (b1, e1), (b2, e2) = m1[i], m2[j]
-        k1, k2 = b1._skey or _skey(b1), b2._skey or _skey(b2)
-        if k1 < k2:
-            out.append(m1[i])
-            i += 1
-        elif k2 < k1:
-            out.append(m2[j])
-            j += 1
-        elif b1 is b2 or b1 == b2:
-            out.append((b1, e1 + e2))
-            i += 1
-            j += 1
-        else:  # two bases with one sort key: leave the order to the sort
-            return _m_build(list(m1) + list(m2))[1]
-    out.extend(m1[i:])
-    out.extend(m2[j:])
-    return tuple((b, e if type(e) is Fraction else Fraction(e))
-                 for (b, e) in out if e)
 
 
 def _m_pow(m: tuple, e: Fraction):
     return _m_build([(b, x * e) for (b, x) in m])
 
 
-def _m_total_deg(m: tuple):
-    # integral exponents are summed as ints: Fraction sums cost ~1 us each
-    return sum(e.numerator if e.denominator == 1 else e for (_, e) in m)
+def _m_total_deg(m: tuple) -> Fraction:
+    return sum((e for (_, e) in m), Fraction(0))
 
 
 def _m_lex_cmp(m1: tuple, m2: tuple) -> int:
@@ -643,11 +606,8 @@ def _m_div(m2: tuple, m1: tuple):
 # ---- polynomial helpers --------------------------------------------------
 
 def _p_add_into(p: dict, q: dict, s: Fraction = Fraction(1)):
-    one = s == 1
     for m, c in q.items():
-        c = c if one else c * s
-        nc = p.get(m)
-        nc = c if nc is None else nc + c
+        nc = p.get(m, Fraction(0)) + c * s
         if nc == 0:
             p.pop(m, None)
         else:
@@ -657,16 +617,10 @@ def _p_add_into(p: dict, q: dict, s: Fraction = Fraction(1)):
 def _p_mul(p: dict, q: dict) -> dict:
     _charge(len(p) * len(q))
     out: dict = {}
-    plain = (all(_m_plain(m) for m in p) and all(_m_plain(m) for m in q))
     for m1, c1 in p.items():
         for m2, c2 in q.items():
-            if plain:
-                m, c = _m_merge(m1, m2), c1 * c2
-            else:
-                cm, m = _m_mul(m1, m2)
-                c = c1 * c2 * cm
-            nc = out.get(m)
-            nc = c if nc is None else nc + c
+            cm, m = _m_mul(m1, m2)
+            nc = out.get(m, Fraction(0)) + c1 * c2 * cm
             if nc == 0:
                 out.pop(m, None)
             else:
@@ -682,12 +636,9 @@ def _p_scale(p: dict, s: Fraction) -> dict:
 
 def _p_mul_mono(p: dict, mono: tuple, s: Fraction = Fraction(1)) -> dict:
     out: dict = {}
-    one = s == 1
     for m, c in p.items():
         cm, nm = _m_mul(m, mono)
-        c = c if one and cm == 1 else c * s * cm
-        nc = out.get(nm)
-        nc = c if nc is None else nc + c
+        nc = out.get(nm, Fraction(0)) + c * s * cm
         if nc == 0:
             out.pop(nm, None)
         else:

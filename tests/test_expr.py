@@ -303,30 +303,6 @@ def test_simplify_rational_cancellation_note():
     assert to_str(simplify(parse("(x^2-1)/(x-1)"))) == "1 + x"
 
 
-def test_monomial_merge_matches_general_build():
-    # the merge fast path of monomial products must return what the
-    # general fold-and-sort construction returns, cancellations included
-    nfs = [expr_mod.to_nf(parse(t)) for t in (
-        "x^3*y/(1 + x^2)^2", "(1 + x^2)^(1/2)*y^2/(x + y)",
-        "sin(x)*y^(1/3) + x*y/(2 + y^2)", "ln(1 + y^2)*x^2 - 1/(x*y)")]
-    monos = {()}
-    for nf in nfs:
-        monos.add(nf.den)
-        monos.add(tuple((b, int(e)) for (b, e) in nf.den))  # int exponents
-        monos.update(nf.num)
-    monos |= {expr_mod._m_build([(b, -e) for (b, e) in m])[1] for m in monos}
-    monos = sorted(monos, key=expr_mod._mono_skey)
-    plain = [m for m in monos if expr_mod._m_plain(m)]
-    assert len(plain) > 10
-    for m1 in plain:
-        for m2 in plain:
-            want = expr_mod._m_build(list(m1) + list(m2))
-            got = expr_mod._m_mul(m1, m2)
-            assert got == want
-            assert all(type(e) is type(w) for ((_, e), (_, w))
-                       in zip(got[1], want[1]))
-
-
 def test_simplify_keeps_denominators_factored():
     e = parse("1/((1+x^2)*(2+y^2))")
     s = to_str(simplify(e))
