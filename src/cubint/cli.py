@@ -298,7 +298,7 @@ def _invariant_value(e: Expr, mode: str, at: Optional[Tuple[float, float]]):
         return to_str(simplify(e))
     try:
         return float(eval_at(e, at))
-    except (EvalDomainError, ZeroDivisionError, OverflowError):
+    except EvalDomainError:
         return None
 
 
@@ -486,16 +486,23 @@ _START_OPTIONS = ("--x0", "--y0", "--px0", "--py0")
 
 
 def _attach_start_values(argv):
-    """Rewrite "--x0 -7.8e-05" as "--x0=-7.8e-05": argparse reads a separate
-    negative value in exponent notation as an option flag."""
+    """Rewrite "--x0 -7.8e-05" as "--x0=-7.8e-05" and "--at -0.5,0.2" as
+    "--at=-0.5,0.2": argparse reads a separate value that starts with "-"
+    as an option flag unless it is a plain negative number."""
     out = []
     for a in argv:
-        if out and out[-1] in _START_OPTIONS and a.startswith("-") \
-                and _is_float(a):
+        if out and a.startswith("-") and (
+                out[-1] in _START_OPTIONS and _is_float(a)
+                or out[-1] == "--at" and _is_point(a)):
             out[-1] += "=" + a
         else:
             out.append(a)
     return out
+
+
+def _is_point(text: str) -> bool:
+    parts = text.split(",")
+    return len(parts) == 2 and all(map(_is_float, parts))
 
 
 def _is_float(text: str) -> bool:

@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .expr import (Box, DEFAULT_CFG, Expr, ZeroTestConfig, ZeroVerdict,
-                   _combine, diff, eval_at, is_zero)
+from .expr import (Box, DEFAULT_CFG, EvalDomainError, Expr, ZeroTestConfig,
+                   ZeroVerdict, _combine, diff, eval_at, is_zero)
 from .geometry import ChartMismatch, Metric
 from .invariants import (Codifferential, DEFAULT_DOMAIN, DegenerateBracket,
                          InvariantEngine)
@@ -105,10 +105,9 @@ def _apparent_magnitude(e: Expr, domain: Box) -> float:
     for fx, fy in ((0.5, 0.5), (0.23, 0.71), (0.81, 0.37), (0.66, 0.88)):
         try:
             v = abs(eval_at(e, (domain.x_min + fx * w, domain.y_min + fy * h)))
-        except Exception:
+        except EvalDomainError:
             continue
-        if v == v and v != float("inf"):  # skip nan/inf
-            best = max(best, v)
+        best = max(best, v)
     return best
 
 

@@ -87,16 +87,25 @@ class Expr:
 
     _dord is the cumulative derivative order used to produce the value
     (metadata, excluded from equality, fixed when the node is built); _nf
-    caches the normal form.
+    caches the normal form and _fn the compiled float evaluator.
     """
 
-    __slots__ = ("_hash", "_dord", "_nf", "_skey")
+    __slots__ = ("_hash", "_dord", "_nf", "_skey", "_fn")
 
     def _init_meta(self, dord: int = 0):
         self._hash = None
         self._dord = dord
         self._nf = None
         self._skey = None
+        self._fn = None
+
+    def __getstate__(self):
+        # _fn is built at run time and cannot be pickled; the next
+        # evaluation builds it again
+        state = {k: getattr(self, k) for c in type(self).__mro__
+                 for k in getattr(c, "__slots__", ())}
+        state["_fn"] = None
+        return None, state
 
     # -- operators -----------------------------------------------------
     def __add__(self, other):
@@ -1267,79 +1276,146 @@ def nf_is_zero(e: Expr) -> bool:
 # --------------------------------------------------------------------------
 # evaluation
 
-_MATH_FUNCS: dict = {
-    "sin": math.sin, "cos": math.cos, "tan": math.tan,
-    "exp": math.exp, "sinh": math.sinh, "cosh": math.cosh, "tanh": math.tanh,
+_EVAL_FUNCS = {
+    "sin": math.sin, "cos": math.cos, "tan": math.tan, "exp": math.exp,
+    "ln": math.log, "sqrt": math.sqrt,
+    "sinh": math.sinh, "cosh": math.cosh, "tanh": math.tanh,
 }
+# identifiers of the functions in generated code, and what they are bound to
+_EVAL_FUNC_IDENT = {name: "f_" + name for name in _EVAL_FUNCS}
+_EVAL_GLOBALS = {
+    "__builtins__": {}, "all": all, "map": map, "abs": abs, "max": max,
+    "str": str, "float": float, "isfinite": math.isfinite,
+    "OverflowError": OverflowError, "ValueError": ValueError,
+    "EvalDomainError": EvalDomainError,
+    **{_EVAL_FUNC_IDENT[n]: f for n, f in _EVAL_FUNCS.items()},
+}
+# operands per generated Add/Mul statement: a longer chain nests the
+# compiler's syntax tree as deep as the chain is long
+_EVAL_CHAIN = 64
 
 
 def eval_at(e: Expr, point) -> float:
     """Double-precision evaluation at (x, y).  Raises EvalDomainError on
     poles, ln(<=0), sqrt(<0), fractional powers of negatives, or non-finite
     intermediates."""
-    return _eval(e, float(point[0]), float(point[1]), None)
+    return _evaluator(e)(float(point[0]), float(point[1]))[0]
 
 
 def eval_scaled(e: Expr, point):
     """(value, scale) where scale = max |value| over all subexpressions."""
-    acc = [0.0]
-    v = _eval(e, float(point[0]), float(point[1]), acc)
-    return v, acc[0]
+    return _evaluator(e)(float(point[0]), float(point[1]))
 
 
-def _eval(e: Expr, x: float, y: float, acc):
-    t = type(e)
-    try:
-        if t is Rat:
-            v = float(e.val)
-        elif t is Var:
-            v = x if e.name == "x" else y
+def _evaluator(e: Expr):
+    """e's compiled evaluator, built on first use and kept on the node.
+
+    Threads racing on a first use each build an equal function; whichever
+    is stored last is kept."""
+    f = e._fn
+    if f is None:
+        f = e._fn = _compile(e)
+    return f
+
+
+def _compile(root: Expr):
+    """Straight-line function f(x, y) -> (value, scale) evaluating root.
+
+    Structurally equal subtrees share one temporary, so the DAG is
+    evaluated, not the tree.  Every node does the float operation of the
+    plain recursive walk (Add is 0.0 + a + ..., Mul is 1.0 * a * ..., in
+    operand order), every node's value must be finite, and scale is the
+    largest |value| over the nodes; merging equal subtrees changes
+    neither.  Finiteness is checked once all nodes are computed, so where
+    a non-finite value reaches a domain check first, the EvalDomainError
+    names that check.  Constants are never written into the source: they
+    are the defaults of f's parameters after x and y."""
+    lines = []
+    names = {}      # node -> name holding its value
+    consts = {}     # (type, value) -> name of a bound constant
+
+    def const(v) -> str:
+        key = (type(v), v)
+        c = consts.get(key)
+        if c is None:
+            c = consts[key] = f"c{len(consts)}"
+        return c
+
+    def emit(e: Expr) -> str:
+        out = names.get(e)
+        if out is not None:
+            return out
+        t = type(e)
+        if t is Var:
+            out = "x" if e.name == "x" else "y"
         elif t is Const:
-            v = math.pi if e.name == "pi" else math.e
-        elif t is Add:
-            v = 0.0
-            for s in e.terms:
-                v += _eval(s, x, y, acc)
-        elif t is Mul:
-            v = 1.0
-            for f in e.factors:
-                v *= _eval(f, x, y, acc)
+            out = const(math.pi if e.name == "pi" else math.e)
+        elif t is Rat:
+            try:
+                out = const(float(e.val))
+            except OverflowError:
+                # raises, mapped to EvalDomainError, on every evaluation
+                out = f"t{len(lines)}"
+                lines.append(f"{out} = float({const(e.val)})")
+        elif t is Add or t is Mul:
+            ops = [emit(s) for s in (e.terms if t is Add else e.factors)]
+            op, head = (" + ", "0.0") if t is Add else (" * ", "1.0")
+            out = f"t{len(lines)}"
+            for i in range(0, max(len(ops), 1), _EVAL_CHAIN):
+                chunk = [head] + ops[i:i + _EVAL_CHAIN]
+                lines.append(f"{out} = {op.join(chunk)}")
+                head = out
         elif t is Pow:
-            b = _eval(e.base, x, y, acc)
+            b = emit(e.base)
             ex = e.exp
             if ex.denominator == 1:
                 n = int(ex)
-                if b == 0.0 and n < 0:
-                    raise EvalDomainError("pole: 0 raised to negative power")
-                v = b ** n
+                if n < 0:
+                    lines.append(f"if {b} == 0.0: raise EvalDomainError("
+                                 "'pole: 0 raised to negative power')")
+                c = const(n)
             else:
-                if b < 0.0:
-                    raise EvalDomainError("fractional power of negative base")
-                if b == 0.0 and ex < 0:
-                    raise EvalDomainError("pole: 0 raised to negative power")
-                v = b ** float(ex)
+                lines.append(f"if {b} < 0.0: raise EvalDomainError("
+                             "'fractional power of negative base')")
+                if ex < 0:
+                    lines.append(f"if {b} == 0.0: raise EvalDomainError("
+                                 "'pole: 0 raised to negative power')")
+                c = const(float(ex))
+            out = f"t{len(lines)}"
+            lines.append(f"{out} = {b} ** {c}")
         elif t is Func:
-            a = _eval(e.arg, x, y, acc)
-            n = e.name
-            if n == "ln":
-                if a <= 0.0:
-                    raise EvalDomainError("ln of non-positive value")
-                v = math.log(a)
-            elif n == "sqrt":
-                if a < 0.0:
-                    raise EvalDomainError("sqrt of negative value")
-                v = math.sqrt(a)
-            else:
-                v = _MATH_FUNCS[n](a)
+            a = emit(e.arg)
+            if e.name == "ln":
+                lines.append(f"if {a} <= 0.0: raise EvalDomainError("
+                             "'ln of non-positive value')")
+            elif e.name == "sqrt":
+                lines.append(f"if {a} < 0.0: raise EvalDomainError("
+                             "'sqrt of negative value')")
+            out = f"t{len(lines)}"
+            lines.append(f"{out} = {_EVAL_FUNC_IDENT[e.name]}({a})")
         else:
             raise TypeError(f"cannot evaluate {e!r}")
-    except (OverflowError, ValueError) as ex:
-        raise EvalDomainError(str(ex)) from None
-    if not math.isfinite(v):
-        raise EvalDomainError("non-finite value")
-    if acc is not None and abs(v) > acc[0]:
-        acc[0] = abs(v)
-    return v
+        names[e] = out
+        return out
+
+    res = emit(root)
+    values = ", ".join(dict.fromkeys(names.values()))
+    src = "\n".join([
+        f"def f(x, y, {''.join(c + ', ' for c in consts.values())}):",
+        " try:",
+        *["  " + ln for ln in lines or ["pass"]],
+        " except (OverflowError, ValueError) as ex:",
+        "  raise EvalDomainError(str(ex)) from None",
+        f" T = ({values},)",
+        " if not all(map(isfinite, T)):",
+        "  raise EvalDomainError('non-finite value')",
+        f" return {res}, max(map(abs, T))",
+    ])
+    ns = {}
+    exec(compile(src, "<cubint.expr evaluator>", "exec"), _EVAL_GLOBALS, ns)
+    f = ns["f"]
+    f.__defaults__ = tuple(v for _, v in consts)
+    return f
 
 
 # --------------------------------------------------------------------------

@@ -7,6 +7,8 @@ If the engine and these oracles agree, they agree for different reasons.
 
 import math
 
+from cubint.expr import Add, Const, EvalDomainError, Func, Mul, Pow, Rat, Var
+
 
 def fd_partial(f, x, y, var, h=1e-5):
     """Richardson-extrapolated central difference of f(x, y)."""
@@ -167,3 +169,68 @@ def rk4_flow(rhs, state, dt, steps):
              for si, a, b, c, d in zip(s, k1, k2, k3, k4)]
         out.append(tuple(s))
     return out
+
+
+_TREE_FUNCS = {
+    "sin": math.sin, "cos": math.cos, "tan": math.tan,
+    "exp": math.exp, "sinh": math.sinh, "cosh": math.cosh, "tanh": math.tanh,
+}
+
+
+def tree_eval(e, x, y, acc=None):
+    """Recursive walk of the whole expression tree, shared subtrees as often
+    as they occur: the value at (x, y), raising EvalDomainError where the
+    kernel's evaluator must.  When acc is a one-element list, acc[0] ends
+    as the largest |value| over the nodes (the kernel's scale)."""
+    t = type(e)
+    try:
+        if t is Rat:
+            v = float(e.val)
+        elif t is Var:
+            v = x if e.name == "x" else y
+        elif t is Const:
+            v = math.pi if e.name == "pi" else math.e
+        elif t is Add:
+            v = 0.0
+            for s in e.terms:
+                v += tree_eval(s, x, y, acc)
+        elif t is Mul:
+            v = 1.0
+            for f in e.factors:
+                v *= tree_eval(f, x, y, acc)
+        elif t is Pow:
+            b = tree_eval(e.base, x, y, acc)
+            ex = e.exp
+            if ex.denominator == 1:
+                n = int(ex)
+                if b == 0.0 and n < 0:
+                    raise EvalDomainError("pole: 0 raised to negative power")
+                v = b ** n
+            else:
+                if b < 0.0:
+                    raise EvalDomainError("fractional power of negative base")
+                if b == 0.0 and ex < 0:
+                    raise EvalDomainError("pole: 0 raised to negative power")
+                v = b ** float(ex)
+        elif t is Func:
+            a = tree_eval(e.arg, x, y, acc)
+            n = e.name
+            if n == "ln":
+                if a <= 0.0:
+                    raise EvalDomainError("ln of non-positive value")
+                v = math.log(a)
+            elif n == "sqrt":
+                if a < 0.0:
+                    raise EvalDomainError("sqrt of negative value")
+                v = math.sqrt(a)
+            else:
+                v = _TREE_FUNCS[n](a)
+        else:
+            raise TypeError(f"cannot evaluate {e!r}")
+    except (OverflowError, ValueError) as ex:
+        raise EvalDomainError(str(ex)) from None
+    if not math.isfinite(v):
+        raise EvalDomainError("non-finite value")
+    if acc is not None and abs(v) > acc[0]:
+        acc[0] = abs(v)
+    return v

@@ -244,6 +244,14 @@ def test_invariants_symbolic_trivial_pair(tmp_path, capsys):
     assert inv["phi0"] != "0"
 
 
+def test_invariants_at_negative_x(tmp_path, capsys):
+    man = _write(tmp_path, "m.ini", SPHERE_TRIVIAL)
+    code, rep = _run(capsys, ["invariants", man, "--at", "-0.5,0.2"])
+    assert code == 0
+    assert rep["point"] == [-0.5, 0.2]
+    assert _run(capsys, ["invariants", man, "--at=-0.5,0.2"])[1] == rep
+
+
 def test_invariants_requires_mode_flag(tmp_path, capsys):
     man = _write(tmp_path, "m.ini", SPHERE_TRIVIAL)
     assert main(["invariants", man]) == 64

@@ -1,17 +1,21 @@
+import copy
 import math
+import pickle
 import random
+import sys
 import threading
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cubint.expr import (
-    Box, EvalDomainError, ExpressionSyntaxError, Func, OrderCapExceeded,
-    UnknownIdentifier, ZeroTestConfig, diff, eval_at, is_zero, nf_is_zero,
-    parse, simplify, to_str,
+    FUNCTIONS, Add, Box, Const, EvalDomainError, ExpressionSyntaxError, Func,
+    Mul, OrderCapExceeded, Pow, Rat, UnknownIdentifier, Var, ZeroTestConfig,
+    diff, eval_at, eval_scaled, is_zero, nf_is_zero, parse, simplify, to_str,
 )
 from cubint import expr as expr_mod
-from oracles import fd_partial
+from oracles import fd_partial, tree_eval
 
 
 BOX = Box(-2.0, 2.0, -2.0, 2.0)
@@ -343,6 +347,21 @@ def test_eval_domain_errors():
         eval_at(parse("x^(1/2)"), (-4.0, 0.0))
     with pytest.raises(EvalDomainError):
         eval_at(parse("exp(x)"), (1e6, 0.0))  # overflow -> domain error
+    with pytest.raises(EvalDomainError):
+        eval_at(parse("ln(-1)"), (0.0, 0.0))
+    with pytest.raises(EvalDomainError):
+        eval_at(parse("exp(1000*x)"), (1.0, 0.0))
+    # x*10^200*10^200 overflows to inf although 1/(...) comes out 0.0
+    inf_under_finite = Pow(Mul((Var("x"), Rat(10 ** 200), Rat(10 ** 200))),
+                           Fraction(-1))
+    with pytest.raises(EvalDomainError):
+        eval_at(inf_under_finite, (1.0, 0.0))
+    # a rational too large for a float fails at every evaluation
+    for text in ("10^400", "x + 10^400"):
+        e = parse(text)
+        for _ in range(2):
+            with pytest.raises(EvalDomainError):
+                eval_at(e, (1.0, 0.0))
 
 
 def test_eval_matches_math_module():
@@ -351,6 +370,112 @@ def test_eval_matches_math_module():
     for (a, b) in pts:
         want = math.sin(a) * math.cosh(b) + math.exp(a - b) / 3
         assert eval_at(e, (a, b)) == pytest.approx(want, rel=1e-14)
+
+
+# random trees over + * ^ and the functions, built from the node classes so
+# that operand order is kept as drawn; some reuse a subtree as the same
+# object, some as a structurally equal copy
+
+def _eval_exprs(depth):
+    leaf = st.one_of(
+        st.sampled_from([Var("x"), Var("y"), Const("pi"), Const("e")]),
+        st.fractions(min_value=-5, max_value=5, max_denominator=7).map(Rat),
+    )
+    if depth <= 0:
+        return leaf
+    sub = _eval_exprs(depth - 1)
+    ops = st.lists(sub, min_size=2, max_size=4)
+    exps = st.sampled_from([Fraction(n) for n in (2, 3, -1, -2)]
+                           + [Fraction(1, 2), Fraction(-1, 2),
+                              Fraction(3, 2), Fraction(1, 3)])
+
+    def shared(t):
+        a, b, deep = t
+        a2 = copy.deepcopy(a) if deep else a
+        return Add((Mul((a, b)), a2, Pow(a, Fraction(2))))
+
+    return st.one_of(
+        leaf,
+        ops.map(Add),
+        ops.map(Mul),
+        st.tuples(sub, exps).map(lambda t: Pow(*t)),
+        st.tuples(st.sampled_from(FUNCTIONS), sub).map(lambda t: Func(*t)),
+        st.tuples(sub, sub, st.booleans()).map(shared),
+    )
+
+
+def _walked(e, pt):
+    acc = [0.0]
+    try:
+        return tree_eval(e, pt[0], pt[1], acc), acc[0]
+    except EvalDomainError:
+        return "EvalDomainError"
+
+
+def _compiled(e, pt):
+    try:
+        return eval_scaled(e, pt)
+    except EvalDomainError:
+        return "EvalDomainError"
+
+
+_COORDS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                    st.floats(min_value=-3.0, max_value=3.0))
+
+
+@given(_eval_exprs(3), st.lists(st.tuples(_COORDS, _COORDS), min_size=1,
+                                max_size=4))
+@settings(max_examples=300, deadline=None)
+# signed zeros: 0.0 + (-0.0) + (-0.0) is 0.0, (-0.0) + (-0.0) is -0.0
+@example(e=Add((Mul((Rat(-1), Var("x"))),) * 2), pts=[(0.0, 0.0)])
+def test_eval_scaled_matches_tree_walk_bitwise(e, pts):
+    for pt in pts:
+        want = repr(_walked(e, pt))
+        assert repr(_compiled(e, pt)) == want
+        assert repr(_compiled(e, pt)) == want   # the cached evaluator
+
+
+def test_first_evaluation_from_two_threads_agrees():
+    e = parse("sin(x)/(1+x^2+y^2)^(3/2) + ln(2+y)*exp(x*y) - x^7*y^5/11")
+    pt = (0.3, -0.7)
+    barrier = threading.Barrier(2)
+    got = []
+
+    def first_eval():
+        barrier.wait(30)
+        got.append(eval_scaled(e, pt))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=first_eval) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    acc = [0.0]
+    want = (tree_eval(e, pt[0], pt[1], acc), acc[0])
+    assert got == [want, want]
+    assert eval_scaled(e, pt) == want
+
+
+def test_long_sum_evaluates():
+    # one Add of 3000 operands: a single chained expression that long is
+    # deeper than the Python compiler recurses
+    e = Add(tuple(Mul((Rat(k), Var("x"))) for k in range(1, 3001)))
+    acc = [0.0]
+    assert eval_scaled(e, (0.1, 0.0)) == (tree_eval(e, 0.1, 0.0, acc), acc[0])
+
+
+def test_evaluated_expression_pickles():
+    e = parse("1/(1+x^2)")
+    v = eval_at(e, (0.5, 0.0))
+    e2 = pickle.loads(pickle.dumps(e))
+    assert e2 == e
+    assert eval_at(e2, (0.5, 0.0)) == v == 0.8
 
 
 # --------------------------------------------------------------------------

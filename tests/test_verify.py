@@ -208,7 +208,7 @@ def test_compile_expr_matches_eval():
         f = compile_expr(e)
         for _ in range(8):
             pt = (rng.uniform(0.1, 1.4), rng.uniform(0.1, 1.4))
-            assert f(*pt) == pytest.approx(eval_at(e, pt), rel=1e-13)
+            assert f(*pt) == eval_at(e, pt)
 
 
 # --------------------------------------------------------------------------
