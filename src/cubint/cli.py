@@ -41,6 +41,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import sys
 from typing import Dict, Optional, Tuple
 
@@ -315,6 +316,8 @@ def cmd_invariants(args) -> int:
             at = (float(xs), float(ys))
         except ValueError:
             raise ManifestError("--at wants two numbers, e.g. --at 0.3,0.7")
+        if not all(map(math.isfinite, at)):
+            raise ManifestError("--at wants two finite numbers")
         mode = "at"
 
     man = load_manifest(args.manifest)
@@ -389,14 +392,16 @@ def cmd_verify(args) -> int:
 
 def cmd_geodesic(args) -> int:
     man = load_manifest(args.manifest)
-    if args.dt <= 0:
-        raise ManifestError("--dt must be positive")
+    if not (math.isfinite(args.dt) and args.dt > 0):
+        raise ManifestError("--dt must be a positive finite number")
     if args.steps <= 0:
         raise ManifestError("--steps must be positive")
+    state0 = (args.x0, args.y0, args.px0, args.py0)
+    if not all(map(math.isfinite, state0)):
+        raise ManifestError("--x0, --y0, --px0 and --py0 must be finite")
     f_poly: Optional[MomentumPoly] = None
     if args.integral is not None:
         f_poly = _load_integral(args.integral).to_momentum_poly()
-    state0 = (args.x0, args.y0, args.px0, args.py0)
     aborted = False
     try:
         traj = integrate_geodesic(man.metric, state0, args.dt, args.steps)

@@ -694,9 +694,74 @@ def _p_content(p: dict) -> dict:
 
 
 def _p_div_exact(p: dict, q: dict) -> Optional[dict]:
-    """Exact polynomial division p/q, or None."""
+    """Exact polynomial division p/q, or None.
+
+    Long division in the graded-lex order on exponent vectors over the
+    bases of p and q, sorted by _skey and scaled to integers by the common
+    denominator of the exponents.  A key (total degree, vector) orders
+    monomials as _p_leading does, and a monomial product is a vector add.
+    """
     if not p:
         return {}
+    bases = {b for m in p for (b, _) in m}
+    bases.update(b for m in q for (b, _) in m)
+    # _m_build folds powers of these bases, so a product of monomials with
+    # them is not the sum of their exponent vectors
+    if any(type(b) is _RatPow or (type(b) is Func and b.name == "exp")
+           for b in bases):
+        return _p_div_folding(p, q)
+    if len(p) == 1 and len(q) > 1:
+        # graded-lex order is compatible with products, so q*s has the
+        # distinct terms lead(q)*lead(s) > trail(q)*trail(s): never one term
+        return None
+    order = sorted(bases, key=_skey)
+    idx = {b: i for i, b in enumerate(order)}
+    den = math.lcm(*(e.denominator for m in p for (_, e) in m),
+                   *(e.denominator for m in q for (_, e) in m))
+
+    def key(m):
+        v = [0] * len(order)
+        for (b, e) in m:
+            v[idx[b]] = e.numerator * (den // e.denominator)
+        return sum(v), tuple(v)
+
+    qk = {key(m): c for m, c in q.items()}
+    qlk = max(qk)
+    qlc = qk.pop(qlk)
+    qlv = qlk[1]
+    # _m_divides(lead(q), lead(rem)) looks only at the bases of lead(q)
+    support = [i for i, e in enumerate(qlv) if e]
+    rem = {key(m): c for m, c in p.items()}
+    quot: dict = {}
+    guard = 4 * (len(p) + len(q)) + 64
+    while rem:
+        guard -= 1
+        if guard < 0:
+            return None
+        rlk = max(rem)
+        rlv = rlk[1]
+        if any(rlv[i] < qlv[i] for i in support):
+            return None
+        tc = rem.pop(rlk) / qlc
+        td = rlk[0] - qlk[0]
+        tv = tuple([r - s for r, s in zip(rlv, qlv)])
+        # the leading term falls at every step, so no quotient term repeats
+        quot[tv] = tc
+        # rem -= tc*t*q; its leading term cancels exactly and was popped
+        for (d, v), c in qk.items():
+            nk = (d + td, tuple([a + b for a, b in zip(v, tv)]))
+            nc = rem.get(nk, Fraction(0)) - tc * c
+            if nc == 0:
+                rem.pop(nk, None)
+            else:
+                rem[nk] = nc
+    return {tuple((order[i], Fraction(e, den)) for i, e in enumerate(v) if e): c
+            for v, c in quot.items()}
+
+
+def _p_div_folding(p: dict, q: dict) -> Optional[dict]:
+    """_p_div_exact for monomials whose products fold (exp atoms, rational
+    bases of radicals): the same long division on monomial tuples."""
     qlm, qlc = _p_leading(q)
     rem = dict(p)
     quot: dict = {}
@@ -804,10 +869,22 @@ def _mk_nf(num: dict, den: tuple) -> NF:
                 if k > need.get(b, 0):
                     need[b] = k
     if need:
-        lift = tuple(sorted(need.items(), key=lambda p: _skey(p[0])))
-        cm, lift_m = _m_build([(b, Fraction(k)) for (b, k) in lift])
-        num = _p_mul_mono(num, lift_m, cm)
-        cden, den = _m_mul(den, lift_m)
+        # num * b^k / (den * b^k) for every such base b; a compound b goes
+        # into den monic, as nf_recip puts it there (a radical's base is
+        # only normalized by |lc|), and num takes the factor lc^-k
+        lift, lift_den = [], []
+        s = Fraction(1)
+        for b, k in need.items():
+            lift.append((b, Fraction(k)))
+            if type(b) is _PolyBase:
+                _, lc = _p_leading(_thaw(b.fp))
+                if lc != 1:
+                    s /= lc ** k
+                    b = _PolyBase(_freeze(_p_scale(_thaw(b.fp), 1 / lc)))
+            lift_den.append((b, Fraction(k)))
+        cm, lift_m = _m_build(lift)
+        num = _p_mul_mono(num, lift_m, cm * s)
+        cden, den = _m_mul(den, _m_build(lift_den)[1])
         # cden is 1: den bases are never exp-atoms/_RatPow
         if cden != 1:
             num = _p_scale(num, Fraction(1) / cden)
@@ -1060,7 +1137,8 @@ def _func_nf(name: str, argnf: NF) -> NF:
             if cval == 0:
                 return NF({(): Fraction(1)}, ())
             cm, mono = _m_build([(_E, cval)])
-            return NF({mono: cm}, ())
+            # e^-k goes to the denominator, as it does when parsed as e^-k
+            return _mk_nf({mono: cm}, ())
         # exp(ln(u)) -> u
         inner = _pure_atom(argnf)
         if isinstance(inner, Func) and inner.name == "ln":
@@ -1140,10 +1218,10 @@ def nf_to_expr(nf: NF) -> Expr:
         factors.extend(den_factors)
         out_terms.append(mul(*factors))
     e = add(*out_terms)
-    if not nf.den:
-        # the reconstruction is its own normal form (cheap cache hit)
-        if e._nf is None:
-            e._nf = nf
+    # the reconstruction is its own normal form (cheap cache hit):
+    # normalizing it again gives nf back
+    if e._nf is None:
+        e._nf = nf
     return e
 
 
@@ -1918,4 +1996,6 @@ def _prec(e: Expr) -> int:
         return _PREC_POW
     if t is Rat and e.val < 0:
         return _PREC_ADD  # needs parens in most contexts
+    if t is Rat and e.val.denominator != 1:
+        return _PREC_MUL  # printed as a quotient
     return _PREC_ATOM

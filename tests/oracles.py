@@ -3,11 +3,16 @@
 Everything here is deliberately dumb: plain finite differences and plain
 float arithmetic, no use of the symbolic kernel beyond point evaluation.
 If the engine and these oracles agree, they agree for different reasons.
+The exception is p_div_reference: the kernel's former long-division loop,
+kept as the reference for the one that replaced it.
 """
 
 import math
+from fractions import Fraction
 
 from cubint.expr import Add, Const, EvalDomainError, Func, Mul, Pow, Rat, Var
+from cubint.expr import (_m_div, _m_divides, _p_add_into, _p_leading,
+                         _p_mul_mono)
 
 
 def fd_partial(f, x, y, var, h=1e-5):
@@ -234,3 +239,28 @@ def tree_eval(e, x, y, acc=None):
     if acc is not None and abs(v) > acc[0]:
         acc[0] = abs(v)
     return v
+
+
+def p_div_reference(p, q):
+    """Exact polynomial division p/q, or None: the kernel's long division on
+    monomial tuples as it was before it ran on exponent vectors, for every
+    input alike.  Monomial arithmetic is the kernel's own; only the loop
+    (leading term, divisibility, guard) is pinned here."""
+    if not p:
+        return {}
+    qlm, qlc = _p_leading(q)
+    rem = dict(p)
+    quot = {}
+    guard = 4 * (len(p) + len(q)) + 64
+    while rem:
+        guard -= 1
+        if guard < 0:
+            return None
+        rlm, rlc = _p_leading(rem)
+        if not _m_divides(qlm, rlm):
+            return None
+        cm, tm = _m_div(rlm, qlm)
+        tc = rlc / qlc * cm
+        quot[tm] = quot.get(tm, Fraction(0)) + tc
+        _p_add_into(rem, _p_mul_mono(q, tm, -tc))
+    return quot

@@ -259,6 +259,14 @@ def test_invariants_requires_mode_flag(tmp_path, capsys):
     assert main(["invariants", man, "--at", "zebra"]) == 64
 
 
+@pytest.mark.parametrize("point", ["nan,0.2", "0.3,inf", "-inf,0.2"])
+def test_invariants_rejects_non_finite_point(tmp_path, capsys, point):
+    man = _write(tmp_path, "m.ini", SPHERE_TRIVIAL)
+    assert main(["invariants", man, "--at", point]) == 64
+    out, err = capsys.readouterr()
+    assert out == "" and "finite" in err
+
+
 # ---------------------------------------------------------------- cmd_verify
 
 def test_verify_integral_passes(tmp_path, capsys):
@@ -349,6 +357,21 @@ def test_geodesic_rejects_bad_step_parameters(tmp_path, capsys):
     assert main(args + ["--steps", "-5"]) == 64
 
 
+@pytest.mark.parametrize("option", ["--dt", "--x0", "--y0", "--px0", "--py0"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_geodesic_rejects_non_finite_input(tmp_path, capsys, option, value):
+    # a non-finite step or start would end in a report with NaN in it,
+    # which is not JSON
+    man = _write(tmp_path, "m.ini", FLAT_TRIVIAL)
+    start = {"--x0": "0", "--y0": "0", "--px0": "1", "--py0": "0",
+             "--dt": "0.01"}
+    start[option] = value
+    args = ["geodesic", man, "--steps", "10"]
+    assert main(args + [k + "=" + v for k, v in start.items()]) == 64
+    out, err = capsys.readouterr()
+    assert out == "" and "finite" in err
+
+
 # -------------------------------------------------------------- entry points
 
 def test_usage_error_exits_64(capsys):
@@ -363,8 +386,9 @@ def test_module_invocation_round_trip(tmp_path):
     src = os.path.dirname(os.path.dirname(cubint.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run([sys.executable, "-m", "cubint.cli", "check", man],
-                          capture_output=True, text=True, env=env)
-    assert proc.returncode == 0
-    rep = json.loads(proc.stdout)
-    assert rep["status"] == "CompatibleConstCurvature"
+    for module in ("cubint.cli", "cubint"):
+        proc = subprocess.run([sys.executable, "-m", module, "check", man],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, (module, proc.stderr)
+        rep = json.loads(proc.stdout)
+        assert rep["status"] == "CompatibleConstCurvature"

@@ -1,5 +1,6 @@
 import copy
 import math
+import operator
 import pickle
 import random
 import sys
@@ -12,10 +13,11 @@ from hypothesis import example, given, settings, strategies as st
 from cubint.expr import (
     FUNCTIONS, Add, Box, Const, EvalDomainError, ExpressionSyntaxError, Func,
     Mul, OrderCapExceeded, Pow, Rat, UnknownIdentifier, Var, ZeroTestConfig,
-    diff, eval_at, eval_scaled, is_zero, nf_is_zero, parse, simplify, to_str,
+    diff, eval_at, eval_scaled, is_zero, nf_is_zero, nf_to_expr, parse,
+    simplify, to_nf, to_str,
 )
 from cubint import expr as expr_mod
-from oracles import fd_partial, tree_eval
+from oracles import fd_partial, p_div_reference, tree_eval
 
 
 BOX = Box(-2.0, 2.0, -2.0, 2.0)
@@ -120,6 +122,11 @@ ROUND_TRIP_CASES = [
     "sqrt(1+x^2)",
     "-(x+y)*(x-y)",
     "1/2/x/y",
+    # radicals whose polynomial has a negative leading coefficient
+    "1/sqrt(1-x^2)",
+    "y/(x*(1-x^2)^(1/2))",
+    "1/sqrt(-x^2 - 1 + y)",
+    "(1/3)^(1/2)*x",
 ]
 
 
@@ -281,9 +288,62 @@ def test_diff_leaves_its_input_at_order_zero():
 # simplify
 
 def test_simplify_is_idempotent():
+    # a simplified expression carries its normal form, so simplify(e) == e
+    # holds trivially; the printed form has to be normalized afresh
     for text in DIFF_CASES + ROUND_TRIP_CASES:
         e = simplify(parse(text))
-        assert simplify(e) == e
+        assert simplify(parse(to_str(e))) == e, text
+
+
+def _nf_exprs(depth):
+    """Random rational and radical expressions: rational leaves of both
+    signs, quotients, integer and fractional powers, functions."""
+    leaf = st.sampled_from(["x", "y", "2", "1/3", "-1", "-3", "pi", "e"]).map(parse)
+    if depth <= 0:
+        return leaf
+    sub = _nf_exprs(depth - 1)
+
+    def combine(args):
+        op, a, b = args
+        try:
+            return {"+": operator.add, "-": operator.sub,
+                    "*": operator.mul, "/": operator.truediv}[op](a, b)
+        except ZeroDivisionError:
+            return a
+
+    def raise_guarded(t):
+        base, n = t
+        try:
+            return base ** n
+        except ZeroDivisionError:
+            return base
+
+    binop = st.tuples(st.sampled_from("+-*/"), sub, sub).map(combine)
+    powop = st.tuples(sub, st.sampled_from(
+        [Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2), Fraction(1, 3), 2, -1])
+    ).map(raise_guarded)
+    fn = st.tuples(st.sampled_from(["sqrt", "exp", "sin", "ln"]), sub).map(
+        lambda t: Func(t[0], t[1]))
+    return st.one_of(leaf, binop, powop, fn)
+
+
+@given(_nf_exprs(3))
+@settings(max_examples=200, deadline=None)
+@example(parse("1/sqrt(1-x^2)"))
+@example(parse("y/(x*(1-x^2)^(1/2))"))
+@example(parse("1/sqrt(-x^2 - 1 + y)"))
+@example(parse("(1/3)^(1/2)"))
+@example(parse("exp(-1)"))
+def test_normal_form_round_trips(e):
+    # simplify and diff store the normal form on the expression they
+    # rebuild from it; that is sound only if normalizing the rebuilt
+    # expression afresh gives the same normal form
+    try:
+        nf = to_nf(e)
+    except (ZeroDivisionError, EvalDomainError):
+        return
+    again = to_nf(parse(to_str(nf_to_expr(nf))))
+    assert again.num == nf.num and again.den == nf.den
 
 
 def test_simplify_soundness_numeric():
@@ -331,6 +391,99 @@ def test_simplify_does_not_claim_unprovable_zero():
     # sin^2+cos^2-1 is not in the rational normal form's equational theory
     e = simplify(parse("sin(x)^2 + cos(x)^2 - 1"))
     assert to_str(e) != "0"
+
+
+# --------------------------------------------------------------------------
+# exact polynomial division against the former division loop
+
+_RADICAL = expr_mod._PolyBase(expr_mod._freeze(expr_mod.to_nf(parse("1 + x^2")).num))
+_PLAIN_BASES = (Var("x"), Var("y"), Func("sin", Var("x")), _RADICAL)
+# exp atoms and rational bases fold under _m_build, so their products are
+# not vector adds
+_FOLDING_BASES = (Var("x"), Func("exp", Var("x")), Func("exp", Var("y")),
+                  expr_mod._RatPow(Fraction(2)), expr_mod._RatPow(Fraction(1, 3)))
+_EXPONENTS = [Fraction(n, d) for n, d in
+              ((-2, 1), (-1, 1), (-1, 2), (1, 2), (1, 1), (2, 1), (3, 1), (3, 2))]
+_POSITIVE = [e for e in _EXPONENTS if e > 0]
+_COEFFS = [Fraction(n, d) for n, d in ((1, 1), (-1, 1), (2, 1), (-3, 2), (1, 3), (5, 7))]
+
+
+def _polys(bases, max_terms=5, exponents=_EXPONENTS):
+    mono = st.lists(st.tuples(st.sampled_from(bases), st.sampled_from(exponents)),
+                    max_size=3)
+
+    def build(terms):
+        p = {}
+        for pairs, c in terms:
+            cm, m = expr_mod._m_build(pairs)
+            expr_mod._p_add_into(p, {m: c * cm})
+        return p
+
+    return st.lists(st.tuples(mono, st.sampled_from(_COEFFS)),
+                     min_size=1, max_size=max_terms).map(build)
+
+
+def _same_division(p, q):
+    got = expr_mod._p_div_exact(p, q)
+    assert got == p_div_reference(p, q)
+    return got
+
+
+def _poly(text):
+    return expr_mod.to_nf(parse(text)).num
+
+
+# (x + y^3)/x: the leading term in graded-lex order is y^3/x, so the
+# division succeeds; in plain lex order it would be 1, which x does not divide
+_X_PLUS_Y3 = _poly("x + y^3")
+
+
+@given(_polys(_PLAIN_BASES), _polys(_PLAIN_BASES).filter(bool))
+@settings(max_examples=300, deadline=None)
+@example(expr_mod._p_mul(_X_PLUS_Y3, {((Var("x"), Fraction(-1)),): Fraction(1)}),
+         _X_PLUS_Y3)
+def test_division_matches_reference(p, q):
+    _same_division(p, q)
+
+
+@given(_polys(_PLAIN_BASES, 4).filter(bool),
+       _polys(_PLAIN_BASES, 4, _POSITIVE).filter(bool))
+@settings(max_examples=200, deadline=None)
+def test_division_of_exact_products(q, s):
+    # with no negative exponent in s, lead(q) divides lead(q*s) at every step
+    assert _same_division(expr_mod._p_mul(q, s), q) == s
+
+
+@given(_polys(_PLAIN_BASES, 1).filter(bool),
+       _polys(_PLAIN_BASES).filter(lambda q: len(q) > 1))
+@settings(max_examples=100, deadline=None)
+def test_division_of_one_term(p, q):
+    assert _same_division(p, q) is None
+
+
+def test_division_stops_at_guard():
+    # (1 - x^-n)/(1 - 1/x) = 1 + 1/x + ... + x^-(n-1) takes n steps, and
+    # the guard allows 4*(2 + 2) + 64 = 80 of them
+    def one_minus(n):
+        return {(): Fraction(1), ((Var("x"), Fraction(-n)),): Fraction(-1)}
+
+    assert len(_same_division(one_minus(80), one_minus(1))) == 80
+    assert _same_division(one_minus(81), one_minus(1)) is None
+
+
+@given(_polys(_FOLDING_BASES), _polys(_FOLDING_BASES).filter(bool))
+@settings(max_examples=200, deadline=None)
+def test_division_with_folding_bases(p, q):
+    _same_division(p, q)
+
+
+@given(_polys(_FOLDING_BASES, 3).filter(bool), _polys(_FOLDING_BASES, 3).filter(bool))
+@settings(max_examples=100, deadline=None)
+# 2^(1/2)*2^(1/2) = 2 and exp(x)*exp(-x) = 1: no vector adds
+@example(_poly("x + 2^(1/2)"), _poly("2^(1/2) - x"))
+@example(_poly("exp(x) + y"), _poly("exp(-x)"))
+def test_division_of_exact_products_with_folding_bases(q, s):
+    _same_division(expr_mod._p_mul(q, s), q)
 
 
 # --------------------------------------------------------------------------
