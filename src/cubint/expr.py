@@ -27,7 +27,7 @@ __all__ = [
     "Expr", "Rat", "Const", "Var", "Add", "Mul", "Pow", "Func",
     "X", "Y", "ZERO", "ONE",
     "parse", "to_str", "diff", "simplify",
-    "eval_at", "eval_scaled", "is_zero", "nf_is_zero",
+    "eval_at", "eval_scaled", "compile_float", "is_zero", "nf_is_zero",
     "Box", "ZeroTestConfig", "ZeroVerdict",
     "ExprError", "ExpressionSyntaxError", "UnknownIdentifier",
     "EvalDomainError", "OrderCapExceeded",
@@ -1392,22 +1392,27 @@ def _evaluator(e: Expr):
     is stored last is kept."""
     f = e._fn
     if f is None:
-        f = e._fn = _compile(e)
+        f = e._fn = compile_float(e)
     return f
 
 
-def _compile(root: Expr):
-    """Straight-line function f(x, y) -> (value, scale) evaluating root.
+def compile_float(*roots: Expr):
+    """Straight-line function f(x, y) -> (v1, ..., vn, scale) evaluating
+    the roots.
 
-    Structurally equal subtrees share one temporary, so the DAG is
-    evaluated, not the tree.  Every node does the float operation of the
-    plain recursive walk (Add is 0.0 + a + ..., Mul is 1.0 * a * ..., in
-    operand order), every node's value must be finite, and scale is the
-    largest |value| over the nodes; merging equal subtrees changes
-    neither.  Finiteness is checked once all nodes are computed, so where
-    a non-finite value reaches a domain check first, the EvalDomainError
-    names that check.  Constants are never written into the source: they
-    are the defaults of f's parameters after x and y."""
+    Structurally equal subtrees, within a root or across roots, share one
+    temporary, so the DAG is evaluated, not the tree.  Every node does the
+    float operation of the plain recursive walk (Add is 0.0 + a + ...,
+    Mul is 1.0 * a * ..., in operand order), so each vi is bitwise what
+    compiling its root alone gives.  Every node's value must be finite,
+    and scale is the largest |value| over the nodes of all roots; merging
+    equal subtrees changes neither.  Finiteness is checked once all nodes
+    are computed, so where a non-finite value reaches a domain check
+    first, the EvalDomainError names that check.  Constants are never
+    written into the source: they are the defaults of f's parameters
+    after x and y."""
+    if not roots:
+        return lambda x, y: (0.0,)
     lines = []
     names = {}      # node -> name holding its value
     consts = {}     # (type, value) -> name of a bound constant
@@ -1476,7 +1481,7 @@ def _compile(root: Expr):
         names[e] = out
         return out
 
-    res = emit(root)
+    res = ", ".join([emit(r) for r in roots])
     values = ", ".join(dict.fromkeys(names.values()))
     src = "\n".join([
         f"def f(x, y, {''.join(c + ', ' for c in consts.values())}):",

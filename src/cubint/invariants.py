@@ -36,10 +36,7 @@ from .tensorcoords import (SymTensor3, a_hat_from_complex, div1, div2, div3,
 
 __all__ = [
     "Codifferential", "InvariantReport", "InvariantEngine",
-    "HolomorphicityViolated", "DegenerateBracket",
-    "phi_family", "dee_family", "gee_family", "gee_det_forms",
-    "kay_covector", "f_tensor", "star_family", "dforms",
-    "DEFAULT_DOMAIN",
+    "HolomorphicityViolated", "DegenerateBracket", "DEFAULT_DOMAIN",
 ]
 
 DEFAULT_DOMAIN = Box(-1.0, 1.0, -1.0, 1.0)
@@ -149,7 +146,7 @@ _TAGS = {
 
 
 # --------------------------------------------------------------------------
-# formulas shared by the engine and the functional wrappers
+# formulas the engine applies to more than one family of invariants
 
 def _gee(metric: Metric, fa, fb, fc, da, db, dc) -> Expr:
     """{fa,fb} dc + {fb,fc} da + {fc,fa} db.
@@ -586,67 +583,3 @@ class InvariantEngine:
                "Dstarx": self.dformstar_x, "Dstary": self.dformstar_y}
         return InvariantReport(phi=phi, dee=dee, gee=gee, kay=kay,
                                star=star, dforms=dfm, tags=dict(_TAGS))
-
-
-# --------------------------------------------------------------------------
-# functional wrappers
-
-def phi_family(metric: Metric) -> List[Expr]:
-    eng = InvariantEngine(metric, Codifferential.general(
-        SymTensor3((as_expr(0),) * 4)))
-    return [eng.phi0, eng.phi1, eng.phi2, eng.phi3]
-
-
-def dee_family(metric: Metric, codiff: Codifferential,
-               domain: Box = DEFAULT_DOMAIN,
-               cfg: ZeroTestConfig = DEFAULT_CFG) -> List[Expr]:
-    eng = InvariantEngine(metric, codiff, domain, cfg)
-    return [eng.dee0, eng.dee1, eng.dee2, eng.dee3]
-
-
-def gee_family(metric: Metric, phi: List[Expr], dee: List[Expr]) -> List[Expr]:
-    return [
-        _gee(metric, phi[1], phi[2], phi[3], dee[1], dee[2], dee[3]),
-        _gee(metric, phi[0], phi[2], phi[3], dee[0], dee[2], dee[3]),
-        _gee(metric, phi[0], phi[1], phi[3], dee[0], dee[1], dee[3]),
-        _gee(metric, phi[0], phi[1], phi[2], dee[0], dee[1], dee[2]),
-    ]
-
-
-def gee_det_forms(metric: Metric, phi: List[Expr],
-                  dee: List[Expr]) -> Tuple[Expr, Expr]:
-    """Determinant forms of G2 and G3 (rows (phi_i, D_i); third rows
-    (phi3, D3) and (phi2, D2) respectively), divided by omega12."""
-    g2 = _det_form(metric, ((phi[0], dee[0]), (phi[1], dee[1]),
-                            (phi[3], dee[3])))
-    g3 = _det_form(metric, ((phi[0], dee[0]), (phi[1], dee[1]),
-                            (phi[2], dee[2])))
-    return g2, g3
-
-
-def kay_covector(metric: Metric, phi: List[Expr], dee: List[Expr],
-                 domain: Box = DEFAULT_DOMAIN,
-                 cfg: ZeroTestConfig = DEFAULT_CFG) -> Tuple[Expr, Expr]:
-    return _kay(phi[0], dee[0], phi[1], dee[1], phi[2], "phi2", domain, cfg)
-
-
-def f_tensor(metric: Metric, codiff: Codifferential,
-             kay: Tuple[Expr, Expr]) -> SymTensor3:
-    eng = InvariantEngine(metric, codiff)
-    return eng.f_tensor(kay)
-
-
-def star_family(metric: Metric, codiff: Codifferential,
-                domain: Box = DEFAULT_DOMAIN,
-                cfg: ZeroTestConfig = DEFAULT_CFG) -> Dict[str, object]:
-    eng = InvariantEngine(metric, codiff, domain, cfg)
-    rep = eng.report()
-    return rep.star
-
-
-def dforms(metric: Metric, codiff: Codifferential,
-           domain: Box = DEFAULT_DOMAIN,
-           cfg: ZeroTestConfig = DEFAULT_CFG) -> Dict[str, Expr]:
-    eng = InvariantEngine(metric, codiff, domain, cfg)
-    return {"Dx": eng.dform_x, "Dy": eng.dform_y,
-            "Dstarx": eng.dformstar_x, "Dstary": eng.dformstar_y}

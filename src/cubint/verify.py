@@ -17,12 +17,11 @@ from __future__ import annotations
 import csv
 import math
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from .expr import (
-    Box, Const, Add, EvalDomainError, Expr, Func, Mul, Pow, Rat, Var,
-    ZeroTestConfig, ZeroVerdict, as_expr, diff, eval_at, is_zero, nf_is_zero,
-    simplify, to_str, DEFAULT_CFG,
+    Box, EvalDomainError, Expr, Rat, ZeroTestConfig, ZeroVerdict, as_expr,
+    compile_float, diff, is_zero, nf_is_zero, simplify, to_str, DEFAULT_CFG,
 )
 from .geometry import Metric
 
@@ -30,7 +29,7 @@ __all__ = [
     "MomentumPoly", "hamiltonian_poly", "canonical_bracket",
     "canonical_bracket_FH", "bracket_FH", "homogeneous_components",
     "bracket_certificate", "certificate_all_zero",
-    "compile_expr", "compile_momentum_poly", "integrate_geodesic",
+    "compile_momentum_poly", "integrate_geodesic",
     "conservation_report", "export_csv",
 ]
 
@@ -83,7 +82,7 @@ class MomentumPoly:
             return "MomentumPoly(0)"
         bits = []
         for (i, j) in sorted(self.coeffs, key=lambda k: (-(k[0] + k[1]), -k[0])):
-            mon = "*".join((["px"] * 0) + ([f"px^{i}"] if i else []) + ([f"py^{j}"] if j else []))
+            mon = "*".join(([f"px^{i}"] if i else []) + ([f"py^{j}"] if j else []))
             bits.append(f"({to_str(self.coeffs[(i, j)])})" + (f"*{mon}" if mon else ""))
         return "MomentumPoly(" + " + ".join(bits) + ")"
 
@@ -101,9 +100,6 @@ class MomentumPoly:
             elif which == "py" and j > 0:
                 out[(i, j - 1)] = Rat(j) * c
         return MomentumPoly(out)
-
-    def eval_coeffs(self, point) -> Dict[Tuple[int, int], float]:
-        return {k: eval_at(v, point) for k, v in self.coeffs.items()}
 
     def degree(self) -> int:
         return max((i + j for (i, j) in self.coeffs), default=0)
@@ -263,67 +259,19 @@ def certificate_all_zero(cert: Dict[Tuple[int, int], ZeroVerdict]) -> bool:
 
 
 # --------------------------------------------------------------------------
-# numeric side: closure compilation and RK4 geodesic flow
-
-_FUNC_IMPL = {
-    "sin": math.sin, "cos": math.cos, "tan": math.tan, "exp": math.exp,
-    "sinh": math.sinh, "cosh": math.cosh, "tanh": math.tanh,
-    "ln": math.log, "sqrt": math.sqrt,
-}
-
-
-def compile_expr(e: Expr) -> Callable[[float, float], float]:
-    """Compile an expression tree into a float closure f(x, y)."""
-    t = type(e)
-    if t is Rat:
-        v = float(e.val)
-        return lambda x, y: v
-    if t is Var:
-        if e.name == "x":
-            return lambda x, y: x
-        return lambda x, y: y
-    if t is Const:
-        v = math.pi if e.name == "pi" else math.e
-        return lambda x, y: v
-    if t is Add:
-        fs = tuple(compile_expr(s) for s in e.terms)
-
-        def _add(x, y, fs=fs):
-            s = 0.0
-            for f in fs:
-                s += f(x, y)
-            return s
-        return _add
-    if t is Mul:
-        fs = tuple(compile_expr(s) for s in e.factors)
-
-        def _mul(x, y, fs=fs):
-            s = 1.0
-            for f in fs:
-                s *= f(x, y)
-            return s
-        return _mul
-    if t is Pow:
-        bf = compile_expr(e.base)
-        if e.exp.denominator == 1:
-            n = int(e.exp)
-            return lambda x, y: bf(x, y) ** n
-        ex = float(e.exp)
-        return lambda x, y: bf(x, y) ** ex
-    if t is Func:
-        g = _FUNC_IMPL[e.name]
-        af = compile_expr(e.arg)
-        return lambda x, y: g(af(x, y))
-    raise TypeError(f"cannot compile {e!r}")
-
+# numeric side: RK4 geodesic flow on expr's compiled float code
 
 def compile_momentum_poly(p: MomentumPoly) -> Callable[[float, float, float, float], float]:
-    terms = tuple((i, j, compile_expr(c)) for (i, j), c in p.coeffs.items())
+    """Float function f(x, y, px, py) evaluating p: all coefficients are
+    compiled into one straight-line function."""
+    monomials = tuple(p.coeffs)
+    coeffs = compile_float(*p.coeffs.values())
 
-    def _eval(x, y, px, py, terms=terms):
+    def _eval(x, y, px, py):
         s = 0.0
-        for i, j, cf in terms:
-            s += cf(x, y) * (px ** i) * (py ** j)
+        # the trailing scale has no monomial and is dropped by zip
+        for (i, j), c in zip(monomials, coeffs(x, y)):
+            s += c * (px ** i) * (py ** j)
         return s
     return _eval
 
@@ -333,43 +281,43 @@ def integrate_geodesic(metric: Metric, state0, dt: float, steps: int):
 
     state0 = (x, y, px, py); returns the list of (t, x, y, px, py).
     Raises EvalDomainError when a step fails to evaluate or leaves a
-    non-finite or non-real state (the trajectory left the metric's domain).
+    non-finite state (the trajectory left the metric's domain).
     """
-    i11, i12, i22 = metric.inv
-    c11, c12, c22 = compile_expr(i11), compile_expr(i12), compile_expr(i22)
-    d11x, d12x, d22x = (compile_expr(simplify(diff(c, "x"))) for c in (i11, i12, i22))
-    d11y, d12y, d22y = (compile_expr(simplify(diff(c, "y"))) for c in (i11, i12, i22))
+    inv = metric.inv
+    # g^{11}, g^{12}, g^{22}, their x-derivatives, their y-derivatives
+    coeffs = compile_float(*inv, *(simplify(diff(c, v))
+                                   for v in ("x", "y") for c in inv))
 
     def rhs(s):
         x, y, px, py = s
-        dx = c11(x, y) * px + c12(x, y) * py
-        dy = c12(x, y) * px + c22(x, y) * py
-        dpx = -(0.5 * d11x(x, y) * px * px + d12x(x, y) * px * py
-                + 0.5 * d22x(x, y) * py * py)
-        dpy = -(0.5 * d11y(x, y) * px * px + d12y(x, y) * px * py
-                + 0.5 * d22y(x, y) * py * py)
+        c11, c12, c22, d11x, d12x, d22x, d11y, d12y, d22y, _ = coeffs(x, y)
+        dx = c11 * px + c12 * py
+        dy = c12 * px + c22 * py
+        dpx = -(0.5 * d11x * px * px + d12x * px * py
+                + 0.5 * d22x * py * py)
+        dpy = -(0.5 * d11y * px * px + d12y * px * py
+                + 0.5 * d22y * py * py)
         return (dx, dy, dpx, dpy)
 
     out = [(0.0,) + tuple(float(v) for v in state0)]
     s = tuple(float(v) for v in state0)
     t = 0.0
-    try:
-        for _ in range(steps):
+    for _ in range(steps):
+        try:
             k1 = rhs(s)
             k2 = rhs(tuple(si + 0.5 * dt * k for si, k in zip(s, k1)))
             k3 = rhs(tuple(si + 0.5 * dt * k for si, k in zip(s, k2)))
             k4 = rhs(tuple(si + dt * k for si, k in zip(s, k3)))
-            s = tuple(si + dt / 6.0 * (a + 2 * b + 2 * c + d)
-                      for si, a, b, c, d in zip(s, k1, k2, k3, k4))
-            t += dt
-            if not all(map(math.isfinite, s)):
-                raise EvalDomainError("non-finite state at t = %g" % t)
-            out.append((t,) + s)
-    except (ArithmeticError, ValueError, TypeError) as exc:
-        # math domain errors, overflow and poles; a fractional power of a
-        # negative base makes a value complex, and math functions (the
-        # finiteness check too) reject it with TypeError
-        raise EvalDomainError("%s near t = %g" % (exc, t)) from None
+        except EvalDomainError as exc:
+            raise EvalDomainError("%s near t = %g" % (exc, t)) from None
+        # float arithmetic raises nothing here: an overflow gives inf,
+        # which the finiteness check below reports
+        s = tuple(si + dt / 6.0 * (a + 2 * b + 2 * c + d)
+                  for si, a, b, c, d in zip(s, k1, k2, k3, k4))
+        t += dt
+        if not all(map(math.isfinite, s)):
+            raise EvalDomainError("non-finite state at t = %g" % t)
+        out.append((t,) + s)
     return out
 
 

@@ -3,14 +3,17 @@
 Everything here is deliberately dumb: plain finite differences and plain
 float arithmetic, no use of the symbolic kernel beyond point evaluation.
 If the engine and these oracles agree, they agree for different reasons.
-The exception is p_div_reference: the kernel's former long-division loop,
-kept as the reference for the one that replaced it.
+The exceptions are p_div_reference, the kernel's former long-division
+loop, and closure_compile with rk4_reference, the former closure compiler
+and RK4 driver of the geodesic flow: each is kept as the reference for
+the code that replaced it.
 """
 
 import math
 from fractions import Fraction
 
-from cubint.expr import Add, Const, EvalDomainError, Func, Mul, Pow, Rat, Var
+from cubint.expr import (Add, Const, EvalDomainError, Func, Mul, Pow, Rat,
+                         Var, diff, simplify)
 from cubint.expr import (_m_div, _m_divides, _p_add_into, _p_leading,
                          _p_mul_mono)
 
@@ -239,6 +242,91 @@ def tree_eval(e, x, y, acc=None):
     if acc is not None and abs(v) > acc[0]:
         acc[0] = abs(v)
     return v
+
+
+_CLOSURE_FUNCS = dict(_TREE_FUNCS, ln=math.log, sqrt=math.sqrt)
+
+
+def closure_compile(e):
+    """A float closure f(x, y) of e: a tree of closures, one per node, with
+    no domain checks (a fractional power of a negative base is complex)."""
+    t = type(e)
+    if t is Rat:
+        v = float(e.val)
+        return lambda x, y: v
+    if t is Var:
+        if e.name == "x":
+            return lambda x, y: x
+        return lambda x, y: y
+    if t is Const:
+        v = math.pi if e.name == "pi" else math.e
+        return lambda x, y: v
+    if t is Add:
+        fs = tuple(closure_compile(s) for s in e.terms)
+
+        def _add(x, y, fs=fs):
+            s = 0.0
+            for f in fs:
+                s += f(x, y)
+            return s
+        return _add
+    if t is Mul:
+        fs = tuple(closure_compile(s) for s in e.factors)
+
+        def _mul(x, y, fs=fs):
+            s = 1.0
+            for f in fs:
+                s *= f(x, y)
+            return s
+        return _mul
+    if t is Pow:
+        bf = closure_compile(e.base)
+        if e.exp.denominator == 1:
+            n = int(e.exp)
+            return lambda x, y: bf(x, y) ** n
+        ex = float(e.exp)
+        return lambda x, y: bf(x, y) ** ex
+    if t is Func:
+        g = _CLOSURE_FUNCS[e.name]
+        af = closure_compile(e.arg)
+        return lambda x, y: g(af(x, y))
+    raise TypeError(f"cannot compile {e!r}")
+
+
+def rk4_reference(metric, state0, dt, steps):
+    """Fixed-step RK4 for Hamilton's equations of H = (1/2) g^{ij} p_i p_j,
+    each coefficient of the right-hand side a closure_compile closure:
+    the list of (t, x, y, px, py)."""
+    i11, i12, i22 = metric.inv
+    c11, c12, c22 = (closure_compile(c) for c in (i11, i12, i22))
+    d11x, d12x, d22x = (closure_compile(simplify(diff(c, "x")))
+                        for c in (i11, i12, i22))
+    d11y, d12y, d22y = (closure_compile(simplify(diff(c, "y")))
+                        for c in (i11, i12, i22))
+
+    def rhs(s):
+        x, y, px, py = s
+        dx = c11(x, y) * px + c12(x, y) * py
+        dy = c12(x, y) * px + c22(x, y) * py
+        dpx = -(0.5 * d11x(x, y) * px * px + d12x(x, y) * px * py
+                + 0.5 * d22x(x, y) * py * py)
+        dpy = -(0.5 * d11y(x, y) * px * px + d12y(x, y) * px * py
+                + 0.5 * d22y(x, y) * py * py)
+        return (dx, dy, dpx, dpy)
+
+    s = tuple(float(v) for v in state0)
+    out = [(0.0,) + s]
+    t = 0.0
+    for _ in range(steps):
+        k1 = rhs(s)
+        k2 = rhs(tuple(si + 0.5 * dt * k for si, k in zip(s, k1)))
+        k3 = rhs(tuple(si + 0.5 * dt * k for si, k in zip(s, k2)))
+        k4 = rhs(tuple(si + dt * k for si, k in zip(s, k3)))
+        s = tuple(si + dt / 6.0 * (a + 2 * b + 2 * c + d)
+                  for si, a, b, c, d in zip(s, k1, k2, k3, k4))
+        t += dt
+        out.append((t,) + s)
+    return out
 
 
 def p_div_reference(p, q):

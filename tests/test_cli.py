@@ -331,12 +331,35 @@ def test_geodesic_aborts_outside_metric_domain(tmp_path, capsys, lam, x0):
     # the start lies where lambda is complex (resp. ln is undefined)
     man = _write(tmp_path, "m.ini", FLAT_TRIVIAL.replace(
         "lambda = 1", "lambda = " + lam))
-    code, rep = _run(capsys, ["geodesic", man, "--x0=" + x0, "--y0", "0",
-                              "--px0", "0.3", "--py0", "0.2",
-                              "--steps", "50"])
+    code = main(["geodesic", man, "--x0=" + x0, "--y0", "0",
+                 "--px0", "0.3", "--py0", "0.2", "--steps", "50"])
+    out, err = capsys.readouterr()
+    rep = json.loads(out)
     assert code == 1
     assert rep["aborted"] is True
     assert rep["conservation"] is None
+    assert err.startswith("integration aborted:")
+    assert "near t =" in err
+
+
+def test_geodesic_all_zero_integral(tmp_path, capsys):
+    # F has no coefficient at all, so it compiles from no expression
+    man = _write(tmp_path, "m.ini", SPHERE_TRIVIAL)
+    fint = _write(tmp_path, "f.ini", PY3_INTEGRAL.replace("F222 = 1",
+                                                          "F222 = 0"))
+    csv_path = tmp_path / "traj.csv"
+    code, rep = _run(capsys, ["geodesic", man,
+                              "--x0", "0.1", "--y0", "0.2",
+                              "--px0", "0.3", "--py0", "0.1",
+                              "--steps", "20", "--integral", fint,
+                              "--csv", str(csv_path)])
+    assert code == 0
+    assert rep["conservation"]["F0"] == 0.0
+    assert rep["conservation"]["F_drift"] == 0.0
+    rows = csv_path.read_text().splitlines()
+    assert rows[0] == "t,x,y,px,py,H,F"
+    assert len(rows) == 22
+    assert all(r.rsplit(",", 1)[1] == "0" for r in rows[1:])
 
 
 def test_geodesic_negative_start_in_exponent_notation(tmp_path, capsys):

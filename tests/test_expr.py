@@ -13,8 +13,8 @@ from hypothesis import example, given, settings, strategies as st
 from cubint.expr import (
     FUNCTIONS, Add, Box, Const, EvalDomainError, ExpressionSyntaxError, Func,
     Mul, OrderCapExceeded, Pow, Rat, UnknownIdentifier, Var, ZeroTestConfig,
-    diff, eval_at, eval_scaled, is_zero, nf_is_zero, nf_to_expr, parse,
-    simplify, to_nf, to_str,
+    compile_float, diff, eval_at, eval_scaled, is_zero, nf_is_zero,
+    nf_to_expr, parse, simplify, to_nf, to_str,
 )
 from cubint import expr as expr_mod
 from oracles import fd_partial, p_div_reference, tree_eval
@@ -577,15 +577,30 @@ _COORDS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
 
 
 @given(_eval_exprs(3), st.lists(st.tuples(_COORDS, _COORDS), min_size=1,
-                                max_size=4))
+                                max_size=4),
+       st.lists(_eval_exprs(2), max_size=2))
 @settings(max_examples=300, deadline=None)
 # signed zeros: 0.0 + (-0.0) + (-0.0) is 0.0, (-0.0) + (-0.0) is -0.0
-@example(e=Add((Mul((Rat(-1), Var("x"))),) * 2), pts=[(0.0, 0.0)])
-def test_eval_scaled_matches_tree_walk_bitwise(e, pts):
+@example(e=Add((Mul((Rat(-1), Var("x"))),) * 2), pts=[(0.0, 0.0)], others=[])
+def test_eval_scaled_matches_tree_walk_bitwise(e, pts, others):
+    # several roots in one function, the last sharing every other's nodes
+    roots = (e, *others, Add((e, *others)))
+    many = compile_float(*roots)
     for pt in pts:
         want = repr(_walked(e, pt))
         assert repr(_compiled(e, pt)) == want
         assert repr(_compiled(e, pt)) == want   # the cached evaluator
+        singles = [_compiled(r, pt) for r in roots]
+        try:
+            got = many(*pt)
+        except EvalDomainError:
+            got = "EvalDomainError"
+        if "EvalDomainError" in singles:
+            assert got == "EvalDomainError"
+        else:
+            values = tuple(eval_at(r, pt) for r in roots)
+            scale = max(sc for _, sc in singles)
+            assert repr(got) == repr(values + (scale,))
 
 
 def test_first_evaluation_from_two_threads_agrees():

@@ -11,8 +11,7 @@ from cubint.geometry import (
 )
 from cubint.invariants import (
     Codifferential, DegenerateBracket, HolomorphicityViolated,
-    InvariantEngine, dee_family, dforms, f_tensor, gee_det_forms, gee_family,
-    kay_covector, phi_family, star_family,
+    InvariantEngine,
 )
 from cubint.tensorcoords import SymTensor3, a_hat_from_complex
 from oracles import fd_d0_iso, fd_d0_null
@@ -31,6 +30,13 @@ def generic_engine():
     return InvariantEngine(isothermal_metric("1 + x^2 + y^2/2"),
                            Codifferential.isothermal(("x^2 - y^2", "2*x*y")),
                            BOX)
+
+
+def phi_chain(metric):
+    """phi0..phi3 of the metric, from an engine with a zero codifferential."""
+    eng = InvariantEngine(metric, Codifferential.general(
+        SymTensor3((as_expr(0),) * 4)))
+    return [eng.phi0, eng.phi1, eng.phi2, eng.phi3]
 
 
 # --------------------------------------------------------------------------
@@ -85,12 +91,12 @@ def test_chart_pairing_is_strict():
 # curvature chain
 
 def test_phi_family_flat():
-    phi = phi_family(isothermal_metric("1"))
+    phi = phi_chain(isothermal_metric("1"))
     assert all(nf_is_zero(p) for p in phi)
 
 
 def test_phi_family_sphere_constant_curvature():
-    phi = phi_family(isothermal_metric("4/(1+x^2+y^2)^2"))
+    phi = phi_chain(isothermal_metric("4/(1+x^2+y^2)^2"))
     assert nf_is_zero(simplify(phi[0] - Rat(1)))
     assert all(nf_is_zero(p) for p in phi[1:])
 
@@ -335,38 +341,34 @@ def test_memoization_returns_identical_objects():
     assert eng.phi2 is eng.phi2
 
 
-def test_functional_wrappers_match_engine():
+def test_separately_built_engines_agree():
+    # phi does not depend on the codifferential; every other invariant of
+    # a second engine over the same pair equals the first engine's
     m = isothermal_metric("1 + x^2 + y^2/2")
     cd = Codifferential.isothermal(("x^2 - y^2", "2*x*y"))
     eng = InvariantEngine(m, cd, BOX)
-    phi = phi_family(m)
+    phi = phi_chain(m)
     assert all(nf_is_zero(simplify(a - b))
                for a, b in zip(phi, (eng.phi0, eng.phi1, eng.phi2, eng.phi3)))
-    dee = dee_family(m, cd, BOX)
+    other = InvariantEngine(m, cd, BOX)
+    dee = (other.dee0, other.dee1, other.dee2, other.dee3)
     assert all(nf_is_zero(simplify(a - b))
                for a, b in zip(dee, (eng.dee0, eng.dee1, eng.dee2, eng.dee3)))
-    gee = gee_family(m, phi, dee)
+    gee = (other.gee0, other.gee1, other.gee2, other.gee3)
     assert all(nf_is_zero(simplify(a - b))
                for a, b in zip(gee, (eng.gee0, eng.gee1, eng.gee2, eng.gee3)))
-    g2, g3 = gee_det_forms(m, phi, dee)
+    g2, g3 = other.gee2_det, other.gee3_det
     assert nf_is_zero(simplify(g2 - eng.gee2_det))
     assert nf_is_zero(simplify(g3 - eng.gee3_det))
-    k = kay_covector(m, phi, dee, BOX)
+    k = other.kay
     ek = eng.kay
     assert nf_is_zero(simplify(k[0] - ek[0]))
     assert nf_is_zero(simplify(k[1] - ek[1]))
-    ft = f_tensor(m, cd, k)
+    ft = InvariantEngine(m, cd).f_tensor(k)
     et = eng.f_tensor()
     assert all(nf_is_zero(simplify(ft.c[i] - et.c[i])) for i in range(4))
-    st_fam = star_family(m, cd, BOX)
+    st_fam = other.report().star
     assert nf_is_zero(simplify(st_fam["Dstar1"] - eng.deestar1))
-    dfm = dforms(m, cd, BOX)
+    dfm = other.report().dforms
     assert nf_is_zero(simplify(dfm["Dstarx"] - eng.dformstar_x))
 
-
-def test_kay_covector_wrapper_raises_when_degenerate():
-    m = isothermal_metric("1+x^2")
-    phi = phi_family(m)
-    dee = dee_family(m, Codifferential.isothermal(("0", "-1")), BOX)
-    with pytest.raises(DegenerateBracket):
-        kay_covector(m, phi, dee, BOX)

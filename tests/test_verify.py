@@ -4,15 +4,15 @@ import random
 
 import pytest
 
-from cubint.expr import Box, Rat, eval_at, nf_is_zero, parse, simplify, to_str
+from cubint.expr import Box, Rat, nf_is_zero, parse, simplify, to_str
 from cubint.geometry import general_metric, isothermal_metric, null_metric
 from cubint.verify import (
     MomentumPoly, bracket_FH, bracket_certificate, canonical_bracket,
-    canonical_bracket_FH, certificate_all_zero, compile_expr,
+    canonical_bracket_FH, certificate_all_zero,
     compile_momentum_poly, conservation_report, export_csv,
     hamiltonian_poly, homogeneous_components, integrate_geodesic,
 )
-from oracles import poisson_bracket_canonical
+from oracles import poisson_bracket_canonical, rk4_reference
 
 
 BOX = Box(-0.9, 0.9, -0.9, 0.9)
@@ -199,20 +199,21 @@ def test_bracket_FH_accepts_symmetric_tensor():
 
 
 # --------------------------------------------------------------------------
-# compiled evaluation
-
-def test_compile_expr_matches_eval():
-    rng = random.Random(8)
-    for text in ("sin(x)*exp(y/2)", "1/(1+x^2)", "x^(3/2)+y^4", "ln(2+x)"):
-        e = parse(text)
-        f = compile_expr(e)
-        for _ in range(8):
-            pt = (rng.uniform(0.1, 1.4), rng.uniform(0.1, 1.4))
-            assert f(*pt) == eval_at(e, pt)
-
-
-# --------------------------------------------------------------------------
 # RK4 geodesic flow
+
+@pytest.mark.parametrize("metric", [
+    isothermal_metric("4/(1+x^2+y^2)^2"),
+    general_metric("1 + x^2", "0", "1 + x^2"),
+], ids=["sphere", "general-1+x^2"])
+def test_geodesic_matches_closure_rk4_bitwise(metric):
+    # the right-hand side runs on compiled straight-line code; the
+    # reference evaluates each coefficient by a walk of closures
+    state = (0.1, 0.2, 0.3, -0.1)
+    got = integrate_geodesic(metric, state, 1e-3, 300)
+    want = rk4_reference(metric, state, 1e-3, 300)
+    assert [tuple(map(repr, p)) for p in got] == \
+        [tuple(map(repr, p)) for p in want]
+
 
 def test_flat_geodesics_are_straight_lines():
     m = isothermal_metric("1")
