@@ -235,6 +235,18 @@ def test_kay_raises_on_degenerate_bracket():
     assert rep.star["Kstar"] is None
 
 
+def test_kay_covector_wrapper_raises_when_degenerate():
+    # with the phi- and D-families already in hand, K is still refused on
+    # a degenerate bracket, and so is the candidate F that defaults to it
+    eng = killing_engine()
+    for name in ("phi0", "phi1", "phi2", "dee0", "dee1"):
+        getattr(eng, name)
+    with pytest.raises(DegenerateBracket):
+        eng.kay
+    with pytest.raises(DegenerateBracket):
+        eng.f_tensor()
+
+
 def test_b_hat_matches_complex_b_dictionary():
     # the tensor B-hat assembled from K via the index formula must agree
     # with the complex field b = (K2 - i K1)/lambda^2 pushed through the
