@@ -49,14 +49,14 @@ from .decision import Verdict, decide
 from .expr import (Box, EvalDomainError, Expr, ExpressionSyntaxError,
                    OrderCapExceeded, UnknownIdentifier, ZeroTestConfig,
                    ZeroVerdict, eval_at, parse, simplify, to_str)
-from .geometry import (ChartMismatch, Metric, general_metric,
-                       isothermal_metric, null_metric)
+from .geometry import (ChartMismatch, general_metric, isothermal_metric,
+                       null_metric)
 from .invariants import (Codifferential, HolomorphicityViolated,
                          InvariantEngine)
 from .pseudo import decide_pseudo
 from .tensorcoords import SymTensor3
 from .verify import (MomentumPoly, bracket_certificate, conservation_report,
-                     export_csv, integrate_geodesic)
+                     integrate_geodesic)
 
 __all__ = ["main", "load_manifest", "REPORT_VERSION"]
 
@@ -182,9 +182,6 @@ def load_manifest(path: str) -> Manifest:
     x_max = _get_float(dsec, "x_max", 1.0, "domain")
     y_min = _get_float(dsec, "y_min", -1.0, "domain")
     y_max = _get_float(dsec, "y_max", 1.0, "domain")
-    if not (x_min < x_max and y_min < y_max):
-        raise ManifestError("degenerate domain box")
-    domain = Box(x_min, x_max, y_min, y_max)
     samples = _get_int(dsec, "samples", 64, "domain")
     seed = _get_int(dsec, "seed", None, "domain")
 
@@ -192,8 +189,16 @@ def load_manifest(path: str) -> Manifest:
     abs_tol = _get_float(tsec, "abs", 1e-9, "tolerances")
     rel_tol = _get_float(tsec, "rel", 1e-9, "tolerances")
     drift_tol = _get_float(tsec, "drift", 1e-8, "tolerances")
+    if not (math.isfinite(drift_tol) and drift_tol >= 0):
+        raise ManifestError("tolerances.drift must be finite and "
+                            "non-negative")
 
-    cfg = ZeroTestConfig(n_probes=samples, abs_tol=abs_tol, rel_tol=rel_tol)
+    try:
+        domain = Box(x_min, x_max, y_min, y_max)
+        cfg = ZeroTestConfig(n_probes=samples, abs_tol=abs_tol,
+                             rel_tol=rel_tol)
+    except ValueError as exc:
+        raise ManifestError("bad [domain] or [tolerances]: %s" % exc) from exc
     if seed is not None:
         cfg = cfg.with_seed(seed)
     return Manifest(metric, codiff, domain, cfg, seed, drift_tol,
@@ -418,13 +423,12 @@ def cmd_geodesic(args) -> int:
         "drift_tolerance": man.drift_tol,
     })
     if traj:
-        summary = conservation_report(man.metric, traj, f_poly)
+        summary = conservation_report(man.metric, traj, f_poly, args.csv)
         ok = summary["H_drift"] < man.drift_tol and (
             f_poly is None or summary["F_drift"] < man.drift_tol)
         report["conservation"] = summary
         report["within_tolerance"] = ok
         if args.csv is not None:
-            export_csv(args.csv, man.metric, traj, f_poly)
             report["csv"] = args.csv
         code = EXIT_COMPATIBLE if ok else EXIT_INCOMPATIBLE
     else:

@@ -15,7 +15,7 @@ Undetermined rather than asserting compatibility.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .expr import (Box, DEFAULT_CFG, EvalDomainError, Expr, ZeroTestConfig,

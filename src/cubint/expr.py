@@ -21,7 +21,7 @@ import math
 import random
 from contextvars import ContextVar
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Union
+from typing import Optional, Union
 
 __all__ = [
     "Expr", "Rat", "Const", "Var", "Add", "Mul", "Pow", "Func",
@@ -1362,8 +1362,8 @@ _EVAL_FUNCS = {
 # identifiers of the functions in generated code, and what they are bound to
 _EVAL_FUNC_IDENT = {name: "f_" + name for name in _EVAL_FUNCS}
 _EVAL_GLOBALS = {
-    "__builtins__": {}, "all": all, "map": map, "abs": abs, "max": max,
-    "str": str, "float": float, "isfinite": math.isfinite,
+    "__builtins__": {}, "all": all, "map": map, "str": str, "float": float,
+    "isfinite": math.isfinite,
     "OverflowError": OverflowError, "ValueError": ValueError,
     "EvalDomainError": EvalDomainError,
     **{_EVAL_FUNC_IDENT[n]: f for n, f in _EVAL_FUNCS.items()},
@@ -1382,7 +1382,8 @@ def eval_at(e: Expr, point) -> float:
 
 def eval_scaled(e: Expr, point):
     """(value, scale) where scale = max |value| over all subexpressions."""
-    return _evaluator(e)(float(point[0]), float(point[1]))
+    v, nodes = _evaluator(e)(float(point[0]), float(point[1]))
+    return v, max(map(abs, nodes))
 
 
 def _evaluator(e: Expr):
@@ -1397,22 +1398,22 @@ def _evaluator(e: Expr):
 
 
 def compile_float(*roots: Expr):
-    """Straight-line function f(x, y) -> (v1, ..., vn, scale) evaluating
-    the roots.
+    """Straight-line function f(x, y) -> (v1, ..., vn, T) evaluating the
+    roots, where T is the tuple of the values of all their nodes.
 
     Structurally equal subtrees, within a root or across roots, share one
     temporary, so the DAG is evaluated, not the tree.  Every node does the
     float operation of the plain recursive walk (Add is 0.0 + a + ...,
     Mul is 1.0 * a * ..., in operand order), so each vi is bitwise what
-    compiling its root alone gives.  Every node's value must be finite,
-    and scale is the largest |value| over the nodes of all roots; merging
-    equal subtrees changes neither.  Finiteness is checked once all nodes
+    compiling its root alone gives.  Every node's value must be finite;
+    merging equal subtrees changes neither that nor max(map(abs, T)), the
+    scale that eval_scaled reads.  Finiteness is checked once all nodes
     are computed, so where a non-finite value reaches a domain check
     first, the EvalDomainError names that check.  Constants are never
     written into the source: they are the defaults of f's parameters
     after x and y."""
     if not roots:
-        return lambda x, y: (0.0,)
+        return lambda x, y: ((),)
     lines = []
     names = {}      # node -> name holding its value
     consts = {}     # (type, value) -> name of a bound constant
@@ -1492,7 +1493,7 @@ def compile_float(*roots: Expr):
         f" T = ({values},)",
         " if not all(map(isfinite, T)):",
         "  raise EvalDomainError('non-finite value')",
-        f" return {res}, max(map(abs, T))",
+        f" return {res}, T",
     ])
     ns = {}
     exec(compile(src, "<cubint.expr evaluator>", "exec"), _EVAL_GLOBALS, ns)
@@ -1514,6 +1515,9 @@ class Box:
         self.x_max = float(x_max)
         self.y_min = float(y_min)
         self.y_max = float(y_max)
+        if not all(map(math.isfinite, (self.x_min, self.x_max,
+                                       self.y_min, self.y_max))):
+            raise ValueError("domain box bounds must be finite")
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise ValueError("degenerate domain box")
 
@@ -1555,6 +1559,13 @@ class ZeroTestConfig:
 
     def __init__(self, n_probes: int = 64, seeds=(10007, 20011, 30013),
                  abs_tol: float = 1e-9, rel_tol: float = 1e-9):
+        # no probe, or an infinite or NaN threshold, would let every
+        # expression pass as Zero(probed)
+        if n_probes < 1:
+            raise ValueError(f"n_probes must be at least 1, got {n_probes}")
+        if not all(math.isfinite(t) and t >= 0 for t in (abs_tol, rel_tol)):
+            raise ValueError("abs_tol and rel_tol must be finite and "
+                             "non-negative")
         self.n_probes = n_probes
         self.seeds = tuple(seeds)
         self.abs_tol = abs_tol

@@ -26,7 +26,7 @@ from typing import Optional, Union
 
 from .cnum import CExpr, wirtinger_z, wirtinger_zbar
 from .expr import (
-    Expr, Func, Rat, as_expr, diff, nf_is_zero, parse, simplify, to_str,
+    Expr, Func, Rat, as_expr, diff, parse, simplify, to_str,
 )
 
 __all__ = [
@@ -322,29 +322,6 @@ class Section:
 
     def __repr__(self):
         return f"Section(weight={self.weight}, value={self.value!r})"
-
-    def __add__(self, other):
-        if not isinstance(other, Section):
-            raise TypeError("can only add sections")
-        if other.metric is not self.metric:
-            raise ChartMismatch("sections over different metrics")
-        if other.weight != self.weight:
-            raise ChartMismatch(
-                f"weight mismatch: {self.weight} vs {other.weight}")
-        return Section(self.value + other.value, self.weight, self.metric)
-
-    def __sub__(self, other):
-        return self + Section(-other.value, other.weight, other.metric)
-
-    def scaled(self, c) -> "Section":
-        return Section(self.value * as_expr(c) if isinstance(self.value, Expr)
-                       else self.value * CExpr.from_real(as_expr(c)),
-                       self.weight, self.metric)
-
-    def simplified(self) -> "Section":
-        v = (simplify(self.value) if isinstance(self.value, Expr)
-             else self.value.simplified())
-        return Section(v, self.weight, self.metric)
 
 
 def nabla10(s: Section) -> Section:

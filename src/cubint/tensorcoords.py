@@ -16,7 +16,6 @@ rank 4, with dense 2x2x2(x2) scratch arrays for index gymnastics.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Tuple
 
 from .expr import Expr, Rat, as_expr, diff, nf_is_zero, simplify, to_str
@@ -62,10 +61,6 @@ class SymTensor3:
     def __sub__(self, other: "SymTensor3") -> "SymTensor3":
         return SymTensor3(a - b for a, b in zip(self.c, other.c))
 
-    def scaled(self, s) -> "SymTensor3":
-        s = as_expr(s)
-        return SymTensor3(s * a for a in self.c)
-
     def is_trivial(self) -> bool:
         return all(nf_is_zero(a) for a in self.c)
 
@@ -98,9 +93,6 @@ class SymTensor4:
 
     def __getitem__(self, ijkl) -> Expr:
         return self.c[sum(sorted(ijkl))]
-
-    def __add__(self, other: "SymTensor4") -> "SymTensor4":
-        return SymTensor4(a + b for a, b in zip(self.c, other.c))
 
     def __sub__(self, other: "SymTensor4") -> "SymTensor4":
         return SymTensor4(a - b for a, b in zip(self.c, other.c))

@@ -14,10 +14,11 @@ geodesic flow of g:
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 from fractions import Fraction
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .expr import (
     Box, EvalDomainError, Expr, Rat, ZeroTestConfig, ZeroVerdict, as_expr,
@@ -29,8 +30,7 @@ __all__ = [
     "MomentumPoly", "hamiltonian_poly", "canonical_bracket",
     "canonical_bracket_FH", "bracket_FH", "homogeneous_components",
     "bracket_certificate", "certificate_all_zero",
-    "compile_momentum_poly", "integrate_geodesic",
-    "conservation_report", "export_csv",
+    "integrate_geodesic", "conservation_report",
 ]
 
 
@@ -261,21 +261,6 @@ def certificate_all_zero(cert: Dict[Tuple[int, int], ZeroVerdict]) -> bool:
 # --------------------------------------------------------------------------
 # numeric side: RK4 geodesic flow on expr's compiled float code
 
-def compile_momentum_poly(p: MomentumPoly) -> Callable[[float, float, float, float], float]:
-    """Float function f(x, y, px, py) evaluating p: all coefficients are
-    compiled into one straight-line function."""
-    monomials = tuple(p.coeffs)
-    coeffs = compile_float(*p.coeffs.values())
-
-    def _eval(x, y, px, py):
-        s = 0.0
-        # the trailing scale has no monomial and is dropped by zip
-        for (i, j), c in zip(monomials, coeffs(x, y)):
-            s += c * (px ** i) * (py ** j)
-        return s
-    return _eval
-
-
 def integrate_geodesic(metric: Metric, state0, dt: float, steps: int):
     """Fixed-step RK4 for Hamilton's equations of H = (1/2) g^{ij} p_i p_j.
 
@@ -322,42 +307,44 @@ def integrate_geodesic(metric: Metric, state0, dt: float, steps: int):
 
 
 def conservation_report(metric: Metric, trajectory,
-                        f: Optional[MomentumPoly] = None) -> dict:
-    """Max absolute drift of H (and of F, when given) along a trajectory."""
-    h_fn = compile_momentum_poly(hamiltonian_poly(metric))
-    f_fn = compile_momentum_poly(f) if f is not None else None
-    h0 = None
-    f0 = None
-    h_drift = 0.0
-    f_drift = 0.0
-    for (t, x, y, px, py) in trajectory:
-        h = h_fn(x, y, px, py)
-        if h0 is None:
-            h0 = h
-        h_drift = max(h_drift, abs(h - h0))
-        if f_fn is not None:
-            fv = f_fn(x, y, px, py)
-            if f0 is None:
-                f0 = fv
+                        f: Optional[MomentumPoly] = None,
+                        csv_path=None) -> dict:
+    """Max absolute drift of H (and of F, when given) along a trajectory.
+
+    H and F are evaluated once per point, from one compiled function of
+    all their coefficients.  With csv_path, the trajectory is also written
+    there as CSV with columns t,x,y,px,py,H,F (F empty without f)."""
+    h = hamiltonian_poly(metric)
+    f_coeffs = f.coeffs if f is not None else {}
+    n_h = len(h.coeffs)
+    coeffs = compile_float(*h.coeffs.values(), *f_coeffs.values())
+    h0 = f0 = None
+    h_drift = f_drift = 0.0
+    with (open(csv_path, "w", newline="") if csv_path is not None
+          else contextlib.nullcontext()) as fh:
+        w = None
+        if fh is not None:
+            w = csv.writer(fh)
+            w.writerow(["t", "x", "y", "px", "py", "H", "F"])
+        for (t, x, y, px, py) in trajectory:
+            vals = coeffs(x, y)
+            hv = 0.0
+            for (i, j), c in zip(h.coeffs, vals):
+                hv += c * (px ** i) * (py ** j)
+            fv = 0.0
+            # the trailing node tuple has no monomial and is dropped by zip
+            for (i, j), c in zip(f_coeffs, vals[n_h:]):
+                fv += c * (px ** i) * (py ** j)
+            if h0 is None:
+                h0, f0 = hv, fv
+            h_drift = max(h_drift, abs(hv - h0))
             f_drift = max(f_drift, abs(fv - f0))
+            if w is not None:
+                w.writerow([f"{t:.10g}", f"{x:.16g}", f"{y:.16g}",
+                            f"{px:.16g}", f"{py:.16g}", f"{hv:.16g}",
+                            f"{fv:.16g}" if f is not None else ""])
     out = {"steps": len(trajectory) - 1, "H0": h0, "H_drift": h_drift}
-    if f_fn is not None:
+    if f is not None:
         out["F0"] = f0
         out["F_drift"] = f_drift
     return out
-
-
-def export_csv(path, metric: Metric, trajectory,
-               f: Optional[MomentumPoly] = None):
-    """Write the trajectory as CSV with columns t,x,y,px,py,H,F."""
-    h_fn = compile_momentum_poly(hamiltonian_poly(metric))
-    f_fn = compile_momentum_poly(f) if f is not None else None
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "x", "y", "px", "py", "H", "F"])
-        for (t, x, y, px, py) in trajectory:
-            h = h_fn(x, y, px, py)
-            fv = f_fn(x, y, px, py) if f_fn is not None else ""
-            w.writerow([f"{t:.10g}", f"{x:.16g}", f"{y:.16g}",
-                        f"{px:.16g}", f"{py:.16g}", f"{h:.16g}",
-                        f"{fv:.16g}" if fv != "" else ""])

@@ -4,9 +4,10 @@ Everything here is deliberately dumb: plain finite differences and plain
 float arithmetic, no use of the symbolic kernel beyond point evaluation.
 If the engine and these oracles agree, they agree for different reasons.
 The exceptions are p_div_reference, the kernel's former long-division
-loop, and closure_compile with rk4_reference, the former closure compiler
-and RK4 driver of the geodesic flow: each is kept as the reference for
-the code that replaced it.
+loop, closure_compile with rk4_reference, the former closure compiler
+and RK4 driver of the geodesic flow, and momentum_poly_reference, the
+former per-polynomial evaluator of H and F: each is kept as the reference
+for the code that replaced it.
 """
 
 import math
@@ -352,3 +353,17 @@ def p_div_reference(p, q):
         quot[tm] = quot.get(tm, Fraction(0)) + tc
         _p_add_into(rem, _p_mul_mono(q, tm, -tc))
     return quot
+
+
+def momentum_poly_reference(p):
+    """Float function f(x, y, px, py) of a MomentumPoly p: the sum
+    0.0 + c * px^i * py^j over p.coeffs in order, each coefficient c a
+    closure_compile closure."""
+    terms = tuple((i, j, closure_compile(c)) for (i, j), c in p.coeffs.items())
+
+    def _eval(x, y, px, py):
+        s = 0.0
+        for i, j, c in terms:
+            s += c(x, y) * (px ** i) * (py ** j)
+        return s
+    return _eval

@@ -6,8 +6,6 @@ import math
 import random
 import time
 
-import pytest
-
 from cubint.cnum import CExpr, parse_complex
 from cubint.decision import decide
 from cubint.expr import (Box, DEFAULT_CFG, Rat, eval_at, is_zero,
@@ -19,8 +17,8 @@ from cubint.pseudo import decide_pseudo
 from cubint.tensorcoords import (SymTensor3, a_hat_from_complex,
                                  holo_residual, principle_residual, split_AB)
 from cubint.verify import (MomentumPoly, bracket_FH, canonical_bracket_FH,
-                           bracket_certificate, certificate_all_zero,
-                           conservation_report, integrate_geodesic)
+                           certificate_all_zero, conservation_report,
+                           integrate_geodesic)
 
 from oracles import fd_gauss_curvature
 

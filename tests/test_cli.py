@@ -206,6 +206,49 @@ def test_check_degenerate_domain_exit_64(tmp_path, capsys):
     assert main(["check", man]) == 64
 
 
+# a_re = 1 on this metric is Incompatible under the default settings
+INCOMPATIBLE = """\
+[metric]
+kind = isothermal
+lambda = 1 + x^2 + y^2/2
+
+[codifferential]
+kind = isothermal-complex
+a_re = 1
+a_im = 0
+"""
+
+
+def test_check_incompatible_with_default_settings(tmp_path, capsys):
+    man = _write(tmp_path, "m.ini", INCOMPATIBLE)
+    code, rep = _run(capsys, ["check", man])
+    assert code == 1
+    assert rep["status"] == "Incompatible"
+
+
+# settings that were accepted: with no probe, or an infinite threshold,
+# every zero test passed as Zero(probed) and the verdict was wrong
+@pytest.mark.parametrize("section, setting", [
+    ("domain", "samples = 0"),
+    ("domain", "samples = -5"),
+    ("domain", "x_min = -inf"),
+    ("domain", "x_max = inf"),
+    ("tolerances", "rel = inf"),
+    ("tolerances", "abs = nan"),
+    ("tolerances", "abs = -1e-9"),
+    ("tolerances", "drift = nan"),
+    ("tolerances", "drift = -1"),
+])
+def test_check_rejects_settings_without_meaning(tmp_path, capsys, section,
+                                                setting):
+    man = _write(tmp_path, "m.ini",
+                 INCOMPATIBLE + "\n[%s]\n%s\n" % (section, setting))
+    assert main(["check", man]) == 64
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("input error:")
+
+
 def test_check_byte_reproducible(tmp_path, capsys):
     man = _write(tmp_path, "m.ini", KILLING)
     main(["check", man])
@@ -312,6 +355,30 @@ def test_geodesic_conserves_H_and_F(tmp_path, capsys):
     lines = (tmp_path / "traj.csv").read_text().splitlines()
     assert lines[0] == "t,x,y,px,py,H,F"
     assert len(lines) == 4002  # header + initial sample + 4000 steps
+
+
+def test_geodesic_compiles_twice(tmp_path, capsys, monkeypatch):
+    # one compile for the right-hand side of Hamilton's equations, one for
+    # the coefficients of H and F together, shared by drifts and CSV rows
+    calls = []
+    real = cubint.expr.compile_float
+
+    def counted(*roots):
+        calls.append(len(roots))
+        return real(*roots)
+    monkeypatch.setattr(cubint.expr, "compile_float", counted)
+    monkeypatch.setattr(cubint.verify, "compile_float", counted)
+    man = _write(tmp_path, "m.ini", KILLING)
+    fint = _write(tmp_path, "f.ini", PY3_INTEGRAL)
+    code, _rep = _run(capsys, ["geodesic", man,
+                               "--x0", "0.1", "--y0", "-0.2",
+                               "--px0", "0.4", "--py0", "0.3",
+                               "--steps", "20", "--integral", fint,
+                               "--csv", str(tmp_path / "traj.csv")])
+    assert code == 0
+    # 9 = g^{ij} and their x- and y-derivatives; 3 = H's px^2 and py^2
+    # coefficients (g^{12} = 0 for an isothermal metric) and F's py^3 one
+    assert calls == [9, 3]
 
 
 def test_geodesic_threshold_failure_exit_1(tmp_path, capsys):

@@ -1,11 +1,10 @@
-import cmath
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cubint.cnum import (
-    CExpr, I, Z, ZBAR, c_one, is_holomorphic, parse_complex, wirtinger_z,
+    CExpr, Z, ZBAR, c_one, is_holomorphic, parse_complex, wirtinger_z,
     wirtinger_zbar,
 )
 from cubint.expr import Box, parse, simplify, to_str

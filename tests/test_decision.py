@@ -1,8 +1,7 @@
 import pytest
 
 from cubint.decision import (
-    CONST_CURVATURE_NOTE, KILLING_NOTE, TraceStep, Verdict, _combine,
-    _dform_test, decide,
+    CONST_CURVATURE_NOTE, KILLING_NOTE, _combine, _dform_test, decide,
 )
 from cubint.expr import Box, ZeroVerdict, as_expr, is_zero, parse
 from cubint.geometry import ChartMismatch, general_metric, isothermal_metric, null_metric

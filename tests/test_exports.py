@@ -1,4 +1,6 @@
+import ast
 import importlib
+import pathlib
 import pkgutil
 
 import pytest
@@ -14,3 +16,45 @@ MODULES = sorted("cubint." + m.name for m in pkgutil.iter_modules(cubint.__path_
 def test_every_exported_name_resolves(name):
     mod = importlib.import_module(name)
     assert [n for n in mod.__all__ if not hasattr(mod, n)] == []
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SOURCES = sorted(
+    str(p.relative_to(ROOT))
+    for p in [*(ROOT / "src" / "cubint").glob("*.py"),
+              *(ROOT / "tests").glob("*.py")]
+    # the package's __init__ imports names to re-export them
+    if p.relative_to(ROOT).as_posix() != "src/cubint/__init__.py")
+
+
+def _unused_imports(tree):
+    imported = {}       # bound name -> line
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                imported[a.asname or a.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for a in node.names:
+                imported[a.asname or a.name] = node.lineno
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__"
+                      for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+        # a quoted annotation names what it uses inside the string
+        for ann in (getattr(node, "annotation", None),
+                    getattr(node, "returns", None)):
+            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+                used.update(n.id for n in ast.walk(ast.parse(ann.value))
+                            if isinstance(n, ast.Name))
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used)
+
+
+@pytest.mark.parametrize("path", SOURCES)
+def test_no_unused_imports(path):
+    tree = ast.parse((ROOT / path).read_text(), path)
+    assert _unused_imports(tree) == []

@@ -1,5 +1,4 @@
 import csv
-import math
 import random
 
 import pytest
@@ -8,11 +7,11 @@ from cubint.expr import Box, Rat, nf_is_zero, parse, simplify, to_str
 from cubint.geometry import general_metric, isothermal_metric, null_metric
 from cubint.verify import (
     MomentumPoly, bracket_FH, bracket_certificate, canonical_bracket,
-    canonical_bracket_FH, certificate_all_zero,
-    compile_momentum_poly, conservation_report, export_csv,
+    canonical_bracket_FH, certificate_all_zero, conservation_report,
     hamiltonian_poly, homogeneous_components, integrate_geodesic,
 )
-from oracles import poisson_bracket_canonical, rk4_reference
+from oracles import (momentum_poly_reference, poisson_bracket_canonical,
+                     rk4_reference)
 
 
 BOX = Box(-0.9, 0.9, -0.9, 0.9)
@@ -60,7 +59,7 @@ def test_momentum_derivatives():
 # canonical bracket against the finite-difference oracle
 
 def _poly_fn(p):
-    return compile_momentum_poly(p)
+    return momentum_poly_reference(p)
 
 
 def test_bracket_matches_fd_oracle():
@@ -262,7 +261,7 @@ def test_export_csv(tmp_path):
     f = MomentumPoly({(0, 3): parse("1")})
     traj = integrate_geodesic(m, (0.0, 0.1, 0.2, 0.3), 1e-2, 10)
     path = tmp_path / "traj.csv"
-    export_csv(path, m, traj, f)
+    conservation_report(m, traj, f, csv_path=path)
     with open(path) as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["t", "x", "y", "px", "py", "H", "F"]
@@ -271,3 +270,39 @@ def test_export_csv(tmp_path):
     for r in rows[1:]:
         py = float(r[4])
         assert float(r[6]) == pytest.approx(py ** 3, rel=1e-12)
+
+
+@pytest.mark.parametrize("metric, f", [
+    (isothermal_metric("4/(1+x^2+y^2)^2"),
+     MomentumPoly({(0, 1): parse("x"), (1, 0): parse("-y")})),
+    (general_metric("1 + x^2", "0", "1 + x^2"),
+     MomentumPoly({(0, 3): parse("1")})),
+    # mixed monomials, where c*px^i*py^j and c*(px^i*py^j) can differ
+    (general_metric("2 + x^2", "x*y/4", "2 + y^2"),
+     MomentumPoly({(3, 0): parse("y/3"), (2, 1): parse("1 + x"),
+                   (1, 2): parse("x*y/7"), (0, 3): parse("5/3")})),
+], ids=["sphere-L", "general-1+x^2-py^3", "general-mixed"])
+def test_conservation_report_csv_matches_reference(tmp_path, metric, f):
+    # H and F come from one compiled function and one evaluation per
+    # point; each must still be the per-polynomial sum, bit for bit
+    traj = integrate_geodesic(metric, (0.1, 0.2, 0.3, -0.1), 1e-3, 300)
+    path = tmp_path / "traj.csv"
+    summary = conservation_report(metric, traj, f, csv_path=path)
+    assert summary == conservation_report(metric, traj, f)
+    h_ref = momentum_poly_reference(hamiltonian_poly(metric))
+    f_ref = momentum_poly_reference(f)
+    with open(path) as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["t", "x", "y", "px", "py", "H", "F"]
+    assert len(rows) == len(traj) + 1
+    for r, (t, x, y, px, py) in zip(rows[1:], traj):
+        assert r[:5] == [f"{t:.10g}", f"{x:.16g}", f"{y:.16g}",
+                         f"{px:.16g}", f"{py:.16g}"]
+        assert r[5] == f"{h_ref(x, y, px, py):.16g}"
+        assert r[6] == f"{f_ref(x, y, px, py):.16g}"
+    hs = [h_ref(*p[1:]) for p in traj]
+    fs = [f_ref(*p[1:]) for p in traj]
+    assert summary == {
+        "steps": len(traj) - 1,
+        "H0": hs[0], "H_drift": max(abs(v - hs[0]) for v in hs),
+        "F0": fs[0], "F_drift": max(abs(v - fs[0]) for v in fs)}
