@@ -42,6 +42,7 @@ import argparse
 import configparser
 import json
 import math
+import os
 import sys
 from typing import Dict, Optional, Tuple
 
@@ -404,16 +405,26 @@ def cmd_geodesic(args) -> int:
     state0 = (args.x0, args.y0, args.px0, args.py0)
     if not all(map(math.isfinite, state0)):
         raise ManifestError("--x0, --y0, --px0 and --py0 must be finite")
+    if args.csv is not None and (
+            os.path.isdir(args.csv)
+            or not os.path.isdir(os.path.dirname(os.path.abspath(args.csv)))):
+        raise ManifestError("--csv %s: not a file in an existing directory"
+                            % args.csv)
     f_poly: Optional[MomentumPoly] = None
     if args.integral is not None:
         f_poly = _load_integral(args.integral).to_momentum_poly()
-    aborted = False
+    summary = None
     try:
         traj = integrate_geodesic(man.metric, state0, args.dt, args.steps)
     except EvalDomainError as exc:
         sys.stderr.write("integration aborted: %s\n" % exc)
-        aborted = True
-        traj = []
+    else:
+        try:
+            summary = conservation_report(man.metric, traj, f_poly, args.csv)
+        except EvalDomainError as exc:
+            sys.stderr.write("integration aborted: H or F fails on the "
+                             "trajectory: %s\n" % exc)
+    aborted = summary is None
     report = _base_report(man, "geodesic")
     report.update({
         "state0": [float(v) for v in state0],
@@ -422,8 +433,7 @@ def cmd_geodesic(args) -> int:
         "aborted": aborted,
         "drift_tolerance": man.drift_tol,
     })
-    if traj:
-        summary = conservation_report(man.metric, traj, f_poly, args.csv)
+    if not aborted:
         ok = summary["H_drift"] < man.drift_tol and (
             f_poly is None or summary["F_drift"] < man.drift_tol)
         report["conservation"] = summary

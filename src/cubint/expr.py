@@ -407,10 +407,18 @@ def pw(base: Expr, e) -> Expr:
 #   NF  = num / den
 #   num = dict {mono: Fraction}, monomials with strictly positive exponents
 #   den = mono with positive integer exponents (coefficient 1, folded to num)
-#   mono = sorted tuple of (base, Fraction exponent)
+#   mono = tuple of (base, exponent), one pair per base, sorted by _skey
+#          of the base, no zero exponent
+#
+# An exponent is an int when it is integral and a Fraction only when it is
+# not.  An int and a Fraction of equal value compare and hash alike, so this
+# changes no key, order or printed form; it keeps exponent sums cheap.
 #
 # Bases are Var/Const/Func nodes (Func args canonicalized), plus the two
-# internal kinds below.
+# internal kinds below.  A base folds (_folds) when a product of its powers
+# is not the sum of their exponents: exp atoms combine through their
+# arguments and integer powers of a _RatPow go into the coefficient.  Only
+# _m_build folds; _m_mul and _p_div_exact hand such products to it.
 
 class _PolyBase:
     """A compound polynomial used as a multiplicative base (e.g. a factored
@@ -497,6 +505,22 @@ def _charge(cost: int):
 
 # ---- monomial helpers ----------------------------------------------------
 
+# the coefficient multiplier of a product in which nothing folds; callers
+# test it by identity to skip the multiply
+_UNIT = Fraction(1)
+
+
+def _int_exp(e):
+    """e as an int when it is integral (the exponent invariant)."""
+    return e.numerator if e.denominator == 1 else e
+
+
+def _folds(b) -> bool:
+    """Is a product of powers of base b not the sum of their exponents?"""
+    t = type(b)
+    return t is _RatPow or (t is Func and b.name == "exp")
+
+
 def _m_build(pairs) -> tuple:
     """Merge (base, exp) pairs into a canonical monomial.
 
@@ -514,7 +538,7 @@ def _m_build(pairs) -> tuple:
         if isinstance(b, Func) and b.name == "exp":
             exp_args.append((b.arg, e))
             continue
-        acc[b] = acc.get(b, Fraction(0)) + e
+        acc[b] = acc.get(b, 0) + e
     if exp_args:
         total = _NF_ZERO
         for (arg, m) in exp_args:
@@ -522,23 +546,22 @@ def _m_build(pairs) -> tuple:
         if not total.is_zero():
             cval = _nf_const_value(total)
             if cval is not None:
-                acc[_E] = acc.get(_E, Fraction(0)) + cval
+                acc[_E] = acc.get(_E, 0) + cval
             else:
                 b = Func("exp", nf_to_expr(total))
-                acc[b] = acc.get(b, Fraction(0)) + 1
+                acc[b] = acc.get(b, 0) + 1
     out = []
     for b, e in acc.items():
         if e == 0:
             continue
         if isinstance(b, _RatPow):
             k = _floor_frac(e)
-            r = e - k
+            e -= k
             if k != 0:
                 coeff *= b.val ** k
-            if r != 0:
-                out.append((b, r))
-        else:
-            out.append((b, e))
+            if e == 0:
+                continue
+        out.append((b, _int_exp(e)))
     out.sort(key=lambda p: _skey(p[0]))
     return coeff, tuple(out)
 
@@ -561,15 +584,51 @@ def _nf_const_value(nf: NF) -> Optional[Fraction]:
 
 
 def _m_mul(m1: tuple, m2: tuple):
-    return _m_build(list(m1) + list(m2))
+    """m1*m2 for canonical monomials: (coeff_multiplier, mono).
+
+    One merge along _skey order that adds the exponents of equal bases;
+    the multiplier is _UNIT.  A product with a base that folds is made by
+    _m_build instead."""
+    if not m1:
+        return _UNIT, m2
+    if not m2:
+        return _UNIT, m1
+    n1, n2 = len(m1), len(m2)
+    out = []
+    i = j = 0
+    while i < n1 and j < n2:
+        t1, t2 = m1[i], m2[j]
+        b = t1[0]
+        # every base caches its key once _skey has computed it
+        k1 = b._skey or _skey(b)
+        k2 = t2[0]._skey or _skey(t2[0])
+        if k1 < k2:
+            out.append(t1)
+            i += 1
+        elif k2 < k1:
+            b = t2[0]
+            out.append(t2)
+            j += 1
+        else:
+            e = t1[1] + t2[1]
+            if e:
+                out.append((b, e if type(e) is int else _int_exp(e)))
+            i += 1
+            j += 1
+        if _folds(b):
+            return _m_build(m1 + m2)
+    # the bases left in one monomial meet no base of the other, and a
+    # canonical monomial has at most one exp atom: none of them folds
+    out += m1[i:] + m2[j:]
+    return _UNIT, tuple(out)
 
 
 def _m_pow(m: tuple, e: Fraction):
     return _m_build([(b, x * e) for (b, x) in m])
 
 
-def _m_total_deg(m: tuple) -> Fraction:
-    return sum((e for (_, e) in m), Fraction(0))
+def _m_total_deg(m: tuple):
+    return sum(e for (_, e) in m)
 
 
 def _m_lex_cmp(m1: tuple, m2: tuple) -> int:
@@ -602,7 +661,7 @@ def _m_divides(m1: tuple, m2: tuple) -> bool:
     """Does m1 divide m2 (componentwise exponents <=)?"""
     d = dict(m2)
     for (b, e) in m1:
-        if d.get(b, Fraction(0)) < e:
+        if d.get(b, 0) < e:
             return False
     return True
 
@@ -614,13 +673,18 @@ def _m_div(m2: tuple, m1: tuple):
 
 # ---- polynomial helpers --------------------------------------------------
 
-def _p_add_into(p: dict, q: dict, s: Fraction = Fraction(1)):
+def _p_add_into(p: dict, q: dict, s: Fraction = _UNIT):
+    scaled = s != 1
     for m, c in q.items():
-        nc = p.get(m, Fraction(0)) + c * s
-        if nc == 0:
-            p.pop(m, None)
-        else:
-            p[m] = nc
+        if scaled:
+            c = c * s
+        old = p.get(m)
+        if old is not None:
+            c = old + c
+        if c:
+            p[m] = c
+        elif old is not None:
+            del p[m]
 
 
 def _p_mul(p: dict, q: dict) -> dict:
@@ -629,11 +693,16 @@ def _p_mul(p: dict, q: dict) -> dict:
     for m1, c1 in p.items():
         for m2, c2 in q.items():
             cm, m = _m_mul(m1, m2)
-            nc = out.get(m, Fraction(0)) + c1 * c2 * cm
-            if nc == 0:
-                out.pop(m, None)
-            else:
-                out[m] = nc
+            c = c1 * c2
+            if cm is not _UNIT:
+                c = c * cm
+            old = out.get(m)
+            if old is not None:
+                c = old + c
+            if c:
+                out[m] = c
+            elif old is not None:
+                del out[m]
     return out
 
 
@@ -643,15 +712,22 @@ def _p_scale(p: dict, s: Fraction) -> dict:
     return {m: c * s for m, c in p.items()}
 
 
-def _p_mul_mono(p: dict, mono: tuple, s: Fraction = Fraction(1)) -> dict:
+def _p_mul_mono(p: dict, mono: tuple, s: Fraction = _UNIT) -> dict:
+    scaled = s != 1
     out: dict = {}
     for m, c in p.items():
         cm, nm = _m_mul(m, mono)
-        nc = out.get(nm, Fraction(0)) + c * s * cm
-        if nc == 0:
-            out.pop(nm, None)
-        else:
-            out[nm] = nc
+        if scaled:
+            c = c * s
+        if cm is not _UNIT:
+            c = c * cm
+        old = out.get(nm)
+        if old is not None:
+            c = old + c
+        if c:
+            out[nm] = c
+        elif old is not None:
+            del out[nm]
     return out
 
 
@@ -705,10 +781,9 @@ def _p_div_exact(p: dict, q: dict) -> Optional[dict]:
         return {}
     bases = {b for m in p for (b, _) in m}
     bases.update(b for m in q for (b, _) in m)
-    # _m_build folds powers of these bases, so a product of monomials with
-    # them is not the sum of their exponent vectors
-    if any(type(b) is _RatPow or (type(b) is Func and b.name == "exp")
-           for b in bases):
+    # a product of monomials with a base that folds is not the sum of their
+    # exponent vectors
+    if any(map(_folds, bases)):
         return _p_div_folding(p, q)
     if len(p) == 1 and len(q) > 1:
         # graded-lex order is compatible with products, so q*s has the
@@ -750,12 +825,13 @@ def _p_div_exact(p: dict, q: dict) -> Optional[dict]:
         # rem -= tc*t*q; its leading term cancels exactly and was popped
         for (d, v), c in qk.items():
             nk = (d + td, tuple([a + b for a, b in zip(v, tv)]))
-            nc = rem.get(nk, Fraction(0)) - tc * c
+            nc = rem.get(nk, 0) - tc * c
             if nc == 0:
                 rem.pop(nk, None)
             else:
                 rem[nk] = nc
-    return {tuple((order[i], Fraction(e, den)) for i, e in enumerate(v) if e): c
+    return {tuple((order[i], e // den if e % den == 0 else Fraction(e, den))
+                  for i, e in enumerate(v) if e): c
             for v, c in quot.items()}
 
 
@@ -875,13 +951,13 @@ def _mk_nf(num: dict, den: tuple) -> NF:
         lift, lift_den = [], []
         s = Fraction(1)
         for b, k in need.items():
-            lift.append((b, Fraction(k)))
+            lift.append((b, k))
             if type(b) is _PolyBase:
                 _, lc = _p_leading(_thaw(b.fp))
                 if lc != 1:
                     s /= lc ** k
                     b = _PolyBase(_freeze(_p_scale(_thaw(b.fp), 1 / lc)))
-            lift_den.append((b, Fraction(k)))
+            lift_den.append((b, k))
         cm, lift_m = _m_build(lift)
         num = _p_mul_mono(num, lift_m, cm * s)
         cden, den = _m_mul(den, _m_build(lift_den)[1])
@@ -905,7 +981,7 @@ def _mk_nf(num: dict, den: tuple) -> NF:
             if den_d[b] == 0:
                 del den_d[b]
     if changed:
-        canceled = [(b, Fraction(e - den_d.get(b, 0))) for (b, e) in den if e - den_d.get(b, 0) > 0]
+        canceled = [(b, e - den_d.get(b, 0)) for (b, e) in den if e - den_d.get(b, 0) > 0]
         cm, cmono = _m_build([(b, -e) for (b, e) in canceled])
         num = _p_mul_mono(num, cmono, cm)
     # trial division by compound denominator factors
@@ -945,8 +1021,8 @@ def nf_add(a: NF, b: NF) -> NF:
     for bb, e in db.items():
         if lcm.get(bb, 0) < e:
             lcm[bb] = e
-    ma = [(bb, Fraction(e - da.get(bb, 0))) for bb, e in lcm.items() if e - da.get(bb, 0) > 0]
-    mb = [(bb, Fraction(e - db.get(bb, 0))) for bb, e in lcm.items() if e - db.get(bb, 0) > 0]
+    ma = [(bb, e - da.get(bb, 0)) for bb, e in lcm.items() if e - da.get(bb, 0) > 0]
+    mb = [(bb, e - db.get(bb, 0)) for bb, e in lcm.items() if e - db.get(bb, 0) > 0]
     ca, mam = _m_build(ma)
     cb, mbm = _m_build(mb)
     num = _p_mul_mono(a.num, mam, ca)
@@ -1012,7 +1088,7 @@ def nf_pow(a: NF, e: Fraction) -> NF:
         n = int(e)
         if n > 0:
             num = _p_pow_int(a.num, n)
-            c, den = _m_pow(a.den, Fraction(n))
+            c, den = _m_pow(a.den, n)
             if c != 1:
                 num = _p_scale(num, Fraction(1) / c)
             return _mk_nf(num, den)
@@ -1069,19 +1145,25 @@ def _rat_frac_pow(c: Fraction, r: Fraction) -> dict:
     return {mono: cm}
 
 
-def _exact_rat_root(c: Fraction, n: int) -> Optional[Fraction]:
-    def iroot(v: int) -> Optional[int]:
-        if v == 0:
-            return 0
-        r = round(v ** (1.0 / n))
-        for cand in (r - 1, r, r + 1):
-            if cand >= 0 and cand ** n == v:
-                return cand
-        return None
+def _iroot(v: int, n: int) -> int:
+    """floor(v^(1/n)) for v >= 0, exact at any size: a float root
+    overflows above about 1e308 and is inexact above 2^53."""
+    if n == 2 or v < 2:
+        return math.isqrt(v)
+    # Newton's iteration from above decreases to the floor of the root
+    r = 1 << -(-v.bit_length() // n)
+    while True:
+        s = ((n - 1) * r + v // r ** (n - 1)) // n
+        if s >= r:
+            return r
+        r = s
 
-    rn = iroot(c.numerator)
-    rd = iroot(c.denominator)
-    if rn is None or rd is None:
+
+def _exact_rat_root(c: Fraction, n: int) -> Optional[Fraction]:
+    """c^(1/n) when it is rational, for c >= 0, else None."""
+    rn = _iroot(c.numerator, n)
+    rd = _iroot(c.denominator, n)
+    if rn ** n != c.numerator or rd ** n != c.denominator:
         return None
     return Fraction(rn, rd)
 
@@ -1095,7 +1177,7 @@ def to_nf(e: Expr) -> NF:
     if t is Rat:
         nf = NF({(): e.val}, ()) if e.val != 0 else _NF_ZERO
     elif t is Var or t is Const:
-        nf = NF({((e, Fraction(1)),): Fraction(1)}, ())
+        nf = NF({((e, 1),): Fraction(1)}, ())
     elif t is Add:
         nf = _NF_ZERO
         for s in e.terms:
@@ -1157,7 +1239,7 @@ def _func_nf(name: str, argnf: NF) -> NF:
             if c == 1 and len(m) == 1:
                 b, ex = m[0]
                 if isinstance(b, Const) and b.name == "e":
-                    return NF({(): ex}, ()) if ex != 0 else _NF_ZERO
+                    return NF({(): Fraction(ex)}, ()) if ex != 0 else _NF_ZERO
                 if isinstance(b, Func) and b.name == "exp" and ex == 1:
                     return to_nf(b.arg)
         return _atom_nf(Func("ln", nf_to_expr(argnf)))
@@ -1180,7 +1262,7 @@ def _func_nf_plain(name: str, argnf: NF) -> NF:
 
 
 def _atom_nf(b) -> NF:
-    return NF({((b, Fraction(1)),): Fraction(1)}, ())
+    return NF({((b, 1),): Fraction(1)}, ())
 
 
 def _pure_atom(nf: NF):

@@ -17,6 +17,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import math
+import os
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
@@ -313,7 +314,9 @@ def conservation_report(metric: Metric, trajectory,
 
     H and F are evaluated once per point, from one compiled function of
     all their coefficients.  With csv_path, the trajectory is also written
-    there as CSV with columns t,x,y,px,py,H,F (F empty without f)."""
+    there as CSV with columns t,x,y,px,py,H,F (F empty without f); when H
+    or F fails to evaluate, the EvalDomainError propagates and no file is
+    left there."""
     h = hamiltonian_poly(metric)
     f_coeffs = f.coeffs if f is not None else {}
     n_h = len(h.coeffs)
@@ -327,7 +330,13 @@ def conservation_report(metric: Metric, trajectory,
             w = csv.writer(fh)
             w.writerow(["t", "x", "y", "px", "py", "H", "F"])
         for (t, x, y, px, py) in trajectory:
-            vals = coeffs(x, y)
+            try:
+                vals = coeffs(x, y)
+            except EvalDomainError:
+                if fh is not None:
+                    fh.close()
+                    os.remove(csv_path)
+                raise
             hv = 0.0
             for (i, j), c in zip(h.coeffs, vals):
                 hv += c * (px ** i) * (py ** j)

@@ -4,7 +4,8 @@ Everything here is deliberately dumb: plain finite differences and plain
 float arithmetic, no use of the symbolic kernel beyond point evaluation.
 If the engine and these oracles agree, they agree for different reasons.
 The exceptions are p_div_reference, the kernel's former long-division
-loop, closure_compile with rk4_reference, the former closure compiler
+loop, m_mul_reference, its former monomial product, closure_compile with
+rk4_reference, the former closure compiler
 and RK4 driver of the geodesic flow, and momentum_poly_reference, the
 former per-polynomial evaluator of H and F: each is kept as the reference
 for the code that replaced it.
@@ -15,8 +16,8 @@ from fractions import Fraction
 
 from cubint.expr import (Add, Const, EvalDomainError, Func, Mul, Pow, Rat,
                          Var, diff, simplify)
-from cubint.expr import (_m_div, _m_divides, _p_add_into, _p_leading,
-                         _p_mul_mono)
+from cubint.expr import (_m_build, _m_div, _m_divides, _p_add_into,
+                         _p_leading, _p_mul_mono)
 
 
 def fd_partial(f, x, y, var, h=1e-5):
@@ -353,6 +354,13 @@ def p_div_reference(p, q):
         quot[tm] = quot.get(tm, Fraction(0)) + tc
         _p_add_into(rem, _p_mul_mono(q, tm, -tc))
     return quot
+
+
+def m_mul_reference(m1, m2):
+    """(coefficient multiplier, monomial) of m1*m2: the kernel's monomial
+    product as it was before it became one merge, every pair of both
+    monomials summed again by _m_build."""
+    return _m_build(list(m1) + list(m2))
 
 
 def momentum_poly_reference(p):

@@ -200,6 +200,16 @@ def test_check_bad_expression_exit_64(tmp_path, capsys):
     assert "bad expression" in capsys.readouterr().err
 
 
+def test_check_radical_of_huge_integer(tmp_path, capsys):
+    # (10^400)^(1/2) is the integer 10^200, a root a float cannot take
+    root = _write(tmp_path, "root.ini", KILLING.replace(
+        "lambda = 1 + x^2", "lambda = 1 + (10^400)^(1/2)*x^2"))
+    plain = _write(tmp_path, "plain.ini", KILLING.replace(
+        "lambda = 1 + x^2", "lambda = 1 + 10^200*x^2"))
+    code, rep = _run(capsys, ["check", root])
+    assert (code, rep) == _run(capsys, ["check", plain])
+
+
 def test_check_degenerate_domain_exit_64(tmp_path, capsys):
     man = _write(tmp_path, "m.ini",
                  FLAT_TRIVIAL + "\n[domain]\nx_min = 2\nx_max = -2\n")
@@ -407,6 +417,38 @@ def test_geodesic_aborts_outside_metric_domain(tmp_path, capsys, lam, x0):
     assert rep["conservation"] is None
     assert err.startswith("integration aborted:")
     assert "near t =" in err
+
+
+def test_geodesic_aborts_where_the_integral_fails(tmp_path, capsys):
+    # the flow runs on x < 0.05 - t, where F's coefficient ln(x) fails
+    man = _write(tmp_path, "m.ini", FLAT_TRIVIAL)
+    fint = _write(tmp_path, "f.ini",
+                  PY3_INTEGRAL.replace("F222 = 1", "F222 = ln(x)"))
+    csv_path = tmp_path / "t.csv"
+    code = main(["geodesic", man, "--x0", "0.05", "--y0", "0",
+                 "--px0=-1", "--py0", "0", "--steps", "100", "--dt", "0.01",
+                 "--integral", fint, "--csv", str(csv_path)])
+    out, err = capsys.readouterr()
+    rep = json.loads(out)
+    assert code == 1
+    assert rep["aborted"] is True
+    assert rep["conservation"] is None
+    assert rep["within_tolerance"] is False
+    assert err.startswith("integration aborted:") and "ln" in err
+    assert not csv_path.exists()
+
+
+@pytest.mark.parametrize("csv_name", ["missing/t.csv", "."])
+def test_geodesic_rejects_unwritable_csv_path(tmp_path, capsys, csv_name):
+    # a file in a directory that does not exist, or a directory
+    man = _write(tmp_path, "m.ini", FLAT_TRIVIAL)
+    code = main(["geodesic", man, "--x0", "0", "--y0", "0", "--px0", "1",
+                 "--py0", "0", "--steps", "10",
+                 "--csv", str(tmp_path / csv_name)])
+    out, err = capsys.readouterr()
+    assert code == 64
+    assert out == "" and err.startswith("input error: --csv")
+    assert not (tmp_path / "missing").exists()
 
 
 def test_geodesic_all_zero_integral(tmp_path, capsys):

@@ -16,8 +16,9 @@ from cubint.expr import (
     compile_float, diff, eval_at, eval_scaled, is_zero, nf_is_zero,
     nf_to_expr, parse, simplify, to_nf, to_str,
 )
-from cubint import expr as expr_mod
-from oracles import fd_partial, p_div_reference, tree_eval
+from cubint import (Codifferential, InvariantEngine, expr as expr_mod,
+                    isothermal_metric)
+from oracles import fd_partial, m_mul_reference, p_div_reference, tree_eval
 
 
 BOX = Box(-2.0, 2.0, -2.0, 2.0)
@@ -484,6 +485,101 @@ def test_division_with_folding_bases(p, q):
 @example(_poly("exp(x) + y"), _poly("exp(-x)"))
 def test_division_of_exact_products_with_folding_bases(q, s):
     _same_division(expr_mod._p_mul(q, s), q)
+
+
+# --------------------------------------------------------------------------
+# monomial products against the former product
+
+def _monos():
+    pairs = st.lists(st.tuples(st.sampled_from(_PLAIN_BASES + _FOLDING_BASES),
+                               st.sampled_from(_EXPONENTS)), max_size=4)
+    return pairs.map(lambda ps: expr_mod._m_build(ps)[1])
+
+
+def _integral_exponents_are_ints(mono):
+    return all(type(e) is int for (_, e) in mono if e.denominator == 1)
+
+
+@given(_monos(), _monos())
+@settings(max_examples=400, deadline=None)
+@example(expr_mod._m_build([(_RADICAL, Fraction(1, 2))])[1],
+         expr_mod._m_build([(_RADICAL, Fraction(-1, 2)), (Var("x"), 1)])[1])
+@example(expr_mod._m_build([(Func("exp", Var("x")), 1)])[1],
+         expr_mod._m_build([(Func("exp", Var("y")), 1)])[1])
+def test_monomial_product_matches_reference(m1, m2):
+    got = expr_mod._m_mul(m1, m2)
+    assert got == m_mul_reference(m1, m2)
+    assert _integral_exponents_are_ints(got[1])
+
+
+def _nf_exponents(nf, seen):
+    """Every exponent of nf's monomials, of the monomials of each compound
+    base they reach, and of the normal forms of function arguments."""
+    monos = list(nf.num)
+    if nf.den:
+        monos.append(nf.den)
+    while monos:
+        for (b, e) in monos.pop():
+            yield e
+            if b in seen:
+                continue
+            seen.add(b)
+            if type(b) is expr_mod._PolyBase:
+                monos.extend(m for (m, _) in b.fp)
+            elif type(b) is Func:
+                yield from _nf_exponents(to_nf(b.arg), seen)
+
+
+def test_integral_exponents_are_ints():
+    rep = InvariantEngine(isothermal_metric("1 + x^2"),
+                          Codifferential.isothermal(("0", "-1")),
+                          BOX).report()
+    exprs = [parse(t) for t in ROUND_TRIP_CASES]
+    exprs += [*rep.phi, *rep.dee, *rep.gee, *(rep.kay or ())]
+    for name, e in rep.star.items():
+        exprs += list(e or ()) if name == "Kstar" else [e]
+    exprs += rep.dforms.values()
+    seen = set()
+    exponents = [e for x in exprs for e in _nf_exponents(to_nf(x), seen)]
+    assert len(exponents) > 50
+    bad = [e for e in exponents if type(e) is not int and e.denominator == 1]
+    assert not bad, bad[:5]
+
+
+def test_plain_products_build_no_monomial(monkeypatch):
+    # x, y, sin(x) and a radical do not fold, so their products are merges
+    polys = [_poly(t) for t in ("x + y^2/3", "sin(x)*y - 1",
+                                "(1 + x^2)^(1/2)*x + y^(3/2)", "x^-1 + y")]
+    fold = [(_poly("exp(x)"), _poly("exp(-x)"), {(): 1}),
+            (_poly("2^(1/2)"), _poly("2^(1/2)"), {(): 2})]
+    calls = []
+    real = expr_mod._m_build
+
+    def counted(pairs):
+        calls.append(pairs)
+        return real(pairs)
+    monkeypatch.setattr(expr_mod, "_m_build", counted)
+    products = [expr_mod._p_mul(p, q) for p in polys for q in polys]
+    assert calls == []
+    assert all(products)
+    for p, q, want in fold:
+        assert expr_mod._p_mul(p, q) == want
+    assert calls
+
+
+# --------------------------------------------------------------------------
+# exact roots of integers beyond a float's range and precision
+
+@pytest.mark.parametrize("text", [
+    "sqrt(12157665459056928802^2) - 12157665459056928802",
+    "(100000000000000000001^3)^(1/3) - 100000000000000000001",
+])
+def test_exact_root_above_float_precision(text):
+    assert nf_is_zero(parse(text))
+
+
+def test_exact_root_above_float_range():
+    assert to_str(simplify(parse("(10^400)^(1/2)*x"))) == "1" + "0" * 200 + "*x"
 
 
 # --------------------------------------------------------------------------

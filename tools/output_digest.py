@@ -1,0 +1,110 @@
+"""One sha256 per output family of cubint, to show that a change which
+should leave every output alone does so.
+
+    python3 tools/output_digest.py          # one digest per family
+    python3 tools/output_digest.py --list   # one digest per output
+
+Families, each run in-process on this checkout's src/:
+
+* check      -- `cubint check` (exit code and JSON report) on the 50
+                decide-suite pairs of each of the seeds 1-3, built by
+                bench/run.py's generators;
+* invariants -- `cubint invariants --symbolic` and `--at=0.3,0.2` on the
+                example manifest in README.md;
+* geodesic   -- the 56 geodesic-flow operations of seed 5 (exit code,
+                report, stderr and CSV trajectory).
+
+Temporary paths are replaced by "<tmp>" before hashing.  Compare the
+printout of two checkouts; where a family differs, --list names the
+outputs that differ.  Uses the standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import re
+import shutil
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "bench"))
+
+import run as bench  # noqa: E402  (bench/run.py: generators and import_cubint)
+
+CHECK_SEEDS = (1, 2, 3)
+GEODESIC_SEED = 5
+POINT = "0.3,0.2"
+
+
+def _cli(cli, argv):
+    """cli.main(argv) in-process: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _readme_manifest() -> str:
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        text = fh.read()
+    return re.search(r"```ini\n(.*?)```", text, re.S).group(1)
+
+
+def check_outputs(cli, tmp):
+    for seed in CHECK_SEEDS:
+        for item in sorted(bench.DecideSuite(seed, tmp).items,
+                           key=lambda it: it["id"]):
+            code, out, _err = _cli(cli, ["check", item["manifest"]])
+            yield "check/seed%d/%s" % (seed, item["id"]), "%d\n%s" % (code, out)
+
+
+def invariants_outputs(cli, tmp):
+    man = bench.write_file(tmp, "readme.ini", _readme_manifest())
+    for flag in ("--symbolic", "--at=" + POINT):
+        code, out, _err = _cli(cli, ["invariants", man, flag])
+        yield "invariants/" + flag.lstrip("-"), "%d\n%s" % (code, out)
+
+
+def geodesic_outputs(cli, tmp):
+    wl = bench.GeodesicFlow(GEODESIC_SEED, tmp)
+    for n, (i, _s0, argv) in enumerate(wl.ops):
+        code, out, err = _cli(cli, argv)
+        with open(wl.csv) as fh:
+            rows = fh.read()
+        os.remove(wl.csv)
+        yield ("geodesic/op%02d-pair%d" % (n, i),
+               "%d\n%s\n%s\n%s" % (code, out, err, rows))
+
+
+FAMILIES = (("check", check_outputs), ("invariants", invariants_outputs),
+            ("geodesic", geodesic_outputs))
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--list", action="store_true",
+                    help="also print a digest for each output")
+    args = ap.parse_args(argv)
+    cli = bench.import_cubint().cli
+    tmp = tempfile.mkdtemp(prefix="digest-")
+    try:
+        for family, outputs in FAMILIES:
+            total = hashlib.sha256()
+            for name, text in outputs(cli, tmp):
+                data = text.replace(tmp, "<tmp>").encode()
+                total.update(hashlib.sha256(data).digest())
+                if args.list:
+                    print("%s  %s" % (hashlib.sha256(data).hexdigest(), name))
+            print("%s  %s" % (total.hexdigest(), family))
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
