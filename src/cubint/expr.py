@@ -1491,9 +1491,10 @@ def compile_float(*roots: Expr):
     merging equal subtrees changes neither that nor max(map(abs, T)), the
     scale that eval_scaled reads.  Finiteness is checked once all nodes
     are computed, so where a non-finite value reaches a domain check
-    first, the EvalDomainError names that check.  Constants are never
-    written into the source: they are the defaults of f's parameters
-    after x and y."""
+    first, the EvalDomainError names that check.  An operation that
+    raises OverflowError gives EvalDomainError('float overflow').
+    Constants are never written into the source: they are the defaults
+    of f's parameters after x and y."""
     if not roots:
         return lambda x, y: ((),)
     lines = []
@@ -1570,7 +1571,9 @@ def compile_float(*roots: Expr):
         f"def f(x, y, {''.join(c + ', ' for c in consts.values())}):",
         " try:",
         *["  " + ln for ln in lines or ["pass"]],
-        " except (OverflowError, ValueError) as ex:",
+        " except OverflowError:",
+        "  raise EvalDomainError('float overflow') from None",
+        " except ValueError as ex:",
         "  raise EvalDomainError(str(ex)) from None",
         f" T = ({values},)",
         " if not all(map(isfinite, T)):",

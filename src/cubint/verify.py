@@ -15,7 +15,6 @@ geodesic flow of g:
 from __future__ import annotations
 
 import contextlib
-import csv
 import math
 import os
 from fractions import Fraction
@@ -274,36 +273,43 @@ def integrate_geodesic(metric: Metric, state0, dt: float, steps: int):
     coeffs = compile_float(*inv, *(simplify(diff(c, v))
                                    for v in ("x", "y") for c in inv))
 
-    def rhs(s):
-        x, y, px, py = s
+    def rhs(x, y, px, py):
         c11, c12, c22, d11x, d12x, d22x, d11y, d12y, d22y, _ = coeffs(x, y)
-        dx = c11 * px + c12 * py
-        dy = c12 * px + c22 * py
-        dpx = -(0.5 * d11x * px * px + d12x * px * py
-                + 0.5 * d22x * py * py)
-        dpy = -(0.5 * d11y * px * px + d12y * px * py
-                + 0.5 * d22y * py * py)
-        return (dx, dy, dpx, dpy)
+        return (c11 * px + c12 * py,
+                c12 * px + c22 * py,
+                -(0.5 * d11x * px * px + d12x * px * py
+                  + 0.5 * d22x * py * py),
+                -(0.5 * d11y * px * px + d12y * px * py
+                  + 0.5 * d22y * py * py))
 
-    out = [(0.0,) + tuple(float(v) for v in state0)]
-    s = tuple(float(v) for v in state0)
+    x, y, px, py = (float(v) for v in state0)
+    out = [(0.0, x, y, px, py)]
     t = 0.0
+    h = 0.5 * dt
+    h6 = dt / 6.0
+    isfinite = math.isfinite
     for _ in range(steps):
         try:
-            k1 = rhs(s)
-            k2 = rhs(tuple(si + 0.5 * dt * k for si, k in zip(s, k1)))
-            k3 = rhs(tuple(si + 0.5 * dt * k for si, k in zip(s, k2)))
-            k4 = rhs(tuple(si + dt * k for si, k in zip(s, k3)))
+            ax, ay, apx, apy = rhs(x, y, px, py)
+            bx, by, bpx, bpy = rhs(x + h * ax, y + h * ay,
+                                   px + h * apx, py + h * apy)
+            cx, cy, cpx, cpy = rhs(x + h * bx, y + h * by,
+                                   px + h * bpx, py + h * bpy)
+            dx, dy, dpx, dpy = rhs(x + dt * cx, y + dt * cy,
+                                   px + dt * cpx, py + dt * cpy)
         except EvalDomainError as exc:
             raise EvalDomainError("%s near t = %g" % (exc, t)) from None
         # float arithmetic raises nothing here: an overflow gives inf,
         # which the finiteness check below reports
-        s = tuple(si + dt / 6.0 * (a + 2 * b + 2 * c + d)
-                  for si, a, b, c, d in zip(s, k1, k2, k3, k4))
+        x += h6 * (ax + 2 * bx + 2 * cx + dx)
+        y += h6 * (ay + 2 * by + 2 * cy + dy)
+        px += h6 * (apx + 2 * bpx + 2 * cpx + dpx)
+        py += h6 * (apy + 2 * bpy + 2 * cpy + dpy)
         t += dt
-        if not all(map(math.isfinite, s)):
+        if not (isfinite(x) and isfinite(y)
+                and isfinite(px) and isfinite(py)):
             raise EvalDomainError("non-finite state at t = %g" % t)
-        out.append((t,) + s)
+        out.append((t, x, y, px, py))
     return out
 
 
@@ -314,44 +320,56 @@ def conservation_report(metric: Metric, trajectory,
 
     H and F are evaluated once per point, from one compiled function of
     all their coefficients.  With csv_path, the trajectory is also written
-    there as CSV with columns t,x,y,px,py,H,F (F empty without f); when H
-    or F fails to evaluate, the EvalDomainError propagates and no file is
-    left there."""
+    there as CSV with columns t,x,y,px,py,H,F (F empty without f), in the
+    csv module's default dialect, one row per point as it is computed.
+    When H or F fails to evaluate or overflows, an EvalDomainError is
+    raised and the partial file is removed if it is a regular file."""
     h = hamiltonian_poly(metric)
     f_coeffs = f.coeffs if f is not None else {}
-    n_h = len(h.coeffs)
+    h_mons, f_mons = list(h.coeffs), list(f_coeffs)
+    n_h = len(h_mons)
     coeffs = compile_float(*h.coeffs.values(), *f_coeffs.values())
+    # the csv module's default dialect: no quoting needed, \r\n line ends;
+    # without f the F field is empty ("%.0s" prints no character of it)
+    row = ("%.10g,%.16g,%.16g,%.16g,%.16g,%.16g,"
+           + ("%.16g\r\n" if f is not None else "%.0s\r\n"))
     h0 = f0 = None
     h_drift = f_drift = 0.0
     with (open(csv_path, "w", newline="") if csv_path is not None
           else contextlib.nullcontext()) as fh:
-        w = None
+        write = None
         if fh is not None:
-            w = csv.writer(fh)
-            w.writerow(["t", "x", "y", "px", "py", "H", "F"])
+            write = fh.write
+            write("t,x,y,px,py,H,F\r\n")
         for (t, x, y, px, py) in trajectory:
             try:
                 vals = coeffs(x, y)
-            except EvalDomainError:
+                hv = 0.0
+                for (i, j), c in zip(h_mons, vals):
+                    hv += c * px ** i * py ** j
+                fv = 0.0
+                # the trailing node tuple has no monomial; zip drops it
+                for (i, j), c in zip(f_mons, vals[n_h:]):
+                    fv += c * px ** i * py ** j
+            except (EvalDomainError, OverflowError) as exc:
                 if fh is not None:
                     fh.close()
-                    os.remove(csv_path)
+                    # only the partial rows go: never a device like /dev/null
+                    if os.path.isfile(csv_path):
+                        os.remove(csv_path)
+                if isinstance(exc, OverflowError):    # px ** i, py ** j
+                    raise EvalDomainError("float overflow") from None
                 raise
-            hv = 0.0
-            for (i, j), c in zip(h.coeffs, vals):
-                hv += c * (px ** i) * (py ** j)
-            fv = 0.0
-            # the trailing node tuple has no monomial and is dropped by zip
-            for (i, j), c in zip(f_coeffs, vals[n_h:]):
-                fv += c * (px ** i) * (py ** j)
             if h0 is None:
                 h0, f0 = hv, fv
-            h_drift = max(h_drift, abs(hv - h0))
-            f_drift = max(f_drift, abs(fv - f0))
-            if w is not None:
-                w.writerow([f"{t:.10g}", f"{x:.16g}", f"{y:.16g}",
-                            f"{px:.16g}", f"{py:.16g}", f"{hv:.16g}",
-                            f"{fv:.16g}" if f is not None else ""])
+            d = abs(hv - h0)
+            if d > h_drift:
+                h_drift = d
+            d = abs(fv - f0)
+            if d > f_drift:
+                f_drift = d
+            if write is not None:
+                write(row % (t, x, y, px, py, hv, fv))
     out = {"steps": len(trajectory) - 1, "H0": h0, "H_drift": h_drift}
     if f is not None:
         out["F0"] = f0

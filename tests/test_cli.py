@@ -438,6 +438,24 @@ def test_geodesic_aborts_where_the_integral_fails(tmp_path, capsys):
     assert not csv_path.exists()
 
 
+@pytest.mark.parametrize("lam, where", [
+    ("1 + x^2", "near t = 0"),                      # g^{11} in RK4
+    ("1", "H or F fails on the trajectory"),        # px^2 in H
+])
+def test_geodesic_aborts_on_float_overflow(tmp_path, capsys, lam, where):
+    man = _write(tmp_path, "m.ini", FLAT_TRIVIAL.replace(
+        "lambda = 1", "lambda = " + lam))
+    code = main(["geodesic", man, "--x0", "0", "--y0", "0", "--px0", "1e200",
+                 "--py0", "0", "--steps", "3", "--dt", "0.1"])
+    out, err = capsys.readouterr()
+    rep = json.loads(out)
+    assert code == 1
+    assert rep["aborted"] is True
+    assert err.startswith("integration aborted:")
+    assert "float overflow" in err and where in err
+    assert "Numerical result" not in err
+
+
 @pytest.mark.parametrize("csv_name", ["missing/t.csv", "."])
 def test_geodesic_rejects_unwritable_csv_path(tmp_path, capsys, csv_name):
     # a file in a directory that does not exist, or a directory

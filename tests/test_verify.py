@@ -1,9 +1,12 @@
 import csv
+import os
 import random
 
 import pytest
 
-from cubint.expr import Box, Rat, nf_is_zero, parse, simplify, to_str
+from cubint import verify
+from cubint.expr import (Box, EvalDomainError, Rat, nf_is_zero, parse,
+                         simplify, to_str)
 from cubint.geometry import general_metric, isothermal_metric, null_metric
 from cubint.verify import (
     MomentumPoly, bracket_FH, bracket_certificate, canonical_bracket,
@@ -200,18 +203,32 @@ def test_bracket_FH_accepts_symmetric_tensor():
 # --------------------------------------------------------------------------
 # RK4 geodesic flow
 
-@pytest.mark.parametrize("metric", [
-    isothermal_metric("4/(1+x^2+y^2)^2"),
-    general_metric("1 + x^2", "0", "1 + x^2"),
-], ids=["sphere", "general-1+x^2"])
-def test_geodesic_matches_closure_rk4_bitwise(metric):
-    # the right-hand side runs on compiled straight-line code; the
-    # reference evaluates each coefficient by a walk of closures
-    state = (0.1, 0.2, 0.3, -0.1)
+@pytest.mark.parametrize("metric, state", [
+    (isothermal_metric("4/(1+x^2+y^2)^2"), (0.1, 0.2, 0.3, -0.1)),
+    (general_metric("1 + x^2", "0", "1 + x^2"), (0.1, 0.2, 0.3, -0.1)),
+    (isothermal_metric("1 + x^2 + y^2"), (0.1, 0.2, 0.3, -0.1)),
+    (isothermal_metric("1 + x^2"), (0.1, 0.2, 0.3, -0.1)),
+    (null_metric("1 + x^2"), (0.1, 0.2, 0.3, -0.1)),
+    (isothermal_metric("1/y^2"), (0.1, 1.2, 0.3, -0.1)),
+    (isothermal_metric("1"), (0.1, 0.2, 0.3, -0.1)),
+], ids=["sphere", "general-1+x^2", "iso-1+x^2+y^2", "iso-1+x^2",
+        "null-1+x^2", "iso-1/y^2", "flat"])
+def test_geodesic_matches_closure_rk4_bitwise(metric, state):
+    # the right-hand side runs on compiled straight-line code and the
+    # step on scalar state; the reference evaluates each coefficient by a
+    # walk of closures and steps on tuples
     got = integrate_geodesic(metric, state, 1e-3, 300)
     want = rk4_reference(metric, state, 1e-3, 300)
     assert [tuple(map(repr, p)) for p in got] == \
         [tuple(map(repr, p)) for p in want]
+
+
+def test_geodesic_aborts_on_non_finite_state():
+    # flat: every coefficient evaluates, but the first step overflows
+    with pytest.raises(EvalDomainError) as exc:
+        integrate_geodesic(isothermal_metric("1"), (0.0, 0.0, 1e308, 0.0),
+                           10.0, 3)
+    assert str(exc.value) == "non-finite state at t = 10"
 
 
 def test_flat_geodesics_are_straight_lines():
@@ -291,6 +308,22 @@ def test_conservation_report_csv_matches_reference(tmp_path, metric, f):
     assert summary == conservation_report(metric, traj, f)
     h_ref = momentum_poly_reference(hamiltonian_poly(metric))
     f_ref = momentum_poly_reference(f)
+    # the csv module's default dialect ends every line with \r\n, which
+    # csv.reader and splitlines() both hide
+    raw = path.read_bytes().decode()
+    lines = raw.split("\r\n")
+    assert lines[0] == "t,x,y,px,py,H,F" and lines[-1] == ""
+    assert len(lines) == len(traj) + 2 and "\n" not in "".join(lines)
+    no_f = tmp_path / "no-f.csv"
+    assert conservation_report(metric, traj, csv_path=no_f) == \
+        conservation_report(metric, traj)
+    raw_no_f = no_f.read_bytes().decode()
+    assert raw_no_f.startswith("t,x,y,px,py,H,F\r\n")
+    rows_no_f = raw_no_f.split("\r\n")[1:-1]
+    assert len(rows_no_f) == len(traj)
+    for r, line in zip(rows_no_f, lines[1:]):
+        # the same row up to the empty F field
+        assert r + "\r\n" == line.rsplit(",", 1)[0] + ",\r\n"
     with open(path) as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["t", "x", "y", "px", "py", "H", "F"]
@@ -306,3 +339,26 @@ def test_conservation_report_csv_matches_reference(tmp_path, metric, f):
         "steps": len(traj) - 1,
         "H0": hs[0], "H_drift": max(abs(v - hs[0]) for v in hs),
         "F0": fs[0], "F_drift": max(abs(v - fs[0]) for v in fs)}
+
+
+def test_conservation_report_removes_only_a_regular_file(monkeypatch):
+    # F's coefficient ln(x) fails once the flow reaches x <= 0; the partial
+    # output goes, but a device given as the path must be left alone
+    m = isothermal_metric("1")
+    f = MomentumPoly({(0, 3): parse("ln(x)")})
+    traj = integrate_geodesic(m, (0.05, 0.0, -1.0, 0.0), 1e-2, 100)
+    removed = []
+    monkeypatch.setattr(verify.os, "remove", removed.append)
+    with pytest.raises(EvalDomainError, match="ln of non-positive value"):
+        conservation_report(m, traj, f, csv_path=os.devnull)
+    assert removed == []
+
+
+def test_conservation_report_momentum_overflow(tmp_path):
+    # flat: the flow stays finite, but px^2 in H overflows as it is summed
+    m = isothermal_metric("1")
+    traj = integrate_geodesic(m, (0.0, 0.0, 1e200, 0.0), 0.1, 3)
+    path = tmp_path / "t.csv"
+    with pytest.raises(EvalDomainError, match="^float overflow$"):
+        conservation_report(m, traj, csv_path=path)
+    assert not path.exists()

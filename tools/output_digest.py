@@ -12,7 +12,11 @@ Families, each run in-process on this checkout's src/:
 * invariants -- `cubint invariants --symbolic` and `--at=0.3,0.2` on the
                 example manifest in README.md;
 * geodesic   -- the 56 geodesic-flow operations of seed 5 (exit code,
-                report, stderr and CSV trajectory).
+                report, stderr and CSV trajectory);
+* geodesic-abort -- `cubint geodesic` runs that abort (exit code, report,
+                stderr and whether a CSV file is left): a float overflow in
+                the RK4 right-hand side and one in H, a non-finite state,
+                and F failing on the trajectory with and without --csv.
 
 Temporary paths are replaced by "<tmp>" before hashing.  Compare the
 printout of two checkouts; where a family differs, --list names the
@@ -42,10 +46,15 @@ POINT = "0.3,0.2"
 
 
 def _cli(cli, argv):
-    """cli.main(argv) in-process: (exit code, stdout, stderr)."""
+    """cli.main(argv) in-process: (exit code, stdout, stderr).  An
+    exception that escapes main is an output too: its type and message
+    stand in for the exit code."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
+        try:
+            code = cli.main(argv)
+        except Exception as exc:
+            code = "raised %s: %s" % (type(exc).__name__, exc)
     return code, out.getvalue(), err.getvalue()
 
 
@@ -60,14 +69,14 @@ def check_outputs(cli, tmp):
         for item in sorted(bench.DecideSuite(seed, tmp).items,
                            key=lambda it: it["id"]):
             code, out, _err = _cli(cli, ["check", item["manifest"]])
-            yield "check/seed%d/%s" % (seed, item["id"]), "%d\n%s" % (code, out)
+            yield "check/seed%d/%s" % (seed, item["id"]), "%s\n%s" % (code, out)
 
 
 def invariants_outputs(cli, tmp):
     man = bench.write_file(tmp, "readme.ini", _readme_manifest())
     for flag in ("--symbolic", "--at=" + POINT):
         code, out, _err = _cli(cli, ["invariants", man, flag])
-        yield "invariants/" + flag.lstrip("-"), "%d\n%s" % (code, out)
+        yield "invariants/" + flag.lstrip("-"), "%s\n%s" % (code, out)
 
 
 def geodesic_outputs(cli, tmp):
@@ -78,11 +87,45 @@ def geodesic_outputs(cli, tmp):
             rows = fh.read()
         os.remove(wl.csv)
         yield ("geodesic/op%02d-pair%d" % (n, i),
-               "%d\n%s\n%s\n%s" % (code, out, err, rows))
+               "%s\n%s\n%s\n%s" % (code, out, err, rows))
+
+
+# (name, lambda, options after the manifest); <F> is an integral file with
+# F222 = ln(x), <csv> a path in the temporary directory
+ABORTS = (
+    ("rk4-overflow", "1 + x^2",
+     "--x0 0 --y0 0 --px0 1e200 --py0 0 --steps 3 --dt 0.1"),
+    ("H-overflow", "1", "--x0 0 --y0 0 --px0 1e200 --py0 0 --steps 3 "
+     "--dt 0.1 --csv <csv>"),
+    ("non-finite-state", "1",
+     "--x0 0 --y0 0 --px0 1e308 --py0 0 --steps 3 --dt 10"),
+    ("F-fails", "1", "--x0 0.05 --y0 0 --px0=-1 --py0 0 --steps 100 "
+     "--dt 0.01 --integral <F>"),
+    ("F-fails-csv", "1", "--x0 0.05 --y0 0 --px0=-1 --py0 0 --steps 100 "
+     "--dt 0.01 --integral <F> --csv <csv>"),
+)
+
+
+def geodesic_abort_outputs(cli, tmp):
+    fint = bench.write_file(tmp, "abort-F.ini", "[integral]\nF111 = 0\n"
+                            "F112 = 0\nF122 = 0\nF222 = ln(x)\n")
+    csv = os.path.join(tmp, "abort.csv")
+    for name, lam, opts in ABORTS:
+        man = bench.write_file(tmp, "abort-%s.ini" % name, bench.manifest_text(
+            dict(lane="iso", metric=[lam], codiff=("0", "0"), box=bench.BOX)))
+        argv = ["geodesic", man] + [
+            o.replace("<F>", fint).replace("<csv>", csv) for o in opts.split()]
+        code, out, err = _cli(cli, argv)
+        left = os.path.exists(csv)
+        if left:
+            os.remove(csv)
+        yield ("geodesic-abort/" + name,
+               "%s\n%s\n%s\ncsv left: %s" % (code, out, err, left))
 
 
 FAMILIES = (("check", check_outputs), ("invariants", invariants_outputs),
-            ("geodesic", geodesic_outputs))
+            ("geodesic", geodesic_outputs),
+            ("geodesic-abort", geodesic_abort_outputs))
 
 
 def main(argv=None) -> int:
