@@ -17,7 +17,7 @@ from .expr import (
 )
 
 __all__ = [
-    "CExpr", "Z", "ZBAR", "I", "c_zero", "c_one",
+    "CExpr", "Z", "ZBAR", "I", "c_one",
     "wirtinger_z", "wirtinger_zbar", "is_holomorphic", "parse_complex",
 ]
 
@@ -129,10 +129,6 @@ def _coerce(v) -> CExpr:
     if isinstance(v, (Expr, int, Fraction)):
         return CExpr.from_real(v)
     raise TypeError(f"cannot coerce {v!r} to CExpr")
-
-
-def c_zero() -> CExpr:
-    return CExpr(Rat(0), Rat(0))
 
 
 def c_one() -> CExpr:

@@ -2019,16 +2019,9 @@ def _render(e: Expr, ctx: int) -> str:
         return f"{e.name}({_render(e.arg, 0)})"
     if t is Pow:
         if e.exp < 0:
-            s = f"1/{pw_str_positive(e)}"
+            s = "1/" + _power_str(e.base, -e.exp)
             return f"({s})" if ctx > _PREC_MUL else s
-        if _prec(e.base) <= _PREC_POW:
-            b = f"({_render(e.base, 0)})"
-        else:
-            b = _render(e.base, 0)
-        ex = e.exp
-        if ex.denominator == 1:
-            return f"{b}^{ex.numerator}"
-        return f"{b}^({ex.numerator}/{ex.denominator})"
+        return _power_str(e.base, e.exp)
     if t is Mul:
         coeff = None
         rest = e.factors
@@ -2039,7 +2032,7 @@ def _render(e: Expr, ctx: int) -> str:
         den_parts = []
         for f in rest:
             if isinstance(f, Pow) and f.exp < 0:
-                den_parts.append(pw_str_positive(f))
+                den_parts.append(_power_str(f.base, -f.exp))
             else:
                 num_parts.append(_render(f, _PREC_MUL))
         sign = ""
@@ -2075,16 +2068,15 @@ def _render(e: Expr, ctx: int) -> str:
     raise TypeError(f"cannot render {e!r}")
 
 
-def pw_str_positive(f: Pow) -> str:
-    """Render a negative-exponent power as a denominator factor."""
-    b = f.base
-    bs = f"({_render(b, 0)})" if _prec(b) <= _PREC_POW else _render(b, 0)
-    ex = -f.exp
+def _power_str(base: Expr, ex: Fraction) -> str:
+    """base^ex for ex > 0, the base alone when ex == 1 (a denominator
+    factor); the base is parenthesized unless it binds tighter than ^."""
+    b = f"({_render(base, 0)})" if _prec(base) <= _PREC_POW else _render(base, 0)
     if ex == 1:
-        return bs
+        return b
     if ex.denominator == 1:
-        return f"{bs}^{ex.numerator}"
-    return f"{bs}^({ex.numerator}/{ex.denominator})"
+        return f"{b}^{ex.numerator}"
+    return f"{b}^({ex.numerator}/{ex.denominator})"
 
 
 def _prec(e: Expr) -> int:

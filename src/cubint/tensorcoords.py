@@ -9,13 +9,16 @@ The cubic-integral machinery needs, in any chart:
   complex structure J of the metric (no complex coordinates);
 * covariant derivatives and divergences taken with Christoffel symbols.
 
-2-D symmetric tensors are stored by their independent components:
-(T111, T112, T122, T222) for rank 3 and the five analogous entries for
-rank 4, with dense 2x2x2(x2) scratch arrays for index gymnastics.
+2-D symmetric tensors are stored by their independent components: the
+rank + 1 values T[0...0], T[0...01], ..., T[1...1], so component n is
+the one with n indices equal to 1.  Index gymnastics run on dense
+2 x ... x 2 nested lists of any rank.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from typing import Iterable, Tuple
 
 from .expr import Expr, Rat, as_expr, diff, nf_is_zero, simplify, to_str
@@ -32,43 +35,96 @@ __all__ = [
 _VS = ("x", "y")
 
 
-class SymTensor3:
-    """Fully symmetric contravariant 3-tensor, components (111, 112, 122, 222)."""
+# --------------------------------------------------------------------------
+# dense arrays of any rank
+
+def _dense(rank: int, entry):
+    """Nested 2 x ... x 2 list (rank levels) holding entry(idx) at idx."""
+    def level(idx):
+        if len(idx) == rank:
+            return entry(idx)
+        return [level(idx + (i,)) for i in range(2)]
+    return level(())
+
+
+def _at(d, idx):
+    for i in idx:
+        d = d[i]
+    return d
+
+
+def _apply_j_slot(d, j, slot: int, rank: int):
+    """Contract J^new_old into one contravariant slot of a dense array."""
+    def entry(idx):
+        s = as_expr(0)
+        for m in range(2):
+            src = idx[:slot] + (m,) + idx[slot + 1:]
+            s = s + j[idx[slot]][m] * _at(d, src)
+        return s
+    return _dense(rank, entry)
+
+
+def _symmetrize(d, cls):
+    """The cls tensor whose component n averages a dense array over every
+    slot order of the index pattern with n ones."""
+    rank = cls.rank
+    w = Rat(1, math.factorial(rank))
+    comps = []
+    for n in range(rank + 1):
+        s = as_expr(0)
+        for idx in itertools.permutations((0,) * (rank - n) + (1,) * n):
+            s = s + _at(d, idx)
+        comps.append(simplify(w * s))
+    return cls(comps)
+
+
+# --------------------------------------------------------------------------
+# symmetric tensors by independent components
+
+class _SymTensor:
+    """Fully symmetric contravariant tensor of rank `rank`."""
 
     __slots__ = ("c",)
+    rank: int
 
     def __init__(self, comps: Iterable):
         c = tuple(simplify(as_expr(v)) for v in comps)
-        if len(c) != 4:
-            raise ValueError("SymTensor3 takes 4 components")
+        if len(c) != self.rank + 1:
+            raise ValueError("%s takes %d components"
+                             % (type(self).__name__, self.rank + 1))
         self.c = c
 
-    def __getitem__(self, ijk) -> Expr:
-        i, j, k = sorted(ijk)
-        return self.c[i + j + k]
+    def __getitem__(self, idx) -> Expr:
+        if len(idx) != self.rank:
+            raise ValueError("%s takes %d indices"
+                             % (type(self).__name__, self.rank))
+        return self.c[sum(idx)]
 
     def dense(self):
-        d = [[[None, None] for _ in range(2)] for _ in range(2)]
-        for i in range(2):
-            for j in range(2):
-                for k in range(2):
-                    d[i][j][k] = self[(i, j, k)]
-        return d
+        return _dense(self.rank, self.__getitem__)
 
-    def __add__(self, other: "SymTensor3") -> "SymTensor3":
-        return SymTensor3(a + b for a, b in zip(self.c, other.c))
+    def __add__(self, other):
+        return type(self)(a + b for a, b in zip(self.c, other.c))
 
-    def __sub__(self, other: "SymTensor3") -> "SymTensor3":
-        return SymTensor3(a - b for a, b in zip(self.c, other.c))
+    def __sub__(self, other):
+        return type(self)(a - b for a, b in zip(self.c, other.c))
 
     def is_trivial(self) -> bool:
         return all(nf_is_zero(a) for a in self.c)
 
     def __eq__(self, other):
-        return isinstance(other, SymTensor3) and other.c == self.c
+        return isinstance(other, type(self)) and other.c == self.c
 
     def __repr__(self):
-        return ("SymTensor3(" + ", ".join(to_str(a) for a in self.c) + ")")
+        return (type(self).__name__ + "("
+                + ", ".join(to_str(a) for a in self.c) + ")")
+
+
+class SymTensor3(_SymTensor):
+    """Fully symmetric contravariant 3-tensor, components (111, 112, 122, 222)."""
+
+    __slots__ = ()
+    rank = 3
 
     def to_momentum_poly(self) -> MomentumPoly:
         """F^{ijk} p_i p_j p_k as a cubic momentum polynomial."""
@@ -80,28 +136,11 @@ class SymTensor3:
         })
 
 
-class SymTensor4:
+class SymTensor4(_SymTensor):
     """Fully symmetric 4-tensor, components (1111, 1112, 1122, 1222, 2222)."""
 
-    __slots__ = ("c",)
-
-    def __init__(self, comps: Iterable):
-        c = tuple(simplify(as_expr(v)) for v in comps)
-        if len(c) != 5:
-            raise ValueError("SymTensor4 takes 5 components")
-        self.c = c
-
-    def __getitem__(self, ijkl) -> Expr:
-        return self.c[sum(sorted(ijkl))]
-
-    def __sub__(self, other: "SymTensor4") -> "SymTensor4":
-        return SymTensor4(a - b for a, b in zip(self.c, other.c))
-
-    def is_trivial(self) -> bool:
-        return all(nf_is_zero(a) for a in self.c)
-
-    def __repr__(self):
-        return ("SymTensor4(" + ", ".join(to_str(a) for a in self.c) + ")")
+    __slots__ = ()
+    rank = 4
 
 
 def sym3_from_momentum_poly(p: MomentumPoly) -> SymTensor3:
@@ -126,37 +165,6 @@ def a_hat_from_complex(a: CExpr) -> SymTensor3:
     return SymTensor3((q * a.re, q * a.im, -(q * a.re), -(q * a.im)))
 
 
-# --------------------------------------------------------------------------
-# dense helpers
-
-def _dense_sym3(d) -> SymTensor3:
-    """Symmetrize a dense 2x2x2 array (average over the 6 slot orders)."""
-    sixth = Rat(1, 6)
-
-    def avg(i, j, k):
-        s = (d[i][j][k] + d[i][k][j] + d[j][i][k]
-             + d[j][k][i] + d[k][i][j] + d[k][j][i])
-        return simplify(sixth * s)
-
-    return SymTensor3((avg(0, 0, 0), avg(0, 0, 1), avg(0, 1, 1), avg(1, 1, 1)))
-
-
-def _apply_j_slot(d, j, slot):
-    """Contract J^new_old into one contravariant slot of a dense 3-array."""
-    out = [[[None, None] for _ in range(2)] for _ in range(2)]
-    for a in range(2):
-        for b in range(2):
-            for c in range(2):
-                idx = (a, b, c)
-                s = as_expr(0)
-                for m in range(2):
-                    src = list(idx)
-                    src[slot] = m
-                    s = s + j[idx[slot]][m] * d[src[0]][src[1]][src[2]]
-                out[a][b][c] = s
-    return out
-
-
 def split_AB(metric: Metric, f: SymTensor3) -> Tuple[SymTensor3, SymTensor3]:
     """Split F = A-hat + B-hat using the complex structure J.
 
@@ -166,20 +174,12 @@ def split_AB(metric: Metric, f: SymTensor3) -> Tuple[SymTensor3, SymTensor3]:
     """
     j = complex_structure(metric)
     d = f.dense()
-    jj_sum = None
-    for (s1, s2) in ((0, 1), (0, 2), (1, 2)):
-        t = _apply_j_slot(_apply_j_slot(d, j, s1), j, s2)
-        if jj_sum is None:
-            jj_sum = t
-        else:
-            jj_sum = [[[jj_sum[a][b][c] + t[a][b][c] for c in range(2)]
-                       for b in range(2)] for a in range(2)]
+    t01, t02, t12 = (_apply_j_slot(_apply_j_slot(d, j, s1, 3), j, s2, 3)
+                     for (s1, s2) in ((0, 1), (0, 2), (1, 2)))
     quarter = Rat(1, 4)
-    a_dense = [[[quarter * (d[a][b][c] - jj_sum[a][b][c]) for c in range(2)]
-                for b in range(2)] for a in range(2)]
-    a_hat = _dense_sym3(a_dense)
-    b_hat = f - a_hat
-    return a_hat, SymTensor3(simplify(v) for v in b_hat.c)
+    a_hat = _symmetrize(_dense(3, lambda i: quarter * (
+        _at(d, i) - (_at(t01, i) + _at(t02, i) + _at(t12, i)))), SymTensor3)
+    return a_hat, f - a_hat
 
 
 def imag_part(metric: Metric, a_hat: SymTensor3) -> SymTensor3:
@@ -187,17 +187,10 @@ def imag_part(metric: Metric, a_hat: SymTensor3) -> SymTensor3:
     (1/3)(A^{ljk} J_l^i + A^{ilk} J_l^j + A^{ijl} J_l^k)."""
     j = complex_structure(metric)
     d = a_hat.dense()
-    acc = None
-    for slot in range(3):
-        t = _apply_j_slot(d, j, slot)
-        if acc is None:
-            acc = t
-        else:
-            acc = [[[acc[a][b][c] + t[a][b][c] for c in range(2)]
-                    for b in range(2)] for a in range(2)]
+    t0, t1, t2 = (_apply_j_slot(d, j, slot, 3) for slot in range(3))
     third = Rat(1, 3)
-    return _dense_sym3([[[third * acc[a][b][c] for c in range(2)]
-                         for b in range(2)] for a in range(2)])
+    return _symmetrize(_dense(3, lambda i: third * (
+        _at(t0, i) + _at(t1, i) + _at(t2, i))), SymTensor3)
 
 
 # --------------------------------------------------------------------------
@@ -207,18 +200,16 @@ def cov_deriv3(metric: Metric, t: SymTensor3):
     """nabla_l T^{ijk}: dense array indexed [l][i][j][k]."""
     gam = christoffel(metric)
     d = t.dense()
-    out = [[[[None, None] for _ in range(2)] for _ in range(2)] for _ in range(2)]
-    for l in range(2):
-        for i in range(2):
-            for j in range(2):
-                for k in range(2):
-                    s = diff(d[i][j][k], _VS[l])
-                    for m in range(2):
-                        s = (s + gam[(i, l, m)] * d[m][j][k]
-                             + gam[(j, l, m)] * d[i][m][k]
-                             + gam[(k, l, m)] * d[i][j][m])
-                    out[l][i][j][k] = simplify(s)
-    return out
+
+    def entry(lijk):
+        l, i, j, k = lijk
+        s = diff(d[i][j][k], _VS[l])
+        for m in range(2):
+            s = (s + gam[(i, l, m)] * d[m][j][k]
+                 + gam[(j, l, m)] * d[i][m][k]
+                 + gam[(k, l, m)] * d[i][j][m])
+        return simplify(s)
+    return _dense(4, entry)
 
 
 def div3(metric: Metric, t: SymTensor3):
@@ -262,37 +253,6 @@ def div1(metric: Metric, v) -> Expr:
 # --------------------------------------------------------------------------
 # residuals of the two structure equations, in real coordinates
 
-def _avgsym4(d4) -> SymTensor4:
-    """Full symmetrization of a dense 4-array over its 24 slot orders."""
-    import itertools
-    f24 = Rat(1, 24)
-    comps = []
-    for target in ((0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 1), (0, 1, 1, 1),
-                   (1, 1, 1, 1)):
-        s = as_expr(0)
-        for perm in itertools.permutations(range(4)):
-            idx = tuple(target[p] for p in perm)
-            s = s + d4[idx[0]][idx[1]][idx[2]][idx[3]]
-        comps.append(simplify(f24 * s))
-    return SymTensor4(comps)
-
-
-def _apply_j_slot4(d, j, slot):
-    out = [[[[None, None] for _ in range(2)] for _ in range(2)] for _ in range(2)]
-    for idx0 in range(2):
-        for idx1 in range(2):
-            for idx2 in range(2):
-                for idx3 in range(2):
-                    idx = (idx0, idx1, idx2, idx3)
-                    s = as_expr(0)
-                    for m in range(2):
-                        src = list(idx)
-                        src[slot] = m
-                        s = s + j[idx[slot]][m] * d[src[0]][src[1]][src[2]][src[3]]
-                    out[idx0][idx1][idx2][idx3] = s
-    return out
-
-
 def holo_residual(metric: Metric, a_hat: SymTensor3) -> SymTensor4:
     """Real-chart Cauchy-Riemann residual of the A-hat tensor.
 
@@ -303,23 +263,19 @@ def holo_residual(metric: Metric, a_hat: SymTensor3) -> SymTensor4:
     nt = cov_deriv3(metric, a_hat)
     i11, i12, i22 = metric.inv
     ginv = ((i11, i12), (i12, i22))
-    # raise the derivative index: T^{ijk;l} = g^{lm} nabla_m T^{ijk}
-    up = [[[[None, None] for _ in range(2)] for _ in range(2)] for _ in range(2)]
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                for l in range(2):
-                    s = as_expr(0)
-                    for m in range(2):
-                        s = s + ginv[l][m] * nt[m][i][j][k]
-                    up[i][j][k][l] = simplify(s)
+
+    def raised(ijkl):
+        # the derivative index raised: T^{ijk;l} = g^{lm} nabla_m T^{ijk}
+        s = as_expr(0)
+        for m in range(2):
+            s = s + ginv[ijkl[3]][m] * _at(nt, (m,) + ijkl[:3])
+        return simplify(s)
+    up = _dense(4, raised)
     jmat = complex_structure(metric)
     jd = up
     for slot in range(4):
-        jd = _apply_j_slot4(jd, jmat, slot)
-    total = [[[[up[a][b][c][d4] + jd[a][b][c][d4] for d4 in range(2)]
-               for c in range(2)] for b in range(2)] for a in range(2)]
-    return _avgsym4(total)
+        jd = _apply_j_slot(jd, jmat, slot, 4)
+    return _symmetrize(_dense(4, lambda i: _at(up, i) + _at(jd, i)), SymTensor4)
 
 
 def principle_residual(metric: Metric, k_potential: Expr,

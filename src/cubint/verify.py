@@ -20,6 +20,7 @@ import os
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
+from .cnum import CExpr, wirtinger_z, wirtinger_zbar
 from .expr import (
     Box, EvalDomainError, Expr, Rat, ZeroTestConfig, ZeroVerdict, as_expr,
     compile_float, diff, is_zero, nf_is_zero, simplify, to_str, DEFAULT_CFG,
@@ -101,9 +102,6 @@ class MomentumPoly:
                 out[(i, j - 1)] = Rat(j) * c
         return MomentumPoly(out)
 
-    def degree(self) -> int:
-        return max((i + j for (i, j) in self.coeffs), default=0)
-
 
 def hamiltonian_poly(metric: Metric) -> MomentumPoly:
     """H = (1/2) g^{ij} p_i p_j as a momentum polynomial."""
@@ -168,7 +166,6 @@ def _structured_iso(metric: Metric, f: MomentumPoly) -> MomentumPoly:
     (2 / lam^2) Re(p^4 lam a_zbar + p^3 pbar (b lam_zbar + 3 a lam_z
     + lam b_zbar + lam a_z) + p^2 pbar^2 (2 b lam_z + lam b_z)).
     """
-    from .cnum import CExpr, wirtinger_z, wirtinger_zbar
     z = as_expr(0)
     f30 = f.coeffs.get((3, 0), z)
     f21 = f.coeffs.get((2, 1), z)

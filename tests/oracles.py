@@ -6,18 +6,23 @@ If the engine and these oracles agree, they agree for different reasons.
 The exceptions are p_div_reference, the kernel's former long-division
 loop, m_mul_reference, its former monomial product, closure_compile with
 rk4_reference, the former closure compiler
-and RK4 driver of the geodesic flow, and momentum_poly_reference, the
-former per-polynomial evaluator of H and F: each is kept as the reference
-for the code that replaced it.
+and RK4 driver of the geodesic flow, momentum_poly_reference, the
+former per-polynomial evaluator of H and F, and the hand-written rank-3
+and rank-4 J contractions and symmetrizations of tensorcoords
+(apply_j_slot3_reference, apply_j_slot4_reference, sym3_reference,
+sym4_reference): each is kept as the reference for the code that
+replaced it.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
 from cubint.expr import (Add, Const, EvalDomainError, Func, Mul, Pow, Rat,
-                         Var, diff, simplify)
+                         Var, as_expr, diff, simplify)
 from cubint.expr import (_m_build, _m_div, _m_divides, _p_add_into,
                          _p_leading, _p_mul_mono)
+from cubint.tensorcoords import SymTensor3, SymTensor4
 
 
 def fd_partial(f, x, y, var, h=1e-5):
@@ -375,3 +380,65 @@ def momentum_poly_reference(p):
             s += c(x, y) * (px ** i) * (py ** j)
         return s
     return _eval
+
+
+def apply_j_slot3_reference(d, j, slot):
+    """J^new_old contracted into one slot of a dense 2x2x2 array: the
+    rank-3 copy tensorcoords had before its dense layer took any rank."""
+    out = [[[None, None] for _ in range(2)] for _ in range(2)]
+    for a in range(2):
+        for b in range(2):
+            for c in range(2):
+                idx = (a, b, c)
+                s = as_expr(0)
+                for m in range(2):
+                    src = list(idx)
+                    src[slot] = m
+                    s = s + j[idx[slot]][m] * d[src[0]][src[1]][src[2]]
+                out[a][b][c] = s
+    return out
+
+
+def apply_j_slot4_reference(d, j, slot):
+    """The former rank-4 copy of apply_j_slot3_reference."""
+    out = [[[[None, None] for _ in range(2)] for _ in range(2)] for _ in range(2)]
+    for idx0 in range(2):
+        for idx1 in range(2):
+            for idx2 in range(2):
+                for idx3 in range(2):
+                    idx = (idx0, idx1, idx2, idx3)
+                    s = as_expr(0)
+                    for m in range(2):
+                        src = list(idx)
+                        src[slot] = m
+                        s = s + j[idx[slot]][m] * d[src[0]][src[1]][src[2]][src[3]]
+                    out[idx0][idx1][idx2][idx3] = s
+    return out
+
+
+def sym3_reference(d):
+    """SymTensor3 averaging a dense 2x2x2 array over its 6 slot orders,
+    written out by hand (the former tensorcoords._dense_sym3)."""
+    sixth = Rat(1, 6)
+
+    def avg(i, j, k):
+        s = (d[i][j][k] + d[i][k][j] + d[j][i][k]
+             + d[j][k][i] + d[k][i][j] + d[k][j][i])
+        return simplify(sixth * s)
+
+    return SymTensor3((avg(0, 0, 0), avg(0, 0, 1), avg(0, 1, 1), avg(1, 1, 1)))
+
+
+def sym4_reference(d4):
+    """SymTensor4 averaging a dense 4-array over its 24 slot orders (the
+    former tensorcoords._avgsym4)."""
+    f24 = Rat(1, 24)
+    comps = []
+    for target in ((0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 1), (0, 1, 1, 1),
+                   (1, 1, 1, 1)):
+        s = as_expr(0)
+        for perm in itertools.permutations(range(4)):
+            idx = tuple(target[p] for p in perm)
+            s = s + d4[idx[0]][idx[1]][idx[2]][idx[3]]
+        comps.append(simplify(f24 * s))
+    return SymTensor4(comps)

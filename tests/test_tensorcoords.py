@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -14,6 +15,9 @@ from cubint.tensorcoords import (SymTensor3, SymTensor4, a_hat_from_complex,
                                  cov_deriv3, div1, div2, div3, holo_residual,
                                  imag_part, principle_residual, split_AB,
                                  sym3_from_momentum_poly)
+from cubint.tensorcoords import _apply_j_slot, _at, _dense, _symmetrize
+from oracles import (apply_j_slot3_reference, apply_j_slot4_reference,
+                     sym3_reference, sym4_reference)
 
 BOX = Box(-0.9, 0.9, -0.9, 0.9)
 
@@ -41,6 +45,8 @@ def test_symtensor3_sorted_index_lookup():
     d = t.dense()
     assert to_str(d[1][0][1]) == "3"
     assert to_str(d[0][1][1]) == "3"
+    with pytest.raises(ValueError):
+        t[(0, 1)]
 
 
 def test_symtensor4_index_lookup():
@@ -48,6 +54,50 @@ def test_symtensor4_index_lookup():
     assert to_str(t[(1, 0, 1, 0)]) == "3"
     assert to_str(t[(1, 1, 1, 0)]) == "4"
     assert (t - t).is_trivial()
+    assert t + t == SymTensor4((2, 4, 6, 8, 10))
+
+
+def test_symtensor4_any_slot_order_same_component():
+    t = SymTensor4((parse("1"), parse("2"), parse("3"), parse("4"), parse("5")))
+    d = t.dense()
+    for idx in itertools.product(range(2), repeat=4):
+        for perm in itertools.permutations(idx):
+            assert t[perm] == t[tuple(sorted(idx))]
+        assert _at(d, idx) == t[idx]
+    assert t[(1, 0, 1, 0)] == t[(0, 0, 1, 1)] == t[(0, 1, 0, 1)]
+
+
+@pytest.mark.parametrize("idx", [(), (1,), (0, 1), (0, 0, 1), (0, 0, 1, 1, 1)])
+def test_symtensor4_wrong_number_of_indices_raises(idx):
+    t = SymTensor4((parse("1"), parse("2"), parse("3"), parse("4"), parse("5")))
+    with pytest.raises(ValueError):
+        t[idx]
+
+
+# --------------------------------------------------------------------------
+# the rank-generic dense layer against the hand-written rank-3/4 copies
+
+SMALL_POLY = st.tuples(*(st.integers(-3, 3) for _ in range(3))).map(
+    lambda c: simplify(Rat(c[0]) + Rat(c[1]) * parse("x")
+                       + Rat(c[2]) * parse("x*y")))
+
+
+@pytest.mark.parametrize("rank", [3, 4])
+@settings(max_examples=15, deadline=None)
+@given(entries=st.lists(SMALL_POLY, min_size=16, max_size=16),
+       jm=st.lists(SMALL_POLY, min_size=4, max_size=4))
+def test_dense_layer_matches_references(rank, entries, jm):
+    d = _dense(rank, lambda idx: entries[sum(b << k for k, b in enumerate(idx))])
+    j = ((jm[0], jm[1]), (jm[2], jm[3]))
+    apply_ref, sym_ref, cls = {
+        3: (apply_j_slot3_reference, sym3_reference, SymTensor3),
+        4: (apply_j_slot4_reference, sym4_reference, SymTensor4)}[rank]
+    for slot in range(rank):
+        got = _apply_j_slot(d, j, slot, rank)
+        want = apply_ref(d, j, slot)
+        for idx in itertools.product(range(2), repeat=rank):
+            assert simplify(_at(got, idx)) == simplify(_at(want, idx))
+    assert _symmetrize(d, cls).c == sym_ref(d).c
 
 
 def test_momentum_poly_of_tensor():

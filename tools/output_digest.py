@@ -12,7 +12,8 @@ Families, each run in-process on this checkout's src/:
 * invariants -- `cubint invariants --symbolic` and `--at=0.3,0.2` on the
                 example manifest in README.md;
 * geodesic   -- the 56 geodesic-flow operations of seed 5 (exit code,
-                report, stderr and CSV trajectory);
+                report, stderr and the raw bytes of the CSV trajectory,
+                line ends included);
 * geodesic-abort -- `cubint geodesic` runs that abort (exit code, report,
                 stderr and whether a CSV file is left): a float overflow in
                 the RK4 right-hand side and one in H, a non-finite state,
@@ -83,7 +84,7 @@ def geodesic_outputs(cli, tmp):
     wl = bench.GeodesicFlow(GEODESIC_SEED, tmp)
     for n, (i, _s0, argv) in enumerate(wl.ops):
         code, out, err = _cli(cli, argv)
-        with open(wl.csv) as fh:
+        with open(wl.csv, newline="") as fh:
             rows = fh.read()
         os.remove(wl.csv)
         yield ("geodesic/op%02d-pair%d" % (n, i),
