@@ -541,7 +541,8 @@ def main(argv=None) -> int:
         sys.stderr.write("input error: %s\n" % exc)
         return EXIT_INPUT_ERROR
     except (ExpressionSyntaxError, UnknownIdentifier, ChartMismatch,
-            HolomorphicityViolated, OrderCapExceeded) as exc:
+            HolomorphicityViolated, OrderCapExceeded, EvalDomainError,
+            ZeroDivisionError) as exc:
         sys.stderr.write("input error: %s: %s\n"
                          % (type(exc).__name__, exc))
         return EXIT_INPUT_ERROR

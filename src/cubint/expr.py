@@ -555,7 +555,7 @@ def _m_build(pairs) -> tuple:
         if e == 0:
             continue
         if isinstance(b, _RatPow):
-            k = _floor_frac(e)
+            k = math.floor(e)
             e -= k
             if k != 0:
                 coeff *= b.val ** k
@@ -564,10 +564,6 @@ def _m_build(pairs) -> tuple:
         out.append((b, _int_exp(e)))
     out.sort(key=lambda p: _skey(p[0]))
     return coeff, tuple(out)
-
-
-def _floor_frac(e: Fraction) -> int:
-    return e.numerator // e.denominator
 
 
 def _nf_const_value(nf: NF) -> Optional[Fraction]:
@@ -629,32 +625,6 @@ def _m_pow(m: tuple, e: Fraction):
 
 def _m_total_deg(m: tuple):
     return sum(e for (_, e) in m)
-
-
-def _m_lex_cmp(m1: tuple, m2: tuple) -> int:
-    """Lex part of the graded-lex monomial order (a true monomial order):
-    decides between monomials of one total degree."""
-    i = j = 0
-    while i < len(m1) or j < len(m2):
-        if i >= len(m1):
-            # m1 lacks a base m2 has -> exponent 0 vs positive-ish
-            return -1 if m2[j][1] > 0 else 1
-        if j >= len(m2):
-            return 1 if m1[i][1] > 0 else -1
-        b1, e1 = m1[i]
-        b2, e2 = m2[j]
-        k1, k2 = _skey(b1), _skey(b2)
-        if k1 == k2:
-            if e1 != e2:
-                return 1 if e1 > e2 else -1
-            i += 1
-            j += 1
-        elif k1 < k2:
-            # m1 has the smaller base with nonzero exponent, m2 has 0 of it
-            return 1 if e1 > 0 else -1
-        else:
-            return -1 if e2 > 0 else 1
-    return 0
 
 
 def _m_divides(m1: tuple, m2: tuple) -> bool:
@@ -743,13 +713,33 @@ def _p_pow_int(p: dict, n: int) -> dict:
     return out
 
 
+def _glex_key(bases):
+    """The graded-lex monomial order over bases: (the bases sorted by
+    _skey, key).  key(m) is (total degree, exponent vector over the sorted
+    bases), so a larger key is a larger monomial: total degree first, then
+    the first base whose exponents differ.  Exponents stay as the normal
+    form has them (an int, a Fraction only for radicals)."""
+    order = sorted(bases, key=_skey)
+    idx = {b: i for i, b in enumerate(order)}
+    n = len(order)
+
+    def key(m):
+        v = [0] * n
+        d = 0
+        for (b, e) in m:
+            v[idx[b]] = e
+            d += e
+        return d, tuple(v)
+    return order, key
+
+
 def _p_leading(p: dict):
-    best = bd = None
-    for m in p:
-        d = _m_total_deg(m)
-        if best is None or d > bd or (d == bd and _m_lex_cmp(m, best) > 0):
-            best, bd = m, d
-    return best, p[best]
+    """(monomial, coefficient) of p's leading term in graded-lex order."""
+    if len(p) == 1:
+        return next(iter(p.items()))
+    _, key = _glex_key({b for m in p for (b, _) in m})
+    m = max(p, key=key)
+    return m, p[m]
 
 
 def _p_content(p: dict) -> dict:
@@ -772,10 +762,11 @@ def _p_content(p: dict) -> dict:
 def _p_div_exact(p: dict, q: dict) -> Optional[dict]:
     """Exact polynomial division p/q, or None.
 
-    Long division in the graded-lex order on exponent vectors over the
-    bases of p and q, sorted by _skey and scaled to integers by the common
-    denominator of the exponents.  A key (total degree, vector) orders
-    monomials as _p_leading does, and a monomial product is a vector add.
+    Long division on the _glex_key vectors over the bases of p and q, where
+    a monomial product is a vector add.  A base that folds breaks that, and
+    _p_div_folding runs the same division on monomial tuples instead.  Both
+    loops stay because one tuple loop for every input made the division
+    about a quarter slower on the decide-suite benchmark.
     """
     if not p:
         return {}
@@ -789,17 +780,7 @@ def _p_div_exact(p: dict, q: dict) -> Optional[dict]:
         # graded-lex order is compatible with products, so q*s has the
         # distinct terms lead(q)*lead(s) > trail(q)*trail(s): never one term
         return None
-    order = sorted(bases, key=_skey)
-    idx = {b: i for i, b in enumerate(order)}
-    den = math.lcm(*(e.denominator for m in p for (_, e) in m),
-                   *(e.denominator for m in q for (_, e) in m))
-
-    def key(m):
-        v = [0] * len(order)
-        for (b, e) in m:
-            v[idx[b]] = e.numerator * (den // e.denominator)
-        return sum(v), tuple(v)
-
+    order, key = _glex_key(bases)
     qk = {key(m): c for m, c in q.items()}
     qlk = max(qk)
     qlc = qk.pop(qlk)
@@ -830,8 +811,7 @@ def _p_div_exact(p: dict, q: dict) -> Optional[dict]:
                 rem.pop(nk, None)
             else:
                 rem[nk] = nc
-    return {tuple((order[i], e // den if e % den == 0 else Fraction(e, den))
-                  for i, e in enumerate(v) if e): c
+    return {tuple((order[i], _int_exp(e)) for i, e in enumerate(v) if e): c
             for v, c in quot.items()}
 
 
@@ -856,22 +836,12 @@ def _p_div_folding(p: dict, q: dict) -> Optional[dict]:
     return quot
 
 
-def _frac_sqrt(c: Fraction) -> Optional[Fraction]:
-    if c < 0:
-        return None
-    pn, pd = c.numerator, c.denominator
-    rn, rd = math.isqrt(pn), math.isqrt(pd)
-    if rn * rn == pn and rd * rd == pd:
-        return Fraction(rn, rd)
-    return None
-
-
 def _p_sqrt(p: dict) -> Optional[dict]:
     """Return q with q*q == p (graded-lex long square root), else None."""
     if not p:
         return {}
     lm, lc = _p_leading(p)
-    cr = _frac_sqrt(lc)
+    cr = _exact_rat_root(lc, 2) if lc > 0 else None
     if cr is None:
         return None
     cm, hm = _m_pow(lm, Fraction(1, 2))
@@ -918,7 +888,7 @@ def _p_expand_pb(p: dict) -> dict:
             rest = []
             for (b, e) in m:
                 if type(b) is _PolyBase and e >= 1:
-                    k = _floor_frac(e)
+                    k = math.floor(e)
                     r = e - k
                     poly = _p_mul(poly, _p_pow_int(_thaw(b.fp), k))
                     if r:
@@ -941,7 +911,7 @@ def _mk_nf(num: dict, den: tuple) -> NF:
     for m in num:
         for (b, e) in m:
             if e < 0:
-                k = -_floor_frac(e)  # ceil of -e
+                k = -math.floor(e)  # ceil of -e
                 if k > need.get(b, 0):
                     need[b] = k
     if need:
@@ -974,7 +944,7 @@ def _mk_nf(num: dict, den: tuple) -> NF:
         have = content.get(b)
         if have is None:
             continue
-        k = min(den_d[b], _floor_frac(have))
+        k = min(den_d[b], math.floor(have))
         if k > 0:
             den_d[b] -= k
             changed = True
@@ -1093,7 +1063,7 @@ def nf_pow(a: NF, e: Fraction) -> NF:
                 num = _p_scale(num, Fraction(1) / c)
             return _mk_nf(num, den)
         return nf_pow(nf_recip(a), Fraction(-n))
-    k = _floor_frac(e)
+    k = math.floor(e)
     r = e - k
     out = nf_pow(a, Fraction(k)) if k != 0 else NF({(): Fraction(1)}, ())
     return nf_mul(out, _nf_frac_pow(a, r))

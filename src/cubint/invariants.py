@@ -348,18 +348,14 @@ class InvariantEngine:
             self.check_holomorphic()
             c = self.codiff
             if c.variant == "iso":
-                a_cal = c.a * Rat(2)
-                s = Section(a_cal, (-3, 0), self.metric)
-                azzz = nabla10(nabla10(nabla10(s))).value
+                azzz = nabla10(nabla10(self._iso_az())).value
                 return simplify(Rat(4) * azzz.re)
             if c.variant == "null":
-                s1 = Section(c.a1, (-3, 0), self.metric)
-                s2 = Section(c.a2, (0, -3), self.metric)
-                a1xxx = nabla10(nabla10(nabla10(s1))).value
-                a2yyy = nabla01(nabla01(nabla01(s2))).value
+                a1x, a2y = self._null_parts()
+                a1xxx = nabla10(nabla10(a1x)).value
+                a2yyy = nabla01(nabla01(a2y)).value
                 return simplify(Rat(2) * (a1xxx + a2yyy))
-            w2 = div3(self.metric, c.a_hat)
-            v = div2(self.metric, w2)
+            v = div2(self.metric, self._w_tensor())
             return simplify(Rat(4) * div1(self.metric, v))
         return self._get("D0", build)
 

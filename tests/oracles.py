@@ -3,10 +3,11 @@
 Everything here is deliberately dumb: plain finite differences and plain
 float arithmetic, no use of the symbolic kernel beyond point evaluation.
 If the engine and these oracles agree, they agree for different reasons.
-The exceptions are p_div_reference, the kernel's former long-division
-loop, m_mul_reference, its former monomial product, closure_compile with
-rk4_reference, the former closure compiler
-and RK4 driver of the geodesic flow, momentum_poly_reference, the
+The exceptions are p_leading_reference, the kernel's former leading-term
+search with its own graded-lex comparator, p_div_reference, the kernel's
+former long-division loop, m_mul_reference, its former monomial product,
+closure_compile with rk4_reference, the former closure compiler and RK4
+driver of the geodesic flow, momentum_poly_reference, the
 former per-polynomial evaluator of H and F, and the hand-written rank-3
 and rank-4 J contractions and symmetrizations of tensorcoords
 (apply_j_slot3_reference, apply_j_slot4_reference, sym3_reference,
@@ -20,8 +21,8 @@ from fractions import Fraction
 
 from cubint.expr import (Add, Const, EvalDomainError, Func, Mul, Pow, Rat,
                          Var, as_expr, diff, simplify)
-from cubint.expr import (_m_build, _m_div, _m_divides, _p_add_into,
-                         _p_leading, _p_mul_mono)
+from cubint.expr import (_m_build, _m_div, _m_divides, _m_total_deg,
+                         _p_add_into, _p_mul_mono, _skey)
 from cubint.tensorcoords import SymTensor3, SymTensor4
 
 
@@ -336,14 +337,53 @@ def rk4_reference(metric, state0, dt, steps):
     return out
 
 
+def _m_lex_cmp(m1, m2):
+    """Lex part of the graded-lex monomial order: -1, 0 or 1 as m1 is
+    below, equal to or above m2 at the first base, in _skey order, where
+    their exponents differ (a base a monomial lacks has exponent 0)."""
+    i = j = 0
+    while i < len(m1) or j < len(m2):
+        if i >= len(m1):
+            return -1 if m2[j][1] > 0 else 1
+        if j >= len(m2):
+            return 1 if m1[i][1] > 0 else -1
+        b1, e1 = m1[i]
+        b2, e2 = m2[j]
+        k1, k2 = _skey(b1), _skey(b2)
+        if k1 == k2:
+            if e1 != e2:
+                return 1 if e1 > e2 else -1
+            i += 1
+            j += 1
+        elif k1 < k2:
+            # m1 has the smaller base, m2 has exponent 0 of it
+            return 1 if e1 > 0 else -1
+        else:
+            return -1 if e2 > 0 else 1
+    return 0
+
+
+def p_leading_reference(p):
+    """(monomial, coefficient) of p's leading term in graded-lex order: the
+    kernel's former search, total degree first and then _m_lex_cmp, walking
+    the monomials pairwise instead of through one sort key."""
+    best = bd = None
+    for m in p:
+        d = _m_total_deg(m)
+        if best is None or d > bd or (d == bd and _m_lex_cmp(m, best) > 0):
+            best, bd = m, d
+    return best, p[best]
+
+
 def p_div_reference(p, q):
     """Exact polynomial division p/q, or None: the kernel's long division on
     monomial tuples as it was before it ran on exponent vectors, for every
     input alike.  Monomial arithmetic is the kernel's own; only the loop
-    (leading term, divisibility, guard) is pinned here."""
+    (leading term, divisibility, guard) is pinned here, and the leading
+    term comes from p_leading_reference."""
     if not p:
         return {}
-    qlm, qlc = _p_leading(q)
+    qlm, qlc = p_leading_reference(q)
     rem = dict(p)
     quot = {}
     guard = 4 * (len(p) + len(q)) + 64
@@ -351,7 +391,7 @@ def p_div_reference(p, q):
         guard -= 1
         if guard < 0:
             return None
-        rlm, rlc = _p_leading(rem)
+        rlm, rlc = p_leading_reference(rem)
         if not _m_divides(qlm, rlm):
             return None
         cm, tm = _m_div(rlm, qlm)

@@ -216,6 +216,52 @@ def test_check_degenerate_domain_exit_64(tmp_path, capsys):
     assert main(["check", man]) == 64
 
 
+GENERAL_DEGENERATE = """\
+[metric]
+kind = general
+g11 = 1
+g12 = 1
+g22 = 1
+
+[codifferential]
+kind = general-real
+a111 = 1
+a112 = 0
+a122 = 0
+a222 = 0
+"""
+
+_ALL_SUBCOMMANDS = ("check", "invariants", "verify", "geodesic")
+
+
+# pairs whose metric or codifferential has no meaning (a conformal factor
+# that is zero or negative, a degenerate general metric, a division by
+# zero): normalizing them raises EvalDomainError or ZeroDivisionError,
+# an input error and not the "incompatible" exit 1
+@pytest.mark.parametrize("manifest, subcommands", [
+    (FLAT_TRIVIAL.replace("lambda = 1", "lambda = 0"), _ALL_SUBCOMMANDS),
+    (FLAT_TRIVIAL.replace("lambda = 1", "lambda = x - x"), _ALL_SUBCOMMANDS),
+    (FLAT_TRIVIAL.replace("lambda = 1", "lambda = -1"),
+     ("check", "invariants")),
+    (GENERAL_DEGENERATE, _ALL_SUBCOMMANDS),
+    (KILLING.replace("a_re = 0", "a_re = 1/(x-x)"), ("check", "invariants")),
+], ids=["lambda-0", "lambda-x-minus-x", "lambda-negative", "general-singular",
+        "a-divides-by-zero"])
+def test_degenerate_pair_exit_64(tmp_path, capsys, manifest, subcommands):
+    man = _write(tmp_path, "m.ini", manifest)
+    extra = {
+        "invariants": ["--symbolic"],
+        "verify": ["--integral", _write(tmp_path, "f.ini", PY3_INTEGRAL)],
+        "geodesic": ["--x0", "0", "--y0", "0", "--px0", "1", "--py0", "0",
+                     "--steps", "3"],
+    }
+    for sub in subcommands:
+        assert main([sub, man] + extra.get(sub, [])) == 64, sub
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("input error:") and err.count("\n") == 1, err
+
+
 # a_re = 1 on this metric is Incompatible under the default settings
 INCOMPATIBLE = """\
 [metric]

@@ -18,7 +18,8 @@ from cubint.expr import (
 )
 from cubint import (Codifferential, InvariantEngine, expr as expr_mod,
                     isothermal_metric)
-from oracles import fd_partial, m_mul_reference, p_div_reference, tree_eval
+from oracles import (fd_partial, m_mul_reference, p_div_reference,
+                     p_leading_reference, tree_eval)
 
 
 BOX = Box(-2.0, 2.0, -2.0, 2.0)
@@ -437,6 +438,18 @@ def _poly(text):
 # (x + y^3)/x: the leading term in graded-lex order is y^3/x, so the
 # division succeeds; in plain lex order it would be 1, which x does not divide
 _X_PLUS_Y3 = _poly("x + y^3")
+
+
+@given(_polys(_PLAIN_BASES + _FOLDING_BASES, 6).filter(bool))
+@settings(max_examples=300, deadline=None)
+# one total degree: x, first in _skey order, decides for x^2
+@example(_poly("y^2 + x*y + x^2"))
+# x^(1/2) against a radical base of the same degree, and y^3/x, of the
+# larger total degree though one exponent is negative
+@example(_poly("(1 + x^2)^(1/2) + x^(1/2)"))
+@example(expr_mod._p_mul(_X_PLUS_Y3, {((Var("x"), -1),): Fraction(1)}))
+def test_leading_term_matches_reference(p):
+    assert expr_mod._p_leading(p) == p_leading_reference(p)
 
 
 @given(_polys(_PLAIN_BASES), _polys(_PLAIN_BASES).filter(bool))

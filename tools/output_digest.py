@@ -17,7 +17,12 @@ Families, each run in-process on this checkout's src/:
 * geodesic-abort -- `cubint geodesic` runs that abort (exit code, report,
                 stderr and whether a CSV file is left): a float overflow in
                 the RK4 right-hand side and one in H, a non-finite state,
-                and F failing on the trajectory with and without --csv.
+                and F failing on the trajectory with and without --csv;
+* folding    -- `cubint check` and `cubint invariants --symbolic` on three
+                isothermal pairs whose normal forms carry radicals of
+                rationals and exp atoms, so exact division takes the
+                kernel's folding loop (_p_div_folding), which no other
+                family reaches.
 
 Temporary paths are replaced by "<tmp>" before hashing.  Compare the
 printout of two checkouts; where a family differs, --list names the
@@ -124,9 +129,27 @@ def geodesic_abort_outputs(cli, tmp):
                "%s\n%s\n%s\ncsv left: %s" % (code, out, err, left))
 
 
+# (name, lambda, a_re) of isothermal pairs with a_im = 0
+FOLDING = (
+    ("radical", "1 + 2^(1/2)*x^2", "1"),
+    ("exp", "1 + x^2*exp(y)", "0"),
+    ("sqrt", "2 + sqrt(2)*x + y^2", "1"),
+)
+
+
+def folding_outputs(cli, tmp):
+    for name, lam, a_re in FOLDING:
+        man = bench.write_file(tmp, "folding-%s.ini" % name, bench.manifest_text(
+            dict(lane="iso", metric=[lam], codiff=(a_re, "0"), box=bench.BOX)))
+        for argv in (["check", man], ["invariants", man, "--symbolic"]):
+            code, out, _err = _cli(cli, argv)
+            yield "folding/%s/%s" % (name, argv[0]), "%s\n%s" % (code, out)
+
+
 FAMILIES = (("check", check_outputs), ("invariants", invariants_outputs),
             ("geodesic", geodesic_outputs),
-            ("geodesic-abort", geodesic_abort_outputs))
+            ("geodesic-abort", geodesic_abort_outputs),
+            ("folding", folding_outputs))
 
 
 def main(argv=None) -> int:
