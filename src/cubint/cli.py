@@ -49,7 +49,7 @@ from typing import Dict, Optional, Tuple
 from .decision import Verdict, decide
 from .expr import (Box, EvalDomainError, Expr, ExpressionSyntaxError,
                    OrderCapExceeded, UnknownIdentifier, ZeroTestConfig,
-                   ZeroVerdict, eval_at, parse, simplify, to_str)
+                   ZeroVerdict, eval_at, parse, simplify, to_nf, to_str)
 from .geometry import (ChartMismatch, general_metric, isothermal_metric,
                        null_metric)
 from .invariants import (Codifferential, HolomorphicityViolated,
@@ -177,6 +177,16 @@ def load_manifest(path: str) -> Manifest:
         codiff = Codifferential.general(SymTensor3(tuple(
             _parse_expr(csec, k, "codifferential")
             for k in ("a111", "a112", "a122", "a222"))))
+
+    # normalize the pair as check and invariants do first, so that every
+    # subcommand rejects one without meaning alike: ln of a non-positive
+    # conformal factor, a division by zero in the complex codifferential
+    # (null and general codifferentials are normalized when built)
+    if metric.lam is not None:
+        metric.log_lam
+    if ckind == "isothermal-complex":
+        to_nf(codiff.a.re)
+        to_nf(codiff.a.im)
 
     dsec = cp["domain"] if "domain" in cp else {}
     x_min = _get_float(dsec, "x_min", -1.0, "domain")

@@ -7,11 +7,12 @@ exact "== 0" decisions by symbolic normalization and seeded numeric probing.
 
 The canonical form is a rational function over a multiplicative kernel of
 atoms: variables, named constants (pi, e), and applications of the fixed
-elementary functions.  Numerators are polynomials (rational coefficients,
-arbitrary precision) in those atoms; denominators are monomials whose bases
-may be irreducible-as-found compound polynomials.  Keeping denominators
-factored is what keeps seventh-order derivative chains of ln(lambda) from
-blowing up under the quotient rule.
+elementary functions.  Numerators are one rational content times a
+polynomial in those atoms with coprime integer coefficients (arbitrary
+precision); denominators are monomials whose bases may be
+irreducible-as-found compound polynomials.  Keeping denominators factored
+is what keeps seventh-order derivative chains of ln(lambda) from blowing
+up under the quotient rule.
 """
 
 from __future__ import annotations
@@ -330,21 +331,23 @@ def _mono_skey(m) -> tuple:
 
 def add(*terms: Expr) -> Expr:
     flat = []
-    const = Fraction(0)
+    const = None  # the sum of the Rat terms; most calls have at most one
     for t in terms:
         if isinstance(t, Add):
             for s in t.terms:
                 if isinstance(s, Rat):
-                    const += s.val
+                    const = s.val if const is None else const + s.val
                 else:
                     flat.append(s)
         elif isinstance(t, Rat):
-            const += t.val
+            const = t.val if const is None else const + t.val
         else:
             flat.append(t)
+    if const is not None and const == 0:
+        const = None
     flat.sort(key=_skey)
-    if const != 0 or not flat:
-        flat.insert(0, Rat(const))
+    if const is not None or not flat:
+        flat.insert(0, Rat(0 if const is None else const))
     if len(flat) == 1:
         return flat[0]
     return Add(flat)
@@ -352,23 +355,26 @@ def add(*terms: Expr) -> Expr:
 
 def mul(*factors: Expr) -> Expr:
     flat = []
-    coeff = Fraction(1)
+    coeff = None  # the product of the Rat factors; most calls have one
     for f in factors:
         if isinstance(f, Mul):
             for s in f.factors:
                 if isinstance(s, Rat):
-                    coeff *= s.val
+                    coeff = s.val if coeff is None else coeff * s.val
                 else:
                     flat.append(s)
         elif isinstance(f, Rat):
-            coeff *= f.val
+            coeff = f.val if coeff is None else coeff * f.val
         else:
             flat.append(f)
-    if coeff == 0:
-        return ZERO
+    if coeff is not None:
+        if coeff == 0:
+            return ZERO
+        if coeff == 1:
+            coeff = None
     flat.sort(key=_skey)
-    if coeff != 1 or not flat:
-        flat.insert(0, Rat(coeff))
+    if coeff is not None or not flat:
+        flat.insert(0, Rat(1 if coeff is None else coeff))
     if len(flat) == 1:
         return flat[0]
     return Mul(flat)
@@ -404,8 +410,10 @@ def pw(base: Expr, e) -> Expr:
 # --------------------------------------------------------------------------
 # normal form
 #
-#   NF  = num / den
-#   num = dict {mono: Fraction}, monomials with strictly positive exponents
+#   NF  = content * num / den
+#   content = positive Fraction
+#   num = dict {mono: int}, primitive (the coefficients are coprime),
+#         monomials with strictly positive exponents
 #   den = mono with positive integer exponents (coefficient 1, folded to num)
 #   mono = tuple of (base, exponent), one pair per base, sorted by _skey
 #          of the base, no zero exponent
@@ -419,17 +427,29 @@ def pw(base: Expr, e) -> Expr:
 # is not the sum of their exponents: exp atoms combine through their
 # arguments and integer powers of a _RatPow go into the coefficient.  Only
 # _m_build folds; _m_mul and _p_div_exact hand such products to it.
+#
+# One content per normal form keeps the polynomial arithmetic on ints: a
+# product of primitive polynomials is primitive (Gauss's lemma; the
+# monomials form a torsion-free group, so it holds here), so nf_mul
+# multiplies two contents and runs _p_mul on ints, and nf_scale and nf_neg
+# touch the content and the signs only.  Where a fold or the expansion of
+# a compound base brings in rational coefficients, _mk_nf makes the
+# numerator primitive again (_primitive).  The split is unique, so equal
+# normal forms have equal fields.
 
 class _PolyBase:
     """A compound polynomial used as a multiplicative base (e.g. a factored
     denominator (x^2+1)^k, or an unresolved radical (1+x)^(1/2))."""
 
-    __slots__ = ("fp", "_hash", "_skey")
+    __slots__ = ("fp", "_hash", "_skey", "_prim")
 
     def __init__(self, fp):
-        self.fp = fp  # frozen poly: sorted tuple of (mono, Fraction)
+        # frozen poly: sorted tuple of (mono, Fraction); the base's identity,
+        # sort key and printed form
+        self.fp = fp
         self._hash = None
         self._skey = None
+        self._prim = None  # (content, primitive int poly) of fp, see _pb_prim
 
     def __eq__(self, other):
         return type(other) is _PolyBase and other.fp == self.fp
@@ -440,7 +460,7 @@ class _PolyBase:
         return self._hash
 
     def __repr__(self):
-        return f"_PolyBase({to_str(nf_to_expr(NF(_thaw(self.fp), ())))})"
+        return f"_PolyBase({to_str(_base_expr(self))})"
 
 
 class _RatPow:
@@ -467,9 +487,10 @@ class _RatPow:
 
 
 class NF:
-    __slots__ = ("num", "den")
+    __slots__ = ("content", "num", "den")
 
-    def __init__(self, num: dict, den: tuple):
+    def __init__(self, content: Fraction, num: dict, den: tuple):
+        self.content = content
         self.num = num
         self.den = den
 
@@ -477,10 +498,21 @@ class NF:
         return not self.num
 
     def __repr__(self):
-        return f"NF({self.num!r}, {self.den!r})"
+        return f"NF({self.content!r}, {self.num!r}, {self.den!r})"
 
 
-_NF_ZERO = NF({}, ())
+# the coefficient multiplier of a product in which nothing folds; callers
+# test it by identity to skip the multiply
+_UNIT = Fraction(1)
+_NF_ZERO = NF(_UNIT, {}, ())
+_NF_ONE = NF(_UNIT, {(): 1}, ())
+
+
+def _nf_rat(v: Fraction) -> NF:
+    """The constant v."""
+    if v == 0:
+        return _NF_ZERO
+    return NF(v, {(): 1}, ()) if v > 0 else NF(-v, {(): -1}, ())
 
 
 # ---- term budget (used by is_zero's bounded symbolic confirmation) -------
@@ -505,10 +537,6 @@ def _charge(cost: int):
 
 # ---- monomial helpers ----------------------------------------------------
 
-# the coefficient multiplier of a product in which nothing folds; callers
-# test it by identity to skip the multiply
-_UNIT = Fraction(1)
-
 
 def _int_exp(e):
     """e as an int when it is integral (the exponent invariant)."""
@@ -529,7 +557,7 @@ def _m_build(pairs) -> tuple:
     of _RatPow bases fold into the coefficient; e^rational stays a power
     of the named constant e.
     """
-    coeff = Fraction(1)
+    coeff = _UNIT
     acc: dict = {}
     exp_args = []  # list of (arg_expr, multiplier)
     for (b, e) in pairs:
@@ -543,13 +571,13 @@ def _m_build(pairs) -> tuple:
         total = _NF_ZERO
         for (arg, m) in exp_args:
             total = nf_add(total, nf_scale(to_nf(arg), m))
+        # exp(k + u) = e^k * exp(u) for the rational constant term k
+        k, total = _nf_split_const(total)
+        if k:
+            acc[_E] = acc.get(_E, 0) + k
         if not total.is_zero():
-            cval = _nf_const_value(total)
-            if cval is not None:
-                acc[_E] = acc.get(_E, 0) + cval
-            else:
-                b = Func("exp", nf_to_expr(total))
-                acc[b] = acc.get(b, 0) + 1
+            b = Func("exp", nf_to_expr(total))
+            acc[b] = acc.get(b, 0) + 1
     out = []
     for b, e in acc.items():
         if e == 0:
@@ -575,8 +603,20 @@ def _nf_const_value(nf: NF) -> Optional[Fraction]:
     if len(nf.num) == 1:
         ((m, c),) = nf.num.items()
         if m == ():
-            return c
+            return nf.content * c
     return None
+
+
+def _nf_split_const(nf: NF):
+    """(k, nf - k) for the rational constant term k of nf; k is 0 when nf
+    has a denominator."""
+    if nf.den or () not in nf.num:
+        return 0, nf
+    num = dict(nf.num)
+    k = nf.content * num.pop(())
+    if not num:
+        return k, _NF_ZERO
+    return k, NF(*_primitive(nf.content, num), ())
 
 
 def _m_mul(m1: tuple, m2: tuple):
@@ -643,7 +683,7 @@ def _m_div(m2: tuple, m1: tuple):
 
 # ---- polynomial helpers --------------------------------------------------
 
-def _p_add_into(p: dict, q: dict, s: Fraction = _UNIT):
+def _p_add_into(p: dict, q: dict, s: Fraction = 1):
     scaled = s != 1
     for m, c in q.items():
         if scaled:
@@ -658,6 +698,8 @@ def _p_add_into(p: dict, q: dict, s: Fraction = _UNIT):
 
 
 def _p_mul(p: dict, q: dict) -> dict:
+    """p*q.  Integer coefficients stay integers unless a monomial product
+    folds and brings in a rational multiplier."""
     _charge(len(p) * len(q))
     out: dict = {}
     for m1, c1 in p.items():
@@ -682,8 +724,10 @@ def _p_scale(p: dict, s: Fraction) -> dict:
     return {m: c * s for m, c in p.items()}
 
 
-def _p_mul_mono(p: dict, mono: tuple, s: Fraction = _UNIT) -> dict:
+def _p_mul_mono(p: dict, mono: tuple, s: Fraction = 1) -> dict:
     scaled = s != 1
+    if not mono:
+        return {m: c * s for m, c in p.items()} if scaled else dict(p)
     out: dict = {}
     for m, c in p.items():
         cm, nm = _m_mul(m, mono)
@@ -702,7 +746,7 @@ def _p_mul_mono(p: dict, mono: tuple, s: Fraction = _UNIT) -> dict:
 
 
 def _p_pow_int(p: dict, n: int) -> dict:
-    out = {(): Fraction(1)}
+    out = {(): 1}
     b = p
     while n:
         if n & 1:
@@ -759,14 +803,47 @@ def _p_content(p: dict) -> dict:
     return content
 
 
+def _primitive(c: Fraction, p: dict):
+    """(content, q) with c*p == content*q, content > 0 and q a nonzero
+    polynomial with coprime integer coefficients; p has exact rational
+    coefficients."""
+    vals = p.values()
+    try:
+        g = math.gcd(*vals)
+    except TypeError:
+        # a fold or an expanded base brought in rational coefficients
+        d = math.lcm(*[v.denominator for v in vals])
+        p = {m: v.numerator * (d // v.denominator) for m, v in p.items()}
+        c = c / d
+        g = math.gcd(*p.values())
+    if c < 0:
+        c, g = -c, -g
+    if g != 1:
+        p = {m: v // g for m, v in p.items()}
+        c = c * abs(g)
+    return c, p
+
+
+def _pb_prim(b: _PolyBase):
+    """(content, primitive int poly) of a compound base's fp, built once."""
+    pr = b._prim
+    if pr is None:
+        pr = b._prim = _primitive(_UNIT, _thaw(b.fp))
+    return pr
+
+
 def _p_div_exact(p: dict, q: dict) -> Optional[dict]:
-    """Exact polynomial division p/q, or None.
+    """Exact polynomial division p/q, or None, for p with integer and q
+    with coprime integer coefficients.
 
     Long division on the _glex_key vectors over the bases of p and q, where
-    a monomial product is a vector add.  A base that folds breaks that, and
-    _p_div_folding runs the same division on monomial tuples instead.  Both
-    loops stay because one tuple loop for every input made the division
-    about a quarter slower on the decide-suite benchmark.
+    a monomial product is a vector add.  Such a p/q is a polynomial over
+    the integers when it is one at all (Gauss's lemma), so a step whose
+    leading coefficient lc(q) does not divide proves that it is not one.
+    A base that folds breaks both, and _p_div_folding runs the division on
+    monomial tuples and rational coefficients instead.  Both loops stay
+    because one tuple loop for every input made the division about a
+    quarter slower on the decide-suite benchmark.
     """
     if not p:
         return {}
@@ -798,7 +875,9 @@ def _p_div_exact(p: dict, q: dict) -> Optional[dict]:
         rlv = rlk[1]
         if any(rlv[i] < qlv[i] for i in support):
             return None
-        tc = rem.pop(rlk) / qlc
+        tc, r = divmod(rem.pop(rlk), qlc)
+        if r:
+            return None
         td = rlk[0] - qlk[0]
         tv = tuple([r - s for r, s in zip(rlv, qlv)])
         # the leading term falls at every step, so no quotient term repeats
@@ -817,7 +896,8 @@ def _p_div_exact(p: dict, q: dict) -> Optional[dict]:
 
 def _p_div_folding(p: dict, q: dict) -> Optional[dict]:
     """_p_div_exact for monomials whose products fold (exp atoms, rational
-    bases of radicals): the same long division on monomial tuples."""
+    bases of radicals): the same long division on monomial tuples, with
+    rational coefficients in the quotient."""
     qlm, qlc = _p_leading(q)
     rem = dict(p)
     quot: dict = {}
@@ -830,8 +910,8 @@ def _p_div_folding(p: dict, q: dict) -> Optional[dict]:
         if not _m_divides(qlm, rlm):
             return None
         cm, tm = _m_div(rlm, qlm)
-        tc = rlc / qlc * cm
-        quot[tm] = quot.get(tm, Fraction(0)) + tc
+        tc = Fraction(rlc) / qlc * cm
+        quot[tm] = quot.get(tm, 0) + tc
         _p_add_into(rem, _p_mul_mono(q, tm, -tc))
     return quot
 
@@ -870,7 +950,8 @@ def _p_sqrt(p: dict) -> Optional[dict]:
 def _p_expand_pb(p: dict) -> dict:
     """Expand integer powers of compound poly bases inside numerator
     monomials; otherwise two spellings of one value would not cancel.
-    Fractional powers (radical atoms) stay opaque."""
+    Fractional powers (radical atoms) stay opaque.  A base brings in its
+    content, so the expansion may have rational coefficients."""
     while True:
         need = False
         for m in p:
@@ -884,13 +965,15 @@ def _p_expand_pb(p: dict) -> dict:
             return p
         out: dict = {}
         for m, c in p.items():
-            poly = {(): Fraction(1)}
+            poly = {(): 1}
             rest = []
             for (b, e) in m:
                 if type(b) is _PolyBase and e >= 1:
                     k = math.floor(e)
                     r = e - k
-                    poly = _p_mul(poly, _p_pow_int(_thaw(b.fp), k))
+                    bc, bp = _pb_prim(b)
+                    poly = _p_mul(poly, _p_pow_int(bp, k))
+                    c = c * bc ** k
                     if r:
                         rest.append((b, r))
                 else:
@@ -900,7 +983,10 @@ def _p_expand_pb(p: dict) -> dict:
         p = out
 
 
-def _mk_nf(num: dict, den: tuple) -> NF:
+def _mk_nf(c: Fraction, num: dict, den: tuple) -> NF:
+    """The normal form of c*num/den, for num with exact rational
+    coefficients (integers but where a product folded) and den a monomial
+    with positive integer exponents."""
     if not num:
         return _NF_ZERO
     num = _p_expand_pb(num)
@@ -917,31 +1003,30 @@ def _mk_nf(num: dict, den: tuple) -> NF:
     if need:
         # num * b^k / (den * b^k) for every such base b; a compound b goes
         # into den monic, as nf_recip puts it there (a radical's base is
-        # only normalized by |lc|), and num takes the factor lc^-k
+        # only normalized by |lc|), and c takes the factor lc^-k
         lift, lift_den = [], []
-        s = Fraction(1)
         for b, k in need.items():
             lift.append((b, k))
             if type(b) is _PolyBase:
                 _, lc = _p_leading(_thaw(b.fp))
                 if lc != 1:
-                    s /= lc ** k
+                    c = c / lc ** k
                     b = _PolyBase(_freeze(_p_scale(_thaw(b.fp), 1 / lc)))
             lift_den.append((b, k))
         cm, lift_m = _m_build(lift)
-        num = _p_mul_mono(num, lift_m, cm * s)
+        num = _p_mul_mono(num, lift_m)
         cden, den = _m_mul(den, _m_build(lift_den)[1])
         # cden is 1: den bases are never exp-atoms/_RatPow
-        if cden != 1:
-            num = _p_scale(num, Fraction(1) / cden)
+        c = c * cm / cden
+    c, num = _primitive(c, num)
     if not den:
-        return NF(num, ())
+        return NF(c, num, ())
     # cancel integer monomial content against the denominator
-    content = _p_content(num)
+    mcontent = _p_content(num)
     den_d = dict(den)
     changed = False
     for b in list(den_d):
-        have = content.get(b)
+        have = mcontent.get(b)
         if have is None:
             continue
         k = min(den_d[b], math.floor(have))
@@ -952,25 +1037,25 @@ def _mk_nf(num: dict, den: tuple) -> NF:
                 del den_d[b]
     if changed:
         canceled = [(b, e - den_d.get(b, 0)) for (b, e) in den if e - den_d.get(b, 0) > 0]
-        cm, cmono = _m_build([(b, -e) for (b, e) in canceled])
-        num = _p_mul_mono(num, cmono, cm)
-    # trial division by compound denominator factors
+        # den bases never fold, so the multiplier is 1 and num stays primitive
+        _, cmono = _m_build([(b, -e) for (b, e) in canceled])
+        num = _p_mul_mono(num, cmono)
+    # trial division by compound denominator factors, on the primitive
+    # integer form of each
     den_items = sorted(den_d.items(), key=lambda p: _skey(p[0]))
     out_den = []
     for (b, e) in den_items:
         if isinstance(b, _PolyBase) and len(b.fp) > 1:
-            P = _thaw(b.fp)
+            bc, P = _pb_prim(b)
             while e > 0:
                 q = _p_div_exact(num, P)
                 if q is None:
                     break
-                num = q
+                c, num = _primitive(c / bc, q)
                 e -= 1
         if e > 0:
             out_den.append((b, e))
-    if not num:
-        return _NF_ZERO
-    return NF(num, tuple(out_den))
+    return NF(c, num, tuple(out_den))
 
 
 def _thaw(fp: tuple) -> dict:
@@ -993,16 +1078,27 @@ def nf_add(a: NF, b: NF) -> NF:
             lcm[bb] = e
     ma = [(bb, e - da.get(bb, 0)) for bb, e in lcm.items() if e - da.get(bb, 0) > 0]
     mb = [(bb, e - db.get(bb, 0)) for bb, e in lcm.items() if e - db.get(bb, 0) > 0]
-    ca, mam = _m_build(ma)
-    cb, mbm = _m_build(mb)
-    num = _p_mul_mono(a.num, mam, ca)
-    _p_add_into(num, _p_mul_mono(b.num, mbm, cb))
+    # den bases never fold, so these monomials come with multiplier 1
+    _, mam = _m_build(ma)
+    _, mbm = _m_build(mb)
+    # a.content*A + b.content*B = g/l * (sa*A + sb*B) with integers sa, sb
+    ca, cb = a.content, b.content
+    if ca == cb:
+        c, sa, sb = ca, 1, 1
+    else:
+        g = math.gcd(ca.numerator, cb.numerator)
+        l = math.lcm(ca.denominator, cb.denominator)
+        c = Fraction(g, l)
+        sa = ca.numerator // g * (l // ca.denominator)
+        sb = cb.numerator // g * (l // cb.denominator)
+    num = _p_mul_mono(a.num, mam, sa)
+    _p_add_into(num, _p_mul_mono(b.num, mbm, sb))
     den = tuple(sorted(lcm.items(), key=lambda p: _skey(p[0])))
-    return _mk_nf(num, den)
+    return _mk_nf(c, num, den)
 
 
 def nf_neg(a: NF) -> NF:
-    return NF(_p_scale(a.num, Fraction(-1)), a.den)
+    return NF(a.content, _p_scale(a.num, -1), a.den)
 
 
 def nf_sub(a: NF, b: NF) -> NF:
@@ -1012,42 +1108,45 @@ def nf_sub(a: NF, b: NF) -> NF:
 def nf_scale(a: NF, s: Fraction) -> NF:
     if s == 0:
         return _NF_ZERO
-    return NF(_p_scale(a.num, s), a.den)
+    if s > 0:
+        return NF(a.content * s, a.num, a.den)
+    return NF(a.content * -s, _p_scale(a.num, -1), a.den)
 
 
 def nf_mul(a: NF, b: NF) -> NF:
     if a.is_zero() or b.is_zero():
         return _NF_ZERO
     num = _p_mul(a.num, b.num)
-    c, den = _m_mul(a.den, b.den)
-    if c != 1:
-        num = _p_scale(num, Fraction(1) / c)
-    return _mk_nf(num, den)
+    cm, den = _m_mul(a.den, b.den)
+    c = a.content * b.content
+    if cm is not _UNIT:
+        c = c / cm
+    return _mk_nf(c, num, den)
 
 
 def nf_recip(a: NF) -> NF:
     if a.is_zero():
         raise ZeroDivisionError("reciprocal of zero expression")
-    den_poly = {a.den: Fraction(1)} if a.den else {(): Fraction(1)}
+    den_poly = {a.den: 1} if a.den else {(): 1}
     if len(a.num) == 1:
         ((m, c),) = a.num.items()
         cm, invm = _m_build([(b, -e) for (b, e) in m])
-        return _mk_nf(_p_mul_mono(den_poly, invm, cm / c), ())
-    # a.num = content * core with core content-free; keep core as a factored
-    # denominator base, monic so equal denominators hash equal
-    content = _p_content(a.num)
-    inv_cm, inv_mono = _m_build([(b, -e) for b, e in content.items()])
+        return _mk_nf(cm / (a.content * c), _p_mul_mono(den_poly, invm), ())
+    # a.num = mcontent * core with core free of monomial content; keep core
+    # as a factored denominator base, monic so equal denominators hash equal
+    mcontent = _p_content(a.num)
+    inv_cm, inv_mono = _m_build([(b, -e) for b, e in mcontent.items()])
     core = _p_mul_mono(a.num, inv_mono, inv_cm)
     _, lc = _p_leading(core)
-    core_monic = _p_scale(core, 1 / lc)
+    core_monic = _p_scale(core, _UNIT / lc)
     pb = _PolyBase(_freeze(core_monic))
-    num = _p_mul_mono(den_poly, inv_mono, inv_cm / lc)
-    return _mk_nf(num, ((pb, 1),))
+    return _mk_nf(inv_cm / (lc * a.content), _p_mul_mono(den_poly, inv_mono),
+                  ((pb, 1),))
 
 
 def nf_pow(a: NF, e: Fraction) -> NF:
     if e == 0:
-        return NF({(): Fraction(1)}, ())
+        return _NF_ONE
     if e == 1:
         return a
     if a.is_zero():
@@ -1058,14 +1157,12 @@ def nf_pow(a: NF, e: Fraction) -> NF:
         n = int(e)
         if n > 0:
             num = _p_pow_int(a.num, n)
-            c, den = _m_pow(a.den, n)
-            if c != 1:
-                num = _p_scale(num, Fraction(1) / c)
-            return _mk_nf(num, den)
+            cm, den = _m_pow(a.den, n)
+            return _mk_nf(a.content ** n / cm, num, den)
         return nf_pow(nf_recip(a), Fraction(-n))
     k = math.floor(e)
     r = e - k
-    out = nf_pow(a, Fraction(k)) if k != 0 else NF({(): Fraction(1)}, ())
+    out = nf_pow(a, Fraction(k)) if k != 0 else _NF_ONE
     return nf_mul(out, _nf_frac_pow(a, r))
 
 
@@ -1079,40 +1176,46 @@ def _nf_frac_pow(a: NF, r: Fraction) -> NF:
     if len(num) == 1:
         ((m, c),) = num.items()
         parts.extend((b, e * r) for (b, e) in m)
-        cpart = _rat_frac_pow(c, r)
+        cpart = _rat_frac_pow(a.content * c, r)
         cm, mono = _m_build(parts)
-        return _mk_nf(_p_mul_mono(cpart, mono, cm), ())
+        return _mk_nf(cm, _p_mul_mono(cpart, mono), ())
     if r == Fraction(1, 2):
-        q = _p_sqrt(num)
+        # content*num is a square only if the content is one (Gauss's lemma)
+        root = _exact_rat_root(a.content, 2)
+        q = _p_sqrt(num) if root is not None else None
         if q is not None:
             cm, mono = _m_build(parts)
-            return _mk_nf(_p_mul_mono(q, mono, cm), ())
+            return _mk_nf(root * cm, _p_mul_mono(q, mono), ())
     # opaque radical over the sign-normalized primitive core:
     # num = (ccm*scale) * cmono * core_n, so num^r factors accordingly
-    content = _p_content(num)
-    ccm, cmono = _m_build(list(content.items()))
-    inv_cm, inv_mono = _m_build([(b, -e) for b, e in content.items()])
+    mcontent = _p_content(num)
+    ccm, cmono = _m_build(list(mcontent.items()))
+    inv_cm, inv_mono = _m_build([(b, -e) for b, e in mcontent.items()])
     core = _p_mul_mono(num, inv_mono, inv_cm)
     _, lc = _p_leading(core)
     scale = abs(lc)
-    core_n = _p_scale(core, 1 / scale)
+    core_n = _p_scale(core, _UNIT / scale)
     parts.extend((b, e * r) for (b, e) in cmono)
     parts.append((_PolyBase(_freeze(core_n)), r))
-    cpart = _rat_frac_pow(ccm * scale, r)
+    cpart = _rat_frac_pow(a.content * ccm * scale, r)
     cm, mono = _m_build(parts)
-    return _mk_nf(_p_mul_mono(cpart, mono, cm), ())
+    return _mk_nf(cm, _p_mul_mono(cpart, mono), ())
 
 
 def _rat_frac_pow(c: Fraction, r: Fraction) -> dict:
-    """c^r as a one-term polynomial ({mono: coeff})."""
+    """c^r as a one-term polynomial ({mono: coeff}).  The radicand is an
+    integer, (p/q)^(1/n) = (p*q^(n-1))^(1/n)/q, so that one value has one
+    form."""
     if c == 1:
-        return {(): Fraction(1)}
+        return {(): 1}
     if c > 0:
         root = _exact_rat_root(c, r.denominator)
         if root is not None:
             return {(): root ** r.numerator}
-    cm, mono = _m_build([(_RatPow(c), r)])
-    return {mono: cm}
+    q = c.denominator
+    radicand = Fraction(c.numerator * q ** (r.denominator - 1))
+    cm, mono = _m_build([(_RatPow(radicand), r)])
+    return {mono: cm / q ** r.numerator}
 
 
 def _iroot(v: int, n: int) -> int:
@@ -1145,22 +1248,22 @@ def to_nf(e: Expr) -> NF:
         return e._nf
     t = type(e)
     if t is Rat:
-        nf = NF({(): e.val}, ()) if e.val != 0 else _NF_ZERO
+        nf = _nf_rat(e.val)
     elif t is Var or t is Const:
-        nf = NF({((e, 1),): Fraction(1)}, ())
+        nf = _atom_nf(e)
     elif t is Add:
         nf = _NF_ZERO
         for s in e.terms:
             nf = nf_add(nf, to_nf(s))
     elif t is Mul:
-        nf = NF({(): Fraction(1)}, ())
+        nf = _NF_ONE
         for f in e.factors:
             nf = nf_mul(nf, to_nf(f))
     elif t is Pow:
         if isinstance(e.base, Mul) and e.exp.denominator == 1:
             # distribute integer powers over products so reciprocals keep
             # each factor as its own denominator base
-            nf = NF({(): Fraction(1)}, ())
+            nf = _NF_ONE
             for f in e.base.factors:
                 nf = nf_mul(nf, nf_pow(to_nf(f), e.exp))
         else:
@@ -1183,19 +1286,16 @@ _ODD_FUNCS = ("sin", "tan", "sinh", "tanh")
 def _func_nf(name: str, argnf: NF) -> NF:
     if name == "sqrt":
         return nf_pow(argnf, Fraction(1, 2))
-    cval = _nf_const_value(argnf)
     if name == "exp":
-        if cval is not None:
-            if cval == 0:
-                return NF({(): Fraction(1)}, ())
-            cm, mono = _m_build([(_E, cval)])
-            # e^-k goes to the denominator, as it does when parsed as e^-k
-            return _mk_nf({mono: cm}, ())
         # exp(ln(u)) -> u
         inner = _pure_atom(argnf)
         if isinstance(inner, Func) and inner.name == "ln":
             return to_nf(inner.arg)
-        return _atom_nf(Func("exp", nf_to_expr(argnf)))
+        # _m_build splits off e^k for a constant term k of the argument;
+        # e^-k goes to the denominator, as it does when parsed as e^-k
+        cm, mono = _m_build([(Func("exp", nf_to_expr(argnf)), 1)])
+        return _mk_nf(cm, {mono: 1}, ())
+    cval = _nf_const_value(argnf)
     if name == "ln":
         if cval is not None:
             if cval == 1:
@@ -1203,20 +1303,22 @@ def _func_nf(name: str, argnf: NF) -> NF:
             if cval <= 0:
                 raise EvalDomainError(f"ln of non-positive constant {cval}")
             return _atom_nf(Func("ln", Rat(cval)))
-        # ln(e^k) and ln(exp(u))
-        if not argnf.den and len(argnf.num) == 1:
+        # ln(e^k * exp(u)) -> k + u, e^k partly in the denominator for k < 0
+        if len(argnf.num) == 1:
             ((m, c),) = argnf.num.items()
-            if c == 1 and len(m) == 1:
-                b, ex = m[0]
-                if isinstance(b, Const) and b.name == "e":
-                    return NF({(): Fraction(ex)}, ()) if ex != 0 else _NF_ZERO
-                if isinstance(b, Func) and b.name == "exp" and ex == 1:
-                    return to_nf(b.arg)
+            pairs = m + tuple((b, -ex) for (b, ex) in argnf.den)
+            if c == 1 and argnf.content == 1 and all(
+                    b == _E or (type(b) is Func and b.name == "exp")
+                    for (b, _) in pairs):
+                out = _NF_ZERO
+                for (b, ex) in pairs:
+                    out = nf_add(out, _nf_rat(Fraction(ex)) if b == _E
+                                 else to_nf(b.arg))
+                return out
         return _atom_nf(Func("ln", nf_to_expr(argnf)))
     # trig / hyperbolic
     if cval is not None and cval == 0:
-        v = _FOLD_AT_ZERO[name]
-        return NF({(): v}, ()) if v != 0 else _NF_ZERO
+        return _nf_rat(_FOLD_AT_ZERO[name])
     if not argnf.is_zero():
         lm, lc = _p_leading(argnf.num)
         if lc < 0:
@@ -1232,7 +1334,7 @@ def _func_nf_plain(name: str, argnf: NF) -> NF:
 
 
 def _atom_nf(b) -> NF:
-    return NF({((b, 1),): Fraction(1)}, ())
+    return NF(_UNIT, {((b, 1),): 1}, ())
 
 
 def _pure_atom(nf: NF):
@@ -1240,7 +1342,7 @@ def _pure_atom(nf: NF):
     if nf.den or len(nf.num) != 1:
         return None
     ((m, c),) = nf.num.items()
-    if c == 1 and len(m) == 1 and m[0][1] == 1:
+    if c == 1 and nf.content == 1 and len(m) == 1 and m[0][1] == 1:
         return m[0][0]
     return None
 
@@ -1251,7 +1353,7 @@ def _base_expr(b) -> Expr:
     if isinstance(b, (Var, Const, Func)):
         return b
     if isinstance(b, _PolyBase):
-        return nf_to_expr(NF(_thaw(b.fp), ()))
+        return nf_to_expr(NF(*_pb_prim(b), ()))
     if isinstance(b, _RatPow):
         return Rat(b.val)
     raise TypeError(f"unexpected base {b!r}")
@@ -1262,11 +1364,12 @@ def nf_to_expr(nf: NF) -> Expr:
         return ZERO
     terms = sorted(nf.num.items(), key=lambda it: _mono_key_for_sort(it[0]), reverse=True)
     den_factors = [pw(_base_expr(b), Fraction(-e)) for (b, e) in nf.den]
+    cn, cd = nf.content.numerator, nf.content.denominator
     out_terms = []
     for (m, c) in terms:
-        factors = [Rat(c)]
+        factors = [Rat(c * cn, cd)]
         for (b, e) in m:
-            factors.append(pw(_base_expr(b), e))
+            factors.append(_base_expr(b) if e == 1 else pw(_base_expr(b), e))
         factors.extend(den_factors)
         out_terms.append(mul(*factors))
     e = add(*out_terms)
@@ -1318,7 +1421,7 @@ def diff(e: Expr, v: Union[str, Var]) -> Expr:
 def _nf_diff(a: NF, var: str) -> NF:
     if a.is_zero():
         return _NF_ZERO
-    dnum = _p_diff(a.num, var)
+    dnum = nf_scale(_p_diff(a.num, var), a.content)
     if not a.den:
         return dnum
     # (N/D)' = (N' - N * D'/D) / D   with D a monomial of den bases
@@ -1329,9 +1432,9 @@ def _nf_diff(a: NF, var: str) -> NF:
             continue
         binv = nf_recip(_atom_nf(b))
         dlog = nf_add(dlog, nf_scale(nf_mul(db, binv), Fraction(e)))
-    n_nf = NF(dict(a.num), ())
+    n_nf = NF(a.content, a.num, ())
     total = nf_sub(dnum, nf_mul(n_nf, dlog))
-    dinv = nf_recip(NF({a.den: Fraction(1)}, ()))
+    dinv = nf_recip(NF(_UNIT, {a.den: 1}, ()))
     return nf_mul(total, dinv)
 
 
@@ -1344,7 +1447,9 @@ def _p_diff(p: dict, var: str) -> NF:
                 continue
             rest = list(m[:i]) + list(m[i + 1:]) + [(b, e - 1)]
             cm, rm = _m_build(rest)
-            term = NF({rm: c * e * cm}, ())
+            # rm may hold a negative exponent; nf_mul's _mk_nf resolves it
+            k = c * e * cm
+            term = NF(abs(k), {rm: 1 if k > 0 else -1}, ())
             out = nf_add(out, nf_mul(term, db))
     return out
 
@@ -1358,7 +1463,7 @@ def _dbase(b, var: str) -> NF:
     if got is not None:
         return got
     if isinstance(b, Var):
-        out = NF({(): Fraction(1)}, ()) if b.name == var else _NF_ZERO
+        out = _NF_ONE if b.name == var else _NF_ZERO
     elif isinstance(b, (Const, _RatPow)):
         out = _NF_ZERO
     elif isinstance(b, Func):
@@ -1368,7 +1473,7 @@ def _dbase(b, var: str) -> NF:
         else:
             out = nf_mul(_func_outer_deriv(b), darg)
     elif isinstance(b, _PolyBase):
-        out = _nf_diff(NF(_thaw(b.fp), ()), var)
+        out = _nf_diff(NF(*_pb_prim(b), ()), var)
     else:
         raise TypeError(f"no derivative for base {b!r}")
     _DBASE_CACHE[key] = out
@@ -1383,7 +1488,7 @@ def _func_outer_deriv(b: Func) -> NF:
         return nf_neg(_atom_nf(Func("sin", u)))
     if name == "tan":
         t = _atom_nf(Func("tan", u))
-        return nf_add(NF({(): Fraction(1)}, ()), nf_mul(t, t))
+        return nf_add(_NF_ONE, nf_mul(t, t))
     if name == "exp":
         return _atom_nf(b)
     if name == "ln":
@@ -1394,7 +1499,7 @@ def _func_outer_deriv(b: Func) -> NF:
         return _atom_nf(Func("sinh", u))
     if name == "tanh":
         t = _atom_nf(Func("tanh", u))
-        return nf_sub(NF({(): Fraction(1)}, ()), nf_mul(t, t))
+        return nf_sub(_NF_ONE, nf_mul(t, t))
     raise TypeError(name)
 
 

@@ -5,7 +5,9 @@ float arithmetic, no use of the symbolic kernel beyond point evaluation.
 If the engine and these oracles agree, they agree for different reasons.
 The exceptions are p_leading_reference, the kernel's former leading-term
 search with its own graded-lex comparator, p_div_reference, the kernel's
-former long-division loop, m_mul_reference, its former monomial product,
+former long-division loop, p_mul_reference and p_div_exact_reference, its
+former polynomial product and exact division on Fraction coefficients,
+m_mul_reference, its former monomial product,
 closure_compile with rk4_reference, the former closure compiler and RK4
 driver of the geodesic flow, momentum_poly_reference, the
 former per-polynomial evaluator of H and F, and the hand-written rank-3
@@ -21,7 +23,8 @@ from fractions import Fraction
 
 from cubint.expr import (Add, Const, EvalDomainError, Func, Mul, Pow, Rat,
                          Var, as_expr, diff, simplify)
-from cubint.expr import (_m_build, _m_div, _m_divides, _m_total_deg,
+from cubint.expr import (_UNIT, _folds, _glex_key, _int_exp, _m_build,
+                         _m_div, _m_divides, _m_mul, _m_total_deg,
                          _p_add_into, _p_mul_mono, _skey)
 from cubint.tensorcoords import SymTensor3, SymTensor4
 
@@ -399,6 +402,74 @@ def p_div_reference(p, q):
         quot[tm] = quot.get(tm, Fraction(0)) + tc
         _p_add_into(rem, _p_mul_mono(q, tm, -tc))
     return quot
+
+
+def p_mul_reference(p, q):
+    """p*q on Fraction coefficients: the kernel's product as it was before
+    normal forms kept one content and integer coefficients (the term
+    budget left out)."""
+    out = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            cm, m = _m_mul(m1, m2)
+            c = Fraction(c1) * c2
+            if cm is not _UNIT:
+                c = c * cm
+            old = out.get(m)
+            if old is not None:
+                c = old + c
+            if c:
+                out[m] = c
+            elif old is not None:
+                del out[m]
+    return out
+
+
+def p_div_exact_reference(p, q):
+    """Exact polynomial division p/q, or None, on Fraction coefficients:
+    the kernel's long division on exponent vectors as it was before it ran
+    on integers.  Inputs with a base that folds go to p_div_reference, as
+    they went to the kernel's tuple loop."""
+    if not p:
+        return {}
+    p = {m: Fraction(c) for m, c in p.items()}
+    q = {m: Fraction(c) for m, c in q.items()}
+    bases = {b for m in p for (b, _) in m}
+    bases.update(b for m in q for (b, _) in m)
+    if any(map(_folds, bases)):
+        return p_div_reference(p, q)
+    if len(p) == 1 and len(q) > 1:
+        return None
+    order, key = _glex_key(bases)
+    qk = {key(m): c for m, c in q.items()}
+    qlk = max(qk)
+    qlc = qk.pop(qlk)
+    qlv = qlk[1]
+    support = [i for i, e in enumerate(qlv) if e]
+    rem = {key(m): c for m, c in p.items()}
+    quot = {}
+    guard = 4 * (len(p) + len(q)) + 64
+    while rem:
+        guard -= 1
+        if guard < 0:
+            return None
+        rlk = max(rem)
+        rlv = rlk[1]
+        if any(rlv[i] < qlv[i] for i in support):
+            return None
+        tc = rem.pop(rlk) / qlc
+        td = rlk[0] - qlk[0]
+        tv = tuple([r - s for r, s in zip(rlv, qlv)])
+        quot[tv] = tc
+        for (d, v), c in qk.items():
+            nk = (d + td, tuple([a + b for a, b in zip(v, tv)]))
+            nc = rem.get(nk, 0) - tc * c
+            if nc == 0:
+                rem.pop(nk, None)
+            else:
+                rem[nk] = nc
+    return {tuple((order[i], _int_exp(e)) for i, e in enumerate(v) if e): c
+            for v, c in quot.items()}
 
 
 def m_mul_reference(m1, m2):

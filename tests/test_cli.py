@@ -2,6 +2,7 @@
 
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -231,23 +232,19 @@ a122 = 0
 a222 = 0
 """
 
-_ALL_SUBCOMMANDS = ("check", "invariants", "verify", "geodesic")
-
-
 # pairs whose metric or codifferential has no meaning (a conformal factor
 # that is zero or negative, a degenerate general metric, a division by
-# zero): normalizing them raises EvalDomainError or ZeroDivisionError,
-# an input error and not the "incompatible" exit 1
-@pytest.mark.parametrize("manifest, subcommands", [
-    (FLAT_TRIVIAL.replace("lambda = 1", "lambda = 0"), _ALL_SUBCOMMANDS),
-    (FLAT_TRIVIAL.replace("lambda = 1", "lambda = x - x"), _ALL_SUBCOMMANDS),
-    (FLAT_TRIVIAL.replace("lambda = 1", "lambda = -1"),
-     ("check", "invariants")),
-    (GENERAL_DEGENERATE, _ALL_SUBCOMMANDS),
-    (KILLING.replace("a_re = 0", "a_re = 1/(x-x)"), ("check", "invariants")),
+# zero): normalizing them raises EvalDomainError or ZeroDivisionError, an
+# input error and not the "incompatible" exit 1, from every subcommand
+@pytest.mark.parametrize("manifest", [
+    FLAT_TRIVIAL.replace("lambda = 1", "lambda = 0"),
+    FLAT_TRIVIAL.replace("lambda = 1", "lambda = x - x"),
+    FLAT_TRIVIAL.replace("lambda = 1", "lambda = -1"),
+    GENERAL_DEGENERATE,
+    KILLING.replace("a_re = 0", "a_re = 1/(x-x)"),
 ], ids=["lambda-0", "lambda-x-minus-x", "lambda-negative", "general-singular",
         "a-divides-by-zero"])
-def test_degenerate_pair_exit_64(tmp_path, capsys, manifest, subcommands):
+def test_degenerate_pair_exit_64(tmp_path, capsys, manifest):
     man = _write(tmp_path, "m.ini", manifest)
     extra = {
         "invariants": ["--symbolic"],
@@ -255,7 +252,7 @@ def test_degenerate_pair_exit_64(tmp_path, capsys, manifest, subcommands):
         "geodesic": ["--x0", "0", "--y0", "0", "--px0", "1", "--py0", "0",
                      "--steps", "3"],
     }
-    for sub in subcommands:
+    for sub in ("check", "invariants", "verify", "geodesic"):
         assert main([sub, man] + extra.get(sub, [])) == 64, sub
         out, err = capsys.readouterr()
         assert out == ""
@@ -341,6 +338,28 @@ def test_invariants_symbolic_trivial_pair(tmp_path, capsys):
         assert inv[name] == "0"
     assert inv["K"] == ["0", "0"]
     assert inv["phi0"] != "0"
+
+
+GOLDEN_SYMBOLIC = """\
+[metric]
+kind = isothermal
+lambda = 1 + 2/3*x^2 + 2*y^2
+
+[codifferential]
+kind = isothermal-complex
+a_re = 1/2
+a_im = 0
+"""
+
+
+def test_invariants_symbolic_golden(tmp_path, capsys):
+    # every printed form byte for byte: monic denominators such as
+    # (3/2 + x^2 + 3*y^2) and the rational coefficients over them
+    man = _write(tmp_path, "m.ini", GOLDEN_SYMBOLIC)
+    assert main(["invariants", man, "--symbolic"]) == 0
+    want = (pathlib.Path(__file__).parent / "data"
+            / "invariants_symbolic.json").read_text()
+    assert capsys.readouterr().out == want
 
 
 def test_invariants_at_negative_x(tmp_path, capsys):

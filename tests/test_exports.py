@@ -22,7 +22,8 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SOURCES = sorted(
     str(p.relative_to(ROOT))
     for p in [*(ROOT / "src" / "cubint").glob("*.py"),
-              *(ROOT / "tests").glob("*.py")]
+              *(ROOT / "tests").glob("*.py"),
+              *(ROOT / "tools").glob("*.py")]
     # the package's __init__ imports names to re-export them
     if p.relative_to(ROOT).as_posix() != "src/cubint/__init__.py")
 

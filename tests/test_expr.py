@@ -18,8 +18,9 @@ from cubint.expr import (
 )
 from cubint import (Codifferential, InvariantEngine, expr as expr_mod,
                     isothermal_metric)
-from oracles import (fd_partial, m_mul_reference, p_div_reference,
-                     p_leading_reference, tree_eval)
+from oracles import (fd_partial, m_mul_reference, p_div_exact_reference,
+                     p_div_reference, p_leading_reference, p_mul_reference,
+                     tree_eval)
 
 
 BOX = Box(-2.0, 2.0, -2.0, 2.0)
@@ -336,6 +337,8 @@ def _nf_exprs(depth):
 @example(parse("1/sqrt(-x^2 - 1 + y)"))
 @example(parse("(1/3)^(1/2)"))
 @example(parse("exp(-1)"))
+@example(parse("(3/2 + x^2 + 3*y^2)^-3*x/5"))
+@example(parse("sqrt(2)*x/6 + exp(y/2 - 1)/4 - 3/4*y^(1/3)"))
 def test_normal_form_round_trips(e):
     # simplify and diff store the normal form on the expression they
     # rebuild from it; that is sound only if normalizing the rebuilt
@@ -346,6 +349,38 @@ def test_normal_form_round_trips(e):
         return
     again = to_nf(parse(to_str(nf_to_expr(nf))))
     assert again.num == nf.num and again.den == nf.den
+    assert again.content == nf.content
+    _assert_content_form(nf)
+
+
+def _assert_content_form(nf):
+    """A normal form is a positive Fraction content times a polynomial with
+    coprime int coefficients."""
+    if nf.is_zero():
+        return
+    assert type(nf.content) is Fraction and nf.content > 0
+    assert all(type(c) is int for c in nf.num.values())
+    assert math.gcd(*nf.num.values()) == 1
+
+
+@pytest.mark.parametrize("text", [
+    # a rational constant in an exp argument is a power of e
+    "exp(x + 1) - e*exp(x)",
+    "exp(x - 1/2)*exp(y + 1/2) - exp(x + y)",
+    "exp(2 + x^2)/exp(x^2) - e^2",
+    "ln(exp(x + 1)) - x - 1",
+    "ln(exp(x - 1)) - x + 1",
+    "ln(exp(-1)) + 1",
+    # the radicand of a rational root is an integer
+    "(1/3)^(1/2) - 3^(-1/2)",
+    "(2/3)^(1/2) - 6^(1/2)/3",
+    "(1/2)^(1/2) - 2^(1/2)/2",
+    "(5/7)^(1/2)*(7/5)^(1/2) - 1",
+    # 48 = 2^3*6: n-th powers are not pulled out of the radicand
+    "(3/4)^(1/3) - 48^(1/3)/4",
+])
+def test_one_value_has_one_normal_form(text):
+    assert nf_is_zero(parse(text))
 
 
 def test_simplify_soundness_numeric():
@@ -387,6 +422,8 @@ def test_simplify_exp_ln_folds():
     assert to_str(simplify(parse("exp(ln(1+x^2))"))) == "1 + x^2"
     assert to_str(simplify(parse("exp(x)*exp(y)"))) == "exp(x + y)"
     assert to_str(simplify(parse("exp(x)*exp(-x)"))) == "1"
+    assert to_str(simplify(parse("exp(1 + x)"))) == "e*exp(x)"
+    assert to_str(simplify(parse("exp(x - 1)"))) == "exp(x)/e"
 
 
 def test_simplify_does_not_claim_unprovable_zero():
@@ -396,7 +433,7 @@ def test_simplify_does_not_claim_unprovable_zero():
 
 
 # --------------------------------------------------------------------------
-# exact polynomial division against the former division loop
+# integer products and exact division against the former Fraction loops
 
 _RADICAL = expr_mod._PolyBase(expr_mod._freeze(expr_mod.to_nf(parse("1 + x^2")).num))
 _PLAIN_BASES = (Var("x"), Var("y"), Func("sin", Var("x")), _RADICAL)
@@ -425,9 +462,30 @@ def _polys(bases, max_terms=5, exponents=_EXPONENTS):
                      min_size=1, max_size=max_terms).map(build)
 
 
+def _primitive_polys(bases, max_terms=5, exponents=_EXPONENTS):
+    """Nonzero polynomials with coprime int coefficients, as the kernel
+    keeps normal-form numerators and the integer form of each compound
+    base."""
+    return _polys(bases, max_terms, exponents).filter(bool).map(
+        lambda p: expr_mod._primitive(expr_mod._UNIT, p)[1])
+
+
+def _integral_polys(bases, max_terms=5, exponents=_EXPONENTS):
+    """Polynomials with int coefficients, not all primitive."""
+    return st.one_of(st.just({}), st.tuples(
+        _primitive_polys(bases, max_terms, exponents),
+        st.sampled_from([1, -1, 2, -6, 15]),
+    ).map(lambda t: {m: c * t[1] for m, c in t[0].items()}))
+
+
+def _fractions(p):
+    return {m: Fraction(c) for m, c in p.items()}
+
+
 def _same_division(p, q):
     got = expr_mod._p_div_exact(p, q)
-    assert got == p_div_reference(p, q)
+    assert got == p_div_exact_reference(p, q)
+    assert got == p_div_reference(_fractions(p), _fractions(q))
     return got
 
 
@@ -447,29 +505,58 @@ _X_PLUS_Y3 = _poly("x + y^3")
 # x^(1/2) against a radical base of the same degree, and y^3/x, of the
 # larger total degree though one exponent is negative
 @example(_poly("(1 + x^2)^(1/2) + x^(1/2)"))
-@example(expr_mod._p_mul(_X_PLUS_Y3, {((Var("x"), -1),): Fraction(1)}))
+@example(expr_mod._p_mul(_X_PLUS_Y3, {((Var("x"), -1),): 1}))
 def test_leading_term_matches_reference(p):
     assert expr_mod._p_leading(p) == p_leading_reference(p)
 
 
-@given(_polys(_PLAIN_BASES), _polys(_PLAIN_BASES).filter(bool))
+@given(_integral_polys(_PLAIN_BASES + _FOLDING_BASES, 4),
+       _integral_polys(_PLAIN_BASES + _FOLDING_BASES, 4))
 @settings(max_examples=300, deadline=None)
-@example(expr_mod._p_mul(_X_PLUS_Y3, {((Var("x"), Fraction(-1)),): Fraction(1)}),
-         _X_PLUS_Y3)
+# 2^(1/2)*2^(1/2) = 2 and, on a base built as _RatPow(1/3),
+# (1/3)^(1/2)*(1/3)^(1/2) = 1/3 fold into the coefficient;
+# exp(x)*exp(-x) = 1 merges two monomials
+@example(_poly("x + 2^(1/2)"), _poly("2^(1/2) - x"))
+@example({expr_mod._m_build([(_FOLDING_BASES[4], Fraction(1, 2))])[1]: 3,
+          ((Var("y"), 1),): 1},
+         {expr_mod._m_build([(_FOLDING_BASES[4], Fraction(1, 2))])[1]: 1})
+@example(_poly("exp(x) + y"), _poly("exp(-x) - 1"))
+def test_product_matches_reference(p, q):
+    got = expr_mod._p_mul(p, q)
+    assert got == p_mul_reference(p, q)
+    # only a product that folds leaves the integers
+    if not any(map(expr_mod._folds, {b for r in (p, q) for m in r
+                                     for (b, _) in m})):
+        assert all(type(c) is int for c in got.values())
+
+
+@given(_primitive_polys(_PLAIN_BASES, 4), _primitive_polys(_PLAIN_BASES, 4))
+@settings(max_examples=200, deadline=None)
+def test_product_of_primitive_polynomials_is_primitive(p, q):
+    # Gauss's lemma, on which nf_mul relies to skip the content
+    assert math.gcd(*expr_mod._p_mul(p, q).values()) == 1
+
+
+@given(_integral_polys(_PLAIN_BASES), _primitive_polys(_PLAIN_BASES))
+@settings(max_examples=300, deadline=None)
+@example(expr_mod._p_mul(_X_PLUS_Y3, {((Var("x"), -1),): 1}), _X_PLUS_Y3)
+# lc(q) = 2 does not divide lc(p) = 3: the integer loop stops at once
+@example(_poly("3*x^2 + 2*y"), _poly("2*x + 1"))
+@example(_poly("6*x^2 + 3*x + 4*x*y + 2*y"), _poly("2*x + 1"))
 def test_division_matches_reference(p, q):
     _same_division(p, q)
 
 
-@given(_polys(_PLAIN_BASES, 4).filter(bool),
-       _polys(_PLAIN_BASES, 4, _POSITIVE).filter(bool))
+@given(_primitive_polys(_PLAIN_BASES, 4),
+       _integral_polys(_PLAIN_BASES, 4, _POSITIVE).filter(bool))
 @settings(max_examples=200, deadline=None)
 def test_division_of_exact_products(q, s):
     # with no negative exponent in s, lead(q) divides lead(q*s) at every step
     assert _same_division(expr_mod._p_mul(q, s), q) == s
 
 
-@given(_polys(_PLAIN_BASES, 1).filter(bool),
-       _polys(_PLAIN_BASES).filter(lambda q: len(q) > 1))
+@given(_integral_polys(_PLAIN_BASES, 1).filter(bool),
+       _primitive_polys(_PLAIN_BASES).filter(lambda q: len(q) > 1))
 @settings(max_examples=100, deadline=None)
 def test_division_of_one_term(p, q):
     assert _same_division(p, q) is None
@@ -479,24 +566,25 @@ def test_division_stops_at_guard():
     # (1 - x^-n)/(1 - 1/x) = 1 + 1/x + ... + x^-(n-1) takes n steps, and
     # the guard allows 4*(2 + 2) + 64 = 80 of them
     def one_minus(n):
-        return {(): Fraction(1), ((Var("x"), Fraction(-n)),): Fraction(-1)}
+        return {(): 1, ((Var("x"), -n),): -1}
 
     assert len(_same_division(one_minus(80), one_minus(1))) == 80
     assert _same_division(one_minus(81), one_minus(1)) is None
 
 
-@given(_polys(_FOLDING_BASES), _polys(_FOLDING_BASES).filter(bool))
+@given(_integral_polys(_FOLDING_BASES), _primitive_polys(_FOLDING_BASES))
 @settings(max_examples=200, deadline=None)
 def test_division_with_folding_bases(p, q):
     _same_division(p, q)
 
 
-@given(_polys(_FOLDING_BASES, 3).filter(bool), _polys(_FOLDING_BASES, 3).filter(bool))
+@given(_primitive_polys(_FOLDING_BASES, 3), _primitive_polys(_FOLDING_BASES, 3))
 @settings(max_examples=100, deadline=None)
 # 2^(1/2)*2^(1/2) = 2 and exp(x)*exp(-x) = 1: no vector adds
 @example(_poly("x + 2^(1/2)"), _poly("2^(1/2) - x"))
 @example(_poly("exp(x) + y"), _poly("exp(-x)"))
 def test_division_of_exact_products_with_folding_bases(q, s):
+    # a fold may leave the product rational; the tuple loop takes that
     _same_division(expr_mod._p_mul(q, s), q)
 
 
