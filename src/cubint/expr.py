@@ -568,14 +568,19 @@ def _m_build(pairs) -> tuple:
             continue
         acc[b] = acc.get(b, 0) + e
     if exp_args:
-        total = _NF_ZERO
-        for (arg, m) in exp_args:
-            total = nf_add(total, nf_scale(to_nf(arg), m))
+        total = nf_sum([nf_scale(to_nf(arg), m) for (arg, m) in exp_args])
         # exp(k + u) = e^k * exp(u) for the rational constant term k
         k, total = _nf_split_const(total)
         if k:
             acc[_E] = acc.get(_E, 0) + k
-        if not total.is_zero():
+        u = _exp_ln_arg(total)
+        if u is not None and len(u.num) == 1:
+            # exp(ln(u)) = u for a one-term u; a compound u stays an atom
+            ((m, c),) = u.num.items()
+            coeff = u.content * c
+            for b, e in m + tuple((b, -e) for (b, e) in u.den):
+                acc[b] = acc.get(b, 0) + e
+        elif not total.is_zero():
             b = Func("exp", nf_to_expr(total))
             acc[b] = acc.get(b, 0) + 1
     out = []
@@ -1066,43 +1071,33 @@ def _freeze(p: dict) -> tuple:
     return tuple(sorted(p.items(), key=lambda it: _mono_skey(it[0])))
 
 
-def nf_add(a: NF, b: NF) -> NF:
-    if a.is_zero():
-        return b
-    if b.is_zero():
-        return a
-    da, db = dict(a.den), dict(b.den)
-    lcm: dict = dict(da)
-    for bb, e in db.items():
-        if lcm.get(bb, 0) < e:
-            lcm[bb] = e
-    ma = [(bb, e - da.get(bb, 0)) for bb, e in lcm.items() if e - da.get(bb, 0) > 0]
-    mb = [(bb, e - db.get(bb, 0)) for bb, e in lcm.items() if e - db.get(bb, 0) > 0]
-    # den bases never fold, so these monomials come with multiplier 1
-    _, mam = _m_build(ma)
-    _, mbm = _m_build(mb)
-    # a.content*A + b.content*B = g/l * (sa*A + sb*B) with integers sa, sb
-    ca, cb = a.content, b.content
-    if ca == cb:
-        c, sa, sb = ca, 1, 1
-    else:
-        g = math.gcd(ca.numerator, cb.numerator)
-        l = math.lcm(ca.denominator, cb.denominator)
-        c = Fraction(g, l)
-        sa = ca.numerator // g * (l // ca.denominator)
-        sb = cb.numerator // g * (l // cb.denominator)
-    num = _p_mul_mono(a.num, mam, sa)
-    _p_add_into(num, _p_mul_mono(b.num, mbm, sb))
+def nf_sum(nfs) -> NF:
+    """The normal form of a sum, normalized once: over the lcm of the
+    denominators, with one content and one numerator."""
+    nfs = [a for a in nfs if a.num]
+    if len(nfs) < 2:
+        return nfs[0] if nfs else _NF_ZERO
+    lcm: dict = {}
+    for a in nfs:
+        for b, e in a.den:
+            if lcm.get(b, 0) < e:
+                lcm[b] = e
+    # sum of a.content*A = g/l * sum of s_a*A with integers s_a
+    g = math.gcd(*[a.content.numerator for a in nfs])
+    l = math.lcm(*[a.content.denominator for a in nfs])
+    num: dict = {}
+    for a in nfs:
+        s = a.content.numerator // g * (l // a.content.denominator)
+        da = dict(a.den)
+        # den bases never fold, so this monomial comes with multiplier 1
+        _, m = _m_build([(b, e - da.get(b, 0)) for b, e in lcm.items()])
+        _p_add_into(num, _p_mul_mono(a.num, m) if m else a.num, s)
     den = tuple(sorted(lcm.items(), key=lambda p: _skey(p[0])))
-    return _mk_nf(c, num, den)
+    return _mk_nf(Fraction(g, l), num, den)
 
 
 def nf_neg(a: NF) -> NF:
     return NF(a.content, _p_scale(a.num, -1), a.den)
-
-
-def nf_sub(a: NF, b: NF) -> NF:
-    return nf_add(a, nf_neg(b))
 
 
 def nf_scale(a: NF, s: Fraction) -> NF:
@@ -1252,9 +1247,7 @@ def to_nf(e: Expr) -> NF:
     elif t is Var or t is Const:
         nf = _atom_nf(e)
     elif t is Add:
-        nf = _NF_ZERO
-        for s in e.terms:
-            nf = nf_add(nf, to_nf(s))
+        nf = nf_sum([to_nf(s) for s in e.terms])
     elif t is Mul:
         nf = _NF_ONE
         for f in e.factors:
@@ -1287,12 +1280,15 @@ def _func_nf(name: str, argnf: NF) -> NF:
     if name == "sqrt":
         return nf_pow(argnf, Fraction(1, 2))
     if name == "exp":
-        # exp(ln(u)) -> u
-        inner = _pure_atom(argnf)
-        if isinstance(inner, Func) and inner.name == "ln":
-            return to_nf(inner.arg)
-        # _m_build splits off e^k for a constant term k of the argument;
-        # e^-k goes to the denominator, as it does when parsed as e^-k
+        k, rest = _nf_split_const(argnf)
+        u = _exp_ln_arg(rest)
+        if u is not None and len(u.num) > 1:
+            # exp(k + ln(u)) = e^k*u for a compound u, which no monomial holds
+            cm, mono = _m_build([(_E, k)])
+            return nf_mul(_mk_nf(cm, {mono: 1}, ()), u)
+        # _m_build splits off e^k for a constant term k of the argument and
+        # folds exp(ln(u)) for a one-term u; e^-k goes to the denominator,
+        # as it does when parsed as e^-k
         cm, mono = _m_build([(Func("exp", nf_to_expr(argnf)), 1)])
         return _mk_nf(cm, {mono: 1}, ())
     cval = _nf_const_value(argnf)
@@ -1310,11 +1306,8 @@ def _func_nf(name: str, argnf: NF) -> NF:
             if c == 1 and argnf.content == 1 and all(
                     b == _E or (type(b) is Func and b.name == "exp")
                     for (b, _) in pairs):
-                out = _NF_ZERO
-                for (b, ex) in pairs:
-                    out = nf_add(out, _nf_rat(Fraction(ex)) if b == _E
-                                 else to_nf(b.arg))
-                return out
+                return nf_sum([_nf_rat(Fraction(ex)) if b == _E
+                               else to_nf(b.arg) for (b, ex) in pairs])
         return _atom_nf(Func("ln", nf_to_expr(argnf)))
     # trig / hyperbolic
     if cval is not None and cval == 0:
@@ -1329,22 +1322,24 @@ def _func_nf(name: str, argnf: NF) -> NF:
     return _func_nf_plain(name, argnf)
 
 
+def _exp_ln_arg(nf: NF) -> Optional[NF]:
+    """The normal form of u if nf is exactly ln(u), else None."""
+    if nf.den or len(nf.num) != 1 or nf.content != 1:
+        return None
+    ((m, c),) = nf.num.items()
+    if c == 1 and len(m) == 1 and m[0][1] == 1:
+        b = m[0][0]
+        if type(b) is Func and b.name == "ln":
+            return to_nf(b.arg)
+    return None
+
+
 def _func_nf_plain(name: str, argnf: NF) -> NF:
     return _atom_nf(Func(name, nf_to_expr(argnf)))
 
 
 def _atom_nf(b) -> NF:
     return NF(_UNIT, {((b, 1),): 1}, ())
-
-
-def _pure_atom(nf: NF):
-    """The base if nf is exactly one atom to the first power, else None."""
-    if nf.den or len(nf.num) != 1:
-        return None
-    ((m, c),) = nf.num.items()
-    if c == 1 and nf.content == 1 and len(m) == 1 and m[0][1] == 1:
-        return m[0][0]
-    return None
 
 
 # ---- NF -> AST -----------------------------------------------------------
@@ -1415,68 +1410,77 @@ def diff(e: Expr, v: Union[str, Var]) -> Expr:
     if nd > ORDER_CAP:
         raise OrderCapExceeded(
             f"derivative order {nd} exceeds cap {ORDER_CAP}")
-    return _with_dord(nf_to_expr(_nf_diff(to_nf(e), name)), nd)
+    return _with_dord(nf_to_expr(_nf_diff(to_nf(e), name, {})), nd)
 
 
-def _nf_diff(a: NF, var: str) -> NF:
+def _nf_diff(a: NF, var: str, memo: dict) -> NF:
+    """d(a)/d(var); memo holds the derivative of each base met in it."""
     if a.is_zero():
         return _NF_ZERO
-    dnum = nf_scale(_p_diff(a.num, var), a.content)
+    dn = nf_scale(_p_diff(a.num, var, memo), a.content)
     if not a.den:
-        return dnum
-    # (N/D)' = (N' - N * D'/D) / D   with D a monomial of den bases
-    dlog = _NF_ZERO  # D'/D = sum k_i b_i'/b_i
+        return dn
+    # (N/D)' = (N'B - N sum e_i b_i' B/b_i) / (D*B) for D = prod b_i^e_i and
+    # B the product of the b_i with b_i' != 0.  B and B/b_i have no
+    # denominator, so _mk_nf divides only by those of N' and b_i' before
+    # the one division by D*B.
+    live = [b for (b, _) in a.den if not _dbase(b, var, memo).is_zero()]
+    n = NF(a.content, a.num, ())
+    terms = [nf_mul(dn, _nf_prod(live)) if live else dn]
     for (b, e) in a.den:
-        db = _dbase(b, var)
-        if db.is_zero():
-            continue
-        binv = nf_recip(_atom_nf(b))
-        dlog = nf_add(dlog, nf_scale(nf_mul(db, binv), Fraction(e)))
-    n_nf = NF(a.content, a.num, ())
-    total = nf_sub(dnum, nf_mul(n_nf, dlog))
-    dinv = nf_recip(NF(_UNIT, {a.den: 1}, ()))
-    return nf_mul(total, dinv)
+        if b in live:
+            rest = _nf_prod([c for c in live if c is not b])
+            terms.append(nf_scale(nf_mul(nf_mul(n, rest), memo[b]), -e))
+    db = tuple((b, e + 1) if b in live else (b, e) for (b, e) in a.den)
+    return nf_mul(nf_sum(terms), NF(_UNIT, {(): 1}, db))
 
 
-def _p_diff(p: dict, var: str) -> NF:
-    out = _NF_ZERO
-    for m, c in p.items():
-        for i, (b, e) in enumerate(m):
-            db = _dbase(b, var)
-            if db.is_zero():
-                continue
-            rest = list(m[:i]) + list(m[i + 1:]) + [(b, e - 1)]
-            cm, rm = _m_build(rest)
-            # rm may hold a negative exponent; nf_mul's _mk_nf resolves it
-            k = c * e * cm
-            term = NF(abs(k), {rm: 1 if k > 0 else -1}, ())
-            out = nf_add(out, nf_mul(term, db))
+def _nf_prod(bases) -> NF:
+    """The product of denominator bases, as a normal form."""
+    out = _NF_ONE
+    for b in bases:
+        bnf = NF(*_pb_prim(b), ()) if type(b) is _PolyBase else _atom_nf(b)
+        out = bnf if out is _NF_ONE else nf_mul(out, bnf)
     return out
 
 
-_DBASE_CACHE: dict = {}
+def _p_diff(p: dict, var: str, memo: dict) -> NF:
+    """d(p)/d(var) for a polynomial p: the sum over its bases b of
+    (dp/db)*b'."""
+    parts: dict = {}   # b -> dp/db, the monomials with b's exponent lowered
+    for m, c in p.items():
+        for i, (b, e) in enumerate(m):
+            if _dbase(b, var, memo).is_zero():
+                continue
+            # b does not fold: an exp atom has exponent 1, and a _RatPow a
+            # zero derivative.  A negative exponent left in the monomial is
+            # resolved by nf_mul's _mk_nf.
+            low = ((b, e - 1),) if e != 1 else ()
+            parts.setdefault(b, {})[m[:i] + low + m[i + 1:]] = c * e
+    return nf_sum([nf_mul(NF(_UNIT, dp, ()), memo[b])
+                   for b, dp in parts.items()])
 
 
-def _dbase(b, var: str) -> NF:
-    key = (b, var)
-    got = _DBASE_CACHE.get(key)
-    if got is not None:
-        return got
+def _dbase(b, var: str, memo: dict) -> NF:
+    """d(b)/d(var) for a monomial base b, memoized in memo."""
+    out = memo.get(b)
+    if out is not None:
+        return out
     if isinstance(b, Var):
         out = _NF_ONE if b.name == var else _NF_ZERO
     elif isinstance(b, (Const, _RatPow)):
         out = _NF_ZERO
     elif isinstance(b, Func):
-        darg = _nf_diff(to_nf(b.arg), var)
+        darg = _nf_diff(to_nf(b.arg), var, memo)
         if darg.is_zero():
             out = _NF_ZERO
         else:
             out = nf_mul(_func_outer_deriv(b), darg)
     elif isinstance(b, _PolyBase):
-        out = _nf_diff(NF(*_pb_prim(b), ()), var)
+        out = _nf_diff(NF(*_pb_prim(b), ()), var, memo)
     else:
         raise TypeError(f"no derivative for base {b!r}")
-    _DBASE_CACHE[key] = out
+    memo[b] = out
     return out
 
 
@@ -1488,7 +1492,7 @@ def _func_outer_deriv(b: Func) -> NF:
         return nf_neg(_atom_nf(Func("sin", u)))
     if name == "tan":
         t = _atom_nf(Func("tan", u))
-        return nf_add(_NF_ONE, nf_mul(t, t))
+        return nf_sum((_NF_ONE, nf_mul(t, t)))
     if name == "exp":
         return _atom_nf(b)
     if name == "ln":
@@ -1499,7 +1503,7 @@ def _func_outer_deriv(b: Func) -> NF:
         return _atom_nf(Func("sinh", u))
     if name == "tanh":
         t = _atom_nf(Func("tanh", u))
-        return nf_sub(_NF_ONE, nf_mul(t, t))
+        return nf_sum((_NF_ONE, nf_neg(nf_mul(t, t))))
     raise TypeError(name)
 
 

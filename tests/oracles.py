@@ -7,7 +7,9 @@ The exceptions are p_leading_reference, the kernel's former leading-term
 search with its own graded-lex comparator, p_div_reference, the kernel's
 former long-division loop, p_mul_reference and p_div_exact_reference, its
 former polynomial product and exact division on Fraction coefficients,
-m_mul_reference, its former monomial product,
+m_mul_reference, its former monomial product, nf_add_reference,
+nf_diff_reference and p_diff_reference, its former pairwise sum and
+derivatives, which normalized every intermediate sum and product,
 closure_compile with rk4_reference, the former closure compiler and RK4
 driver of the geodesic flow, momentum_poly_reference, the
 former per-polynomial evaluator of H and F, and the hand-written rank-3
@@ -23,9 +25,11 @@ from fractions import Fraction
 
 from cubint.expr import (Add, Const, EvalDomainError, Func, Mul, Pow, Rat,
                          Var, as_expr, diff, simplify)
-from cubint.expr import (_UNIT, _folds, _glex_key, _int_exp, _m_build,
-                         _m_div, _m_divides, _m_mul, _m_total_deg,
-                         _p_add_into, _p_mul_mono, _skey)
+from cubint.expr import (NF, _NF_ONE, _NF_ZERO, _UNIT, _atom_nf, _folds,
+                         _func_outer_deriv, _glex_key, _int_exp, _m_build,
+                         _m_div, _m_divides, _m_mul, _m_total_deg, _mk_nf,
+                         _p_add_into, _p_mul_mono, _pb_prim, _PolyBase, _skey,
+                         nf_mul, nf_neg, nf_recip, nf_scale, to_nf)
 from cubint.tensorcoords import SymTensor3, SymTensor4
 
 
@@ -553,3 +557,81 @@ def sym4_reference(d4):
             s = s + d4[idx[0]][idx[1]][idx[2]][idx[3]]
         comps.append(simplify(f24 * s))
     return SymTensor4(comps)
+
+
+def nf_add_reference(a, b):
+    """a + b: the kernel's former sum of two normal forms, folded pairwise
+    over a sum's terms."""
+    if a.is_zero():
+        return b
+    if b.is_zero():
+        return a
+    da, db = dict(a.den), dict(b.den)
+    lcm = dict(da)
+    for bb, e in db.items():
+        if lcm.get(bb, 0) < e:
+            lcm[bb] = e
+    ma = [(bb, e - da.get(bb, 0)) for bb, e in lcm.items() if e - da.get(bb, 0) > 0]
+    mb = [(bb, e - db.get(bb, 0)) for bb, e in lcm.items() if e - db.get(bb, 0) > 0]
+    _, mam = _m_build(ma)
+    _, mbm = _m_build(mb)
+    ca, cb = a.content, b.content
+    g = math.gcd(ca.numerator, cb.numerator)
+    l = math.lcm(ca.denominator, cb.denominator)
+    sa = ca.numerator // g * (l // ca.denominator)
+    sb = cb.numerator // g * (l // cb.denominator)
+    num = _p_mul_mono(a.num, mam, sa)
+    _p_add_into(num, _p_mul_mono(b.num, mbm, sb))
+    den = tuple(sorted(lcm.items(), key=lambda p: _skey(p[0])))
+    return _mk_nf(Fraction(g, l), num, den)
+
+
+def nf_diff_reference(a, var):
+    """d(a)/d(var): the kernel's former quotient rule,
+    (N/D)' = (N' - N*D'/D)/D with D'/D = sum e_i b_i'/b_i, every step its
+    own normal form."""
+    if a.is_zero():
+        return _NF_ZERO
+    dnum = nf_scale(p_diff_reference(a.num, var), a.content)
+    if not a.den:
+        return dnum
+    dlog = _NF_ZERO
+    for (b, e) in a.den:
+        db = _dbase_reference(b, var)
+        if db.is_zero():
+            continue
+        binv = nf_recip(_atom_nf(b))
+        dlog = nf_add_reference(dlog, nf_scale(nf_mul(db, binv), Fraction(e)))
+    n_nf = NF(a.content, a.num, ())
+    total = nf_add_reference(dnum, nf_neg(nf_mul(n_nf, dlog)))
+    return nf_mul(total, nf_recip(NF(_UNIT, {a.den: 1}, ())))
+
+
+def p_diff_reference(p, var):
+    """d(p)/d(var) for a polynomial p: the kernel's former sum with one
+    pairwise add per (monomial, base)."""
+    out = _NF_ZERO
+    for m, c in p.items():
+        for i, (b, e) in enumerate(m):
+            db = _dbase_reference(b, var)
+            if db.is_zero():
+                continue
+            rest = list(m[:i]) + list(m[i + 1:]) + [(b, e - 1)]
+            cm, rm = _m_build(rest)
+            k = c * e * cm
+            term = NF(abs(k), {rm: 1 if k > 0 else -1}, ())
+            out = nf_add_reference(out, nf_mul(term, db))
+    return out
+
+
+def _dbase_reference(b, var):
+    if isinstance(b, Var):
+        return _NF_ONE if b.name == var else _NF_ZERO
+    if isinstance(b, Const) or not isinstance(b, (Func, _PolyBase)):
+        return _NF_ZERO
+    if isinstance(b, _PolyBase):
+        return nf_diff_reference(NF(*_pb_prim(b), ()), var)
+    darg = nf_diff_reference(to_nf(b.arg), var)
+    if darg.is_zero():
+        return _NF_ZERO
+    return nf_mul(_func_outer_deriv(b), darg)

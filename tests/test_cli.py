@@ -343,22 +343,35 @@ def test_invariants_symbolic_trivial_pair(tmp_path, capsys):
 GOLDEN_SYMBOLIC = """\
 [metric]
 kind = isothermal
-lambda = 1 + 2/3*x^2 + 2*y^2
+lambda = {lam}
 
 [codifferential]
 kind = isothermal-complex
-a_re = 1/2
+a_re = {a_re}
 a_im = 0
 """
 
 
-def test_invariants_symbolic_golden(tmp_path, capsys):
-    # every printed form byte for byte: monic denominators such as
-    # (3/2 + x^2 + 3*y^2) and the rational coefficients over them
-    man = _write(tmp_path, "m.ini", GOLDEN_SYMBOLIC)
+# every printed form byte for byte, each output written before the kernel
+# change it guards
+@pytest.mark.parametrize("lam, a_re, data", [
+    # monic denominators such as (3/2 + x^2 + 3*y^2) and the rational
+    # coefficients over them
+    pytest.param("1 + 2/3*x^2 + 2*y^2", "1/2", "invariants_symbolic.json",
+                 id="polynomial"),
+    # a rational metric: denominators up to the 15th power
+    pytest.param("1/(1 + x^2 + y^2/2)", "1",
+                 "invariants_symbolic_rational.json", id="rational"),
+    # a radical of a rational in the metric
+    pytest.param("2 + sqrt(2)*x + y^2", "1",
+                 "invariants_symbolic_radical.json", id="radical"),
+    pytest.param("1 + x^2*exp(y)", "0", "invariants_symbolic_exp.json",
+                 id="exp"),
+])
+def test_invariants_symbolic_golden(tmp_path, capsys, lam, a_re, data):
+    man = _write(tmp_path, "m.ini", GOLDEN_SYMBOLIC.format(lam=lam, a_re=a_re))
     assert main(["invariants", man, "--symbolic"]) == 0
-    want = (pathlib.Path(__file__).parent / "data"
-            / "invariants_symbolic.json").read_text()
+    want = (pathlib.Path(__file__).parent / "data" / data).read_text()
     assert capsys.readouterr().out == want
 
 

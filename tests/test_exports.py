@@ -59,3 +59,35 @@ def _unused_imports(tree):
 def test_no_unused_imports(path):
     tree = ast.parse((ROOT / path).read_text(), path)
     assert _unused_imports(tree) == []
+
+
+PACKAGE = sorted(str(p.relative_to(ROOT))
+                 for p in (ROOT / "src" / "cubint").glob("*.py"))
+
+
+def _empty_containers(tree):
+    """Names bound at module level to an empty dict, list or set: state
+    that every caller and thread in the process would share."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        empty = (isinstance(value, ast.Dict) and not value.keys
+                 or isinstance(value, ast.List) and not value.elts
+                 or isinstance(value, ast.Call)
+                 and isinstance(value.func, ast.Name)
+                 and value.func.id in ("dict", "list", "set")
+                 and not value.args and not value.keywords)
+        if empty:
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return names
+
+
+@pytest.mark.parametrize("path", PACKAGE)
+def test_no_shared_mutable_state(path):
+    tree = ast.parse((ROOT / path).read_text(), path)
+    assert _empty_containers(tree) == []

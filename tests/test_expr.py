@@ -1,4 +1,5 @@
 import copy
+import functools
 import math
 import operator
 import pickle
@@ -18,9 +19,9 @@ from cubint.expr import (
 )
 from cubint import (Codifferential, InvariantEngine, expr as expr_mod,
                     isothermal_metric)
-from oracles import (fd_partial, m_mul_reference, p_div_exact_reference,
-                     p_div_reference, p_leading_reference, p_mul_reference,
-                     tree_eval)
+from oracles import (fd_partial, m_mul_reference, nf_add_reference,
+                     nf_diff_reference, p_div_exact_reference, p_div_reference,
+                     p_leading_reference, p_mul_reference, tree_eval)
 
 
 BOX = Box(-2.0, 2.0, -2.0, 2.0)
@@ -339,6 +340,7 @@ def _nf_exprs(depth):
 @example(parse("exp(-1)"))
 @example(parse("(3/2 + x^2 + 3*y^2)^-3*x/5"))
 @example(parse("sqrt(2)*x/6 + exp(y/2 - 1)/4 - 3/4*y^(1/3)"))
+@example(parse("exp(2 + ln(x))"))
 def test_normal_form_round_trips(e):
     # simplify and diff store the normal form on the expression they
     # rebuild from it; that is sound only if normalizing the rebuilt
@@ -351,6 +353,44 @@ def test_normal_form_round_trips(e):
     assert again.num == nf.num and again.den == nf.den
     assert again.content == nf.content
     _assert_content_form(nf)
+
+
+def _nfs(exprs):
+    """The normal forms of exprs, leaving out those that fail to normalize."""
+    out = []
+    for e in exprs:
+        try:
+            out.append(to_nf(e))
+        except (ZeroDivisionError, EvalDomainError):
+            pass
+    return out
+
+
+def _assert_same_nf(got, want):
+    assert (got.content, got.num, got.den) == (want.content, want.num, want.den)
+
+
+@given(st.lists(_nf_exprs(3), min_size=2, max_size=5))
+@settings(max_examples=150, deadline=None)
+def test_sum_matches_pairwise_reference(exprs):
+    nfs = _nfs(exprs)
+    got = expr_mod.nf_sum(nfs)
+    _assert_same_nf(got, functools.reduce(nf_add_reference, nfs, expr_mod._NF_ZERO))
+    _assert_content_form(got)
+
+
+@given(st.lists(_nf_exprs(3), min_size=2, max_size=5))
+@settings(max_examples=60, deadline=None)
+# the quotient rule over two compound denominator bases, one of them a
+# radical's: B/b_i of each is the other
+@example([parse("1/(1 + x^2)"), parse("y/sqrt(2 + x - y^2)")])
+def test_derivative_matches_reference(exprs):
+    nfs = _nfs(exprs)
+    for nf in nfs + [expr_mod.nf_sum(nfs)]:
+        for var in ("x", "y"):
+            got = expr_mod._nf_diff(nf, var, {})
+            _assert_same_nf(got, nf_diff_reference(nf, var))
+            _assert_content_form(got)
 
 
 def _assert_content_form(nf):
@@ -371,6 +411,11 @@ def _assert_content_form(nf):
     "ln(exp(x + 1)) - x - 1",
     "ln(exp(x - 1)) - x + 1",
     "ln(exp(-1)) + 1",
+    # exp(ln(u)) is u once the constant term is split off: in a whole
+    # argument (any u) and in a product of exp atoms (a one-term u)
+    "exp(1 + ln(x)) - e*x",
+    "exp(ln(x) + y)*exp(-y) - x",
+    "exp(-1 + ln(1 + x^2)) - (1 + x^2)/e",
     # the radicand of a rational root is an integer
     "(1/3)^(1/2) - 3^(-1/2)",
     "(2/3)^(1/2) - 6^(1/2)/3",
