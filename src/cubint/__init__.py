@@ -14,7 +14,6 @@ from .expr import (  # noqa: F401
     EvalDomainError,
     Expr,
     ExpressionSyntaxError,
-    OrderCapExceeded,
     UnknownIdentifier,
     ZeroTestConfig,
     ZeroVerdict,

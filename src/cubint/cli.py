@@ -48,8 +48,8 @@ from typing import Dict, Optional, Tuple
 
 from .decision import Verdict, decide
 from .expr import (Box, EvalDomainError, Expr, ExpressionSyntaxError,
-                   OrderCapExceeded, UnknownIdentifier, ZeroTestConfig,
-                   ZeroVerdict, eval_at, parse, simplify, to_nf, to_str)
+                   UnknownIdentifier, ZeroTestConfig, ZeroVerdict, eval_at,
+                   parse, simplify, to_nf, to_str)
 from .geometry import (ChartMismatch, general_metric, isothermal_metric,
                        null_metric)
 from .invariants import (Codifferential, HolomorphicityViolated,
@@ -128,17 +128,23 @@ def _get_int(section, key: str, default: Optional[int], where: str):
                             % (where, key, section[key])) from exc
 
 
-def load_manifest(path: str) -> Manifest:
+def _read_ini(path: str, what: str) -> configparser.ConfigParser:
+    """Read an INI file; what ("manifest", "integral file") names it in
+    the error messages."""
     cp = configparser.ConfigParser(interpolation=None,
                                    inline_comment_prefixes=(";", "#"))
     try:
         with open(path) as fh:
             cp.read_file(fh)
     except OSError as exc:
-        raise ManifestError("cannot read manifest %s: %s" % (path, exc))
+        raise ManifestError("cannot read %s %s: %s" % (what, path, exc))
     except configparser.Error as exc:
-        raise ManifestError("manifest syntax: %s" % exc)
+        raise ManifestError("%s syntax: %s" % (what, exc))
+    return cp
 
+
+def load_manifest(path: str) -> Manifest:
+    cp = _read_ini(path, "manifest")
     for name in ("metric", "codifferential"):
         if name not in cp:
             raise ManifestError("manifest needs a [%s] section" % name)
@@ -367,15 +373,7 @@ def cmd_invariants(args) -> int:
 
 
 def _load_integral(path: str) -> SymTensor3:
-    cp = configparser.ConfigParser(interpolation=None,
-                                   inline_comment_prefixes=(";", "#"))
-    try:
-        with open(path) as fh:
-            cp.read_file(fh)
-    except OSError as exc:
-        raise ManifestError("cannot read integral file %s: %s" % (path, exc))
-    except configparser.Error as exc:
-        raise ManifestError("integral file syntax: %s" % exc)
+    cp = _read_ini(path, "integral file")
     if "integral" not in cp:
         raise ManifestError("integral file needs an [integral] section")
     sec = cp["integral"]
@@ -551,7 +549,7 @@ def main(argv=None) -> int:
         sys.stderr.write("input error: %s\n" % exc)
         return EXIT_INPUT_ERROR
     except (ExpressionSyntaxError, UnknownIdentifier, ChartMismatch,
-            HolomorphicityViolated, OrderCapExceeded, EvalDomainError,
+            HolomorphicityViolated, EvalDomainError,
             ZeroDivisionError) as exc:
         sys.stderr.write("input error: %s: %s\n"
                          % (type(exc).__name__, exc))

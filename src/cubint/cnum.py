@@ -17,7 +17,7 @@ from .expr import (
 )
 
 __all__ = [
-    "CExpr", "Z", "ZBAR", "I", "c_one",
+    "CExpr", "Z", "ZBAR", "c_one",
     "wirtinger_z", "wirtinger_zbar", "is_holomorphic", "parse_complex",
 ]
 
@@ -133,10 +133,6 @@ def _coerce(v) -> CExpr:
 
 def c_one() -> CExpr:
     return CExpr(Rat(1), Rat(0))
-
-
-def I() -> CExpr:  # noqa: E743 - the imaginary unit
-    return CExpr(Rat(0), Rat(1))
 
 
 def Z() -> CExpr:

@@ -17,7 +17,6 @@ up under the quotient rule.
 
 from __future__ import annotations
 
-import copy
 import math
 import random
 from contextvars import ContextVar
@@ -31,11 +30,8 @@ __all__ = [
     "eval_at", "eval_scaled", "compile_float", "is_zero", "nf_is_zero",
     "Box", "ZeroTestConfig", "ZeroVerdict",
     "ExprError", "ExpressionSyntaxError", "UnknownIdentifier",
-    "EvalDomainError", "OrderCapExceeded",
-    "FUNCTIONS", "ORDER_CAP", "as_expr",
+    "EvalDomainError", "FUNCTIONS", "as_expr",
 ]
-
-ORDER_CAP = 8
 
 FUNCTIONS = ("sin", "cos", "tan", "exp", "ln", "sqrt", "sinh", "cosh", "tanh")
 _CONST_NAMES = ("pi", "e")
@@ -66,10 +62,6 @@ class EvalDomainError(ExprError):
     value, or a non-finite intermediate; samplers treat this as 'resample'."""
 
 
-class OrderCapExceeded(ExprError):
-    """Cumulative derivative order of an expression exceeded ORDER_CAP."""
-
-
 # --------------------------------------------------------------------------
 # AST
 
@@ -86,16 +78,13 @@ def _frac(v) -> Fraction:
 class Expr:
     """Immutable expression node.  Structural equality, cached hash.
 
-    _dord is the cumulative derivative order used to produce the value
-    (metadata, excluded from equality, fixed when the node is built); _nf
-    caches the normal form and _fn the compiled float evaluator.
+    _nf caches the normal form and _fn the compiled float evaluator.
     """
 
-    __slots__ = ("_hash", "_dord", "_nf", "_skey", "_fn")
+    __slots__ = ("_hash", "_nf", "_skey", "_fn")
 
-    def _init_meta(self, dord: int = 0):
+    def _init_meta(self):
         self._hash = None
-        self._dord = dord
         self._nf = None
         self._skey = None
         self._fn = None
@@ -215,7 +204,7 @@ class Add(Expr):
     def __init__(self, terms):
         # not for public use: construct through add()
         self.terms = tuple(terms)
-        self._init_meta(max((t._dord for t in self.terms), default=0))
+        self._init_meta()
 
     def __eq__(self, other):
         return type(other) is Add and other.terms == self.terms
@@ -231,7 +220,7 @@ class Mul(Expr):
 
     def __init__(self, factors):
         self.factors = tuple(factors)
-        self._init_meta(max((t._dord for t in self.factors), default=0))
+        self._init_meta()
 
     def __eq__(self, other):
         return type(other) is Mul and other.factors == self.factors
@@ -248,7 +237,7 @@ class Pow(Expr):
     def __init__(self, base: Expr, exp: Fraction):
         self.base = base
         self.exp = _frac(exp)
-        self._init_meta(base._dord)
+        self._init_meta()
 
     def __eq__(self, other):
         return type(other) is Pow and other.exp == self.exp and other.base == self.base
@@ -267,7 +256,7 @@ class Func(Expr):
             raise ValueError(f"unknown function {name!r}")
         self.name = name
         self.arg = arg
-        self._init_meta(arg._dord)
+        self._init_meta()
 
     def __eq__(self, other):
         return type(other) is Func and other.name == self.name and other.arg == self.arg
@@ -283,7 +272,6 @@ Y = Var("y")
 ZERO = Rat(0)
 ONE = Rat(1)
 _E = Const("e")
-_PI = Const("pi")
 
 
 # --------------------------------------------------------------------------
@@ -666,10 +654,6 @@ def _m_mul(m1: tuple, m2: tuple):
 
 def _m_pow(m: tuple, e: Fraction):
     return _m_build([(b, x * e) for (b, x) in m])
-
-
-def _m_total_deg(m: tuple):
-    return sum(e for (_, e) in m)
 
 
 def _m_divides(m1: tuple, m2: tuple) -> bool:
@@ -1357,11 +1341,10 @@ def _base_expr(b) -> Expr:
 def nf_to_expr(nf: NF) -> Expr:
     if nf.is_zero():
         return ZERO
-    terms = sorted(nf.num.items(), key=lambda it: _mono_key_for_sort(it[0]), reverse=True)
     den_factors = [pw(_base_expr(b), Fraction(-e)) for (b, e) in nf.den]
     cn, cd = nf.content.numerator, nf.content.denominator
     out_terms = []
-    for (m, c) in terms:
+    for (m, c) in nf.num.items():
         factors = [Rat(c * cn, cd)]
         for (b, e) in m:
             factors.append(_base_expr(b) if e == 1 else pw(_base_expr(b), e))
@@ -1375,42 +1358,20 @@ def nf_to_expr(nf: NF) -> Expr:
     return e
 
 
-def _mono_key_for_sort(m: tuple):
-    return (_m_total_deg(m), _mono_skey(m))
-
-
 # --------------------------------------------------------------------------
 # public operations
 
-def _with_dord(e: Expr, dord: int) -> Expr:
-    """e if it carries derivative order dord, else a fresh copy that does.
-
-    Normalization hands back nodes shared with its caches and with the
-    input, so the order is never written into an existing node.  The
-    interned zero keeps order 0: an exact-zero result ends a chain."""
-    if e is ZERO or e._dord == dord:
-        return e
-    out = copy.copy(e)
-    out._dord = dord
-    return out
-
-
 def simplify(e: Expr) -> Expr:
     """Canonical rational-normal form of e (idempotent)."""
-    return _with_dord(nf_to_expr(to_nf(e)), e._dord)
+    return nf_to_expr(to_nf(e))
 
 
 def diff(e: Expr, v: Union[str, Var]) -> Expr:
-    """Exact partial derivative, simplified.  Raises OrderCapExceeded when
-    the cumulative derivative order of the result would exceed ORDER_CAP."""
+    """Exact partial derivative, simplified."""
     name = v.name if isinstance(v, Var) else v
     if name not in _VAR_NAMES:
         raise ValueError(f"not a chart variable: {v!r}")
-    nd = e._dord + 1
-    if nd > ORDER_CAP:
-        raise OrderCapExceeded(
-            f"derivative order {nd} exceeds cap {ORDER_CAP}")
-    return _with_dord(nf_to_expr(_nf_diff(to_nf(e), name, {})), nd)
+    return nf_to_expr(_nf_diff(to_nf(e), name, {}))
 
 
 def _nf_diff(a: NF, var: str, memo: dict) -> NF:
@@ -1645,6 +1606,9 @@ def compile_float(*roots: Expr):
         return out
 
     res = ", ".join([emit(r) for r in roots])
+    # emit refers to itself through its closure; the cycle would keep
+    # every compiled node alive (through names) until a cyclic collection
+    del emit
     values = ", ".join(dict.fromkeys(names.values()))
     src = "\n".join([
         f"def f(x, y, {''.join(c + ', ' for c in consts.values())}):",
@@ -1727,11 +1691,14 @@ class ZeroTestConfig:
         # expression pass as Zero(probed)
         if n_probes < 1:
             raise ValueError(f"n_probes must be at least 1, got {n_probes}")
+        seeds = tuple(seeds)
+        if not seeds:
+            raise ValueError("seeds must name at least one seed")
         if not all(math.isfinite(t) and t >= 0 for t in (abs_tol, rel_tol)):
             raise ValueError("abs_tol and rel_tol must be finite and "
                              "non-negative")
         self.n_probes = n_probes
-        self.seeds = tuple(seeds)
+        self.seeds = seeds
         self.abs_tol = abs_tol
         self.rel_tol = rel_tol
 

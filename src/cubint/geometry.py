@@ -50,12 +50,9 @@ class Metric:
     """
 
     def __init__(self, kind: str, g11: Expr, g12: Expr, g22: Expr,
-                 lam: Optional[Expr] = None, orientation: int = 1,
-                 signature: int = 1):
+                 lam: Optional[Expr] = None, signature: int = 1):
         if kind not in ("iso", "null", "general"):
             raise ValueError(f"unknown chart kind {kind!r}")
-        if orientation not in (1, -1):
-            raise ValueError("orientation must be +1 or -1")
         if signature not in (1, -1):
             raise ValueError("signature must be +1 (Riemannian) or -1 (split)")
         self.kind = kind
@@ -63,7 +60,6 @@ class Metric:
         self.g12 = simplify(g12)
         self.g22 = simplify(g22)
         self.lam = simplify(lam) if lam is not None else None
-        self.orientation = orientation
         self.signature = signature
         self._cache: dict = {}
 
@@ -88,13 +84,6 @@ class Metric:
                 m = simplify(Func("sqrt", simplify(Rat(self.signature) * self.det)))
             self._cache["mu"] = m
         return self._cache["mu"]
-
-    @property
-    def omega12(self) -> Expr:
-        """The (1,2) component of the oriented volume form."""
-        if "om" not in self._cache:
-            self._cache["om"] = simplify(Rat(self.orientation) * self.mu)
-        return self._cache["om"]
 
     @property
     def inv(self):
@@ -160,25 +149,23 @@ class Metric:
                 f"g12 = {to_str(self.g12)}, g22 = {to_str(self.g22)})")
 
 
-def isothermal_metric(lam: Union[Expr, str], orientation: int = 1) -> Metric:
+def isothermal_metric(lam: Union[Expr, str]) -> Metric:
     lam = parse(lam) if isinstance(lam, str) else as_expr(lam)
-    return Metric("iso", lam, Rat(0), lam, lam=lam,
-                  orientation=orientation, signature=1)
+    return Metric("iso", lam, Rat(0), lam, lam=lam, signature=1)
 
 
-def null_metric(lam: Union[Expr, str], orientation: int = 1) -> Metric:
+def null_metric(lam: Union[Expr, str]) -> Metric:
     """g = lambda dx dy (components g12 = g21 = lambda/2)."""
     lam = parse(lam) if isinstance(lam, str) else as_expr(lam)
     return Metric("null", Rat(0), simplify(HALF * lam), Rat(0), lam=lam,
-                  orientation=orientation, signature=-1)
+                  signature=-1)
 
 
 def general_metric(g11: Union[Expr, str], g12: Union[Expr, str],
-                   g22: Union[Expr, str], orientation: int = 1,
-                   signature: int = 1) -> Metric:
+                   g22: Union[Expr, str], signature: int = 1) -> Metric:
     conv = lambda v: parse(v) if isinstance(v, str) else as_expr(v)
     return Metric("general", conv(g11), conv(g12), conv(g22),
-                  orientation=orientation, signature=signature)
+                  signature=signature)
 
 
 # --------------------------------------------------------------------------
@@ -263,11 +250,11 @@ def grad_half_square(metric: Metric, f: Expr) -> Expr:
 
 
 def poisson_g(metric: Metric, f: Expr, h: Expr) -> Expr:
-    """Poisson bracket of functions on the surface induced by the oriented
-    volume form: {f, h} = (f_x h_y - f_y h_x) / omega12."""
+    """Poisson bracket of functions on the surface induced by the volume
+    form mu dx^dy: {f, h} = (f_x h_y - f_y h_x) / mu."""
     fx, fy = diff(f, "x"), diff(f, "y")
     hx, hy = diff(h, "x"), diff(h, "y")
-    return simplify((fx * hy - fy * hx) / metric.omega12)
+    return simplify((fx * hy - fy * hx) / metric.mu)
 
 
 def laplacian(metric: Metric, f: Expr) -> Expr:
@@ -281,12 +268,13 @@ def laplacian(metric: Metric, f: Expr) -> Expr:
 
 
 def complex_structure(metric: Metric):
-    """The endomorphism J^i_j = g^{ik} omega_{jk} as a row-major 2x2 tuple.
+    """The endomorphism J^i_j = g^{ik} omega_{jk} (omega_{12} = mu) as a
+    row-major 2x2 tuple.
 
     J^2 = -Id for Riemannian signature, +Id for split signature.
     """
     i11, i12, i22 = metric.inv
-    w = metric.omega12
+    w = metric.mu
     return ((simplify(i12 * w), simplify(-(i11 * w))),
             (simplify(i22 * w), simplify(-(i12 * w))))
 

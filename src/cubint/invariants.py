@@ -156,7 +156,7 @@ def _gee(metric: Metric, fa, fb, fc, da, db, dc) -> Expr:
     unnormalized: expanding these products over a common denominator
     is the single most expensive simplification in the whole chain,
     and the zero tests downstream neither need nor reward it."""
-    om = metric.omega12
+    om = metric.mu
     terms = []
     for (f1, f2, d) in ((fa, fb, dc), (fb, fc, da), (fc, fa, db)):
         if nf_is_zero(d):
@@ -173,12 +173,12 @@ def _gee(metric: Metric, fa, fb, fc, da, db, dc) -> Expr:
 
 
 def _det_form(metric: Metric, rows) -> Expr:
-    """(1/omega12) det[[f_x, f_y, D] per row] for rows of (f, D)."""
+    """(1/mu) det[[f_x, f_y, D] per row] for rows of (f, D)."""
     m = [[diff(f, "x"), diff(f, "y"), d] for (f, d) in rows]
     det = (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-    return simplify(det / metric.omega12)
+    return simplify(det / metric.mu)
 
 
 def _kay(phi0: Expr, dee0: Expr, phi1_like: Expr, dee1_like: Expr,

@@ -40,11 +40,10 @@ _VS = ("x", "y")
 
 def _dense(rank: int, entry):
     """Nested 2 x ... x 2 list (rank levels) holding entry(idx) at idx."""
-    def level(idx):
-        if len(idx) == rank:
-            return entry(idx)
-        return [level(idx + (i,)) for i in range(2)]
-    return level(())
+    d = [entry(idx) for idx in itertools.product(range(2), repeat=rank)]
+    for _ in range(rank):
+        d = [d[i:i + 2] for i in range(0, len(d), 2)]
+    return d[0]
 
 
 def _at(d, idx):
@@ -317,7 +316,7 @@ def principle_residual(metric: Metric, k_potential: Expr,
             term1[i][j] = simplify(half * s)
     w = div3(metric, a_hat)
     g = ((metric.g11, metric.g12), (metric.g12, metric.g22))
-    om = metric.omega12
+    om = metric.mu
     omega = ((as_expr(0), om), (simplify(-om), as_expr(0)))
     two = Rat(2)
     term2 = [[None, None], [None, None]]

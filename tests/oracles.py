@@ -27,7 +27,7 @@ from cubint.expr import (Add, Const, EvalDomainError, Func, Mul, Pow, Rat,
                          Var, as_expr, diff, simplify)
 from cubint.expr import (NF, _NF_ONE, _NF_ZERO, _UNIT, _atom_nf, _folds,
                          _func_outer_deriv, _glex_key, _int_exp, _m_build,
-                         _m_div, _m_divides, _m_mul, _m_total_deg, _mk_nf,
+                         _m_div, _m_divides, _m_mul, _mk_nf,
                          _p_add_into, _p_mul_mono, _pb_prim, _PolyBase, _skey,
                          nf_mul, nf_neg, nf_recip, nf_scale, to_nf)
 from cubint.tensorcoords import SymTensor3, SymTensor4
@@ -368,6 +368,10 @@ def _m_lex_cmp(m1, m2):
         else:
             return -1 if e2 > 0 else 1
     return 0
+
+
+def _m_total_deg(m):
+    return sum(e for (_, e) in m)
 
 
 def p_leading_reference(p):

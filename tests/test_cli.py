@@ -419,6 +419,23 @@ def test_verify_non_integral_fails(tmp_path, capsys):
     assert "nonzero" in kinds
 
 
+@pytest.mark.parametrize("what", ["manifest", "integral file"])
+def test_unreadable_ini_messages(tmp_path, capsys, what):
+    # both INI inputs share one reader; each message names its file kind
+    good = {"manifest": _write(tmp_path, "m.ini", KILLING),
+            "integral file": _write(tmp_path, "f.ini", PY3_INTEGRAL)}
+    missing = str(tmp_path / "missing.ini")
+    no_header = _write(tmp_path, "bad.ini", "F111 = 0\n")
+    for path, want in ((missing, "cannot read %s %s: " % (what, missing)),
+                       (no_header, "%s syntax: " % what)):
+        files = dict(good, **{what: path})
+        argv = ["verify", files["manifest"], "--integral",
+                files["integral file"]]
+        assert main(argv) == 64
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("input error: " + want), err
+
+
 def test_verify_integral_file_without_section(tmp_path, capsys):
     man = _write(tmp_path, "m.ini", FLAT_TRIVIAL)
     fint = _write(tmp_path, "f.ini", "[wrong]\nF111 = 0\n")

@@ -1,4 +1,5 @@
 import ast
+import collections
 import importlib
 import pathlib
 import pkgutil
@@ -91,3 +92,42 @@ def _empty_containers(tree):
 def test_no_shared_mutable_state(path):
     tree = ast.parse((ROOT / path).read_text(), path)
     assert _empty_containers(tree) == []
+
+
+def _private_definitions(tree):
+    """(name, node) for each module-level private def, class or assignment."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            names = [n.id for t in targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def _name_uses(tree):
+    """Names read, attributes taken and names imported in tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_no_dead_private_code():
+    # a private name that nothing in the package reads outside its own
+    # definition is dead code; __all__ strings do not count as a use
+    trees = [ast.parse((ROOT / path).read_text(), path) for path in PACKAGE]
+    uses = collections.Counter(n for t in trees for n in _name_uses(t))
+    dead = [f"{path}: {name}" for path, tree in zip(PACKAGE, trees)
+            for name, node in _private_definitions(tree)
+            if uses[name] == list(_name_uses(node)).count(name)]
+    assert dead == []

@@ -200,13 +200,6 @@ def test_poisson_antisymmetry_and_leibniz():
     assert nf_is_zero(simplify(lhs - rhs))
 
 
-def test_poisson_orientation_flips_sign():
-    m1 = isothermal_metric("1+x^2", orientation=1)
-    m2 = isothermal_metric("1+x^2", orientation=-1)
-    f, g = parse("x^2"), parse("y")
-    assert nf_is_zero(poisson_g(m1, f, g) + poisson_g(m2, f, g))
-
-
 # --------------------------------------------------------------------------
 # complex structure
 

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 
@@ -98,6 +99,18 @@ def test_dense_layer_matches_references(rank, entries, jm):
         for idx in itertools.product(range(2), repeat=rank):
             assert simplify(_at(got, idx)) == simplify(_at(want, idx))
     assert _symmetrize(d, cls).c == sym_ref(d).c
+
+
+def test_dense_layer_leaves_no_reference_cycle():
+    # a cycle would keep the entries alive until the cyclic collector runs
+    gc.disable()
+    try:
+        gc.collect()
+        d = _dense(4, lambda idx: parse("x") * sum(idx))
+        _apply_j_slot(d, ((Rat(0), Rat(1)), (Rat(-1), Rat(0))), 2, 4)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_momentum_poly_of_tensor():
