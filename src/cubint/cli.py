@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import json
 import math
 import os
@@ -468,7 +469,11 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_INPUT_ERROR)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built on the first call of main and kept: argparse's parser, actions
+    # and formatters form reference cycles, so a parser per call would be
+    # left to the cyclic collector
     top = _Parser(prog="cubint",
                   description="cubic first integrals of 2-D geodesic flows")
     sub = top.add_subparsers(dest="subcommand", required=True,

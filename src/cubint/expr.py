@@ -78,23 +78,27 @@ def _frac(v) -> Fraction:
 class Expr:
     """Immutable expression node.  Structural equality, cached hash.
 
-    _nf caches the normal form and _fn the compiled float evaluator.
+    _nf caches the normal form, _fn the compiled float evaluator and _d
+    the derivatives taken so far, {variable name: derivative}.
     """
 
-    __slots__ = ("_hash", "_nf", "_skey", "_fn")
+    __slots__ = ("_hash", "_nf", "_skey", "_fn", "_d")
 
     def _init_meta(self):
         self._hash = None
         self._nf = None
         self._skey = None
         self._fn = None
+        self._d = None
 
     def __getstate__(self):
-        # _fn is built at run time and cannot be pickled; the next
-        # evaluation builds it again
+        # the caches are left out and built again on demand: _fn cannot be
+        # pickled, and an atom's normal form holds the atom itself as a
+        # dict key, which unpickling would hash before the atom's fields
+        # are set
         state = {k: getattr(self, k) for c in type(self).__mro__
                  for k in getattr(c, "__slots__", ())}
-        state["_fn"] = None
+        state.update(_nf=None, _fn=None, _d=None)
         return None, state
 
     # -- operators -----------------------------------------------------
@@ -429,7 +433,7 @@ class _PolyBase:
     """A compound polynomial used as a multiplicative base (e.g. a factored
     denominator (x^2+1)^k, or an unresolved radical (1+x)^(1/2))."""
 
-    __slots__ = ("fp", "_hash", "_skey", "_prim")
+    __slots__ = ("fp", "_hash", "_skey", "_prim", "_expr")
 
     def __init__(self, fp):
         # frozen poly: sorted tuple of (mono, Fraction); the base's identity,
@@ -438,6 +442,7 @@ class _PolyBase:
         self._hash = None
         self._skey = None
         self._prim = None  # (content, primitive int poly) of fp, see _pb_prim
+        self._expr = None  # fp as an expression, see _base_expr
 
     def __eq__(self, other):
         return type(other) is _PolyBase and other.fp == self.fp
@@ -1233,15 +1238,17 @@ def to_nf(e: Expr) -> NF:
     elif t is Add:
         nf = nf_sum([to_nf(s) for s in e.terms])
     elif t is Mul:
-        nf = _NF_ONE
-        for f in e.factors:
+        fs = e.factors
+        nf = to_nf(fs[0])
+        for f in fs[1:]:
             nf = nf_mul(nf, to_nf(f))
     elif t is Pow:
         if isinstance(e.base, Mul) and e.exp.denominator == 1:
             # distribute integer powers over products so reciprocals keep
             # each factor as its own denominator base
-            nf = _NF_ONE
-            for f in e.base.factors:
+            fs = e.base.factors
+            nf = nf_pow(to_nf(fs[0]), e.exp)
+            for f in fs[1:]:
                 nf = nf_mul(nf, nf_pow(to_nf(f), e.exp))
         else:
             nf = nf_pow(to_nf(e.base), e.exp)
@@ -1332,7 +1339,10 @@ def _base_expr(b) -> Expr:
     if isinstance(b, (Var, Const, Func)):
         return b
     if isinstance(b, _PolyBase):
-        return nf_to_expr(NF(*_pb_prim(b), ()))
+        e = b._expr
+        if e is None:
+            e = b._expr = nf_to_expr(NF(*_pb_prim(b), ()))
+        return e
     if isinstance(b, _RatPow):
         return Rat(b.val)
     raise TypeError(f"unexpected base {b!r}")
@@ -1343,19 +1353,46 @@ def nf_to_expr(nf: NF) -> Expr:
         return ZERO
     den_factors = [pw(_base_expr(b), Fraction(-e)) for (b, e) in nf.den]
     cn, cd = nf.content.numerator, nf.content.denominator
+    many = len(nf.num) > 1
     out_terms = []
     for (m, c) in nf.num.items():
         factors = [Rat(c * cn, cd)]
         for (b, e) in m:
             factors.append(_base_expr(b) if e == 1 else pw(_base_expr(b), e))
         factors.extend(den_factors)
-        out_terms.append(mul(*factors))
+        t = mul(*factors)
+        # a term that add() flattens into a later sum is normalized from
+        # its own normal form; a bare atom is not built here and keeps none
+        if many and type(t) in (Mul, Pow):
+            t._nf = _term_nf(nf.content, m, c, nf.den)
+        out_terms.append(t)
     e = add(*out_terms)
     # the reconstruction is its own normal form (cheap cache hit):
     # normalizing it again gives nf back
     if e._nf is None:
         e._nf = nf
     return e
+
+
+def _term_nf(content: Fraction, mono: tuple, c: int, den: tuple) -> NF:
+    """The normal form of the term content*c*mono/den of a normal form:
+    what _mk_nf makes of it.  The exponents mono shares with den cancel;
+    no trial division, as one term is never divisible by a compound base."""
+    cut = {}
+    out_den = []
+    if den:
+        have = dict(mono)
+        for (b, e) in den:
+            k = min(e, math.floor(have.get(b, 0)))
+            if k > 0:
+                cut[b] = k
+                e -= k
+            if e:
+                out_den.append((b, e))
+    if cut:
+        mono = tuple((b, e - cut.get(b, 0)) for (b, e) in mono
+                     if e != cut.get(b, 0))
+    return NF(content * abs(c), {mono: 1 if c > 0 else -1}, tuple(out_den))
 
 
 # --------------------------------------------------------------------------
@@ -1367,11 +1404,21 @@ def simplify(e: Expr) -> Expr:
 
 
 def diff(e: Expr, v: Union[str, Var]) -> Expr:
-    """Exact partial derivative, simplified."""
+    """Exact partial derivative, simplified.  Taken once per node and
+    variable: a repeat returns the same tree.
+
+    Threads racing on a first call each build an equal tree; whichever is
+    stored last is kept."""
     name = v.name if isinstance(v, Var) else v
     if name not in _VAR_NAMES:
         raise ValueError(f"not a chart variable: {v!r}")
-    return nf_to_expr(_nf_diff(to_nf(e), name, {}))
+    d = e._d
+    if d is None:
+        d = e._d = {}
+    out = d.get(name)
+    if out is None:
+        out = d[name] = nf_to_expr(_nf_diff(to_nf(e), name, {}))
+    return out
 
 
 def _nf_diff(a: NF, var: str, memo: dict) -> NF:

@@ -1,5 +1,6 @@
 """End-to-end CLI tests: every exit code, every subcommand, JSON schema."""
 
+import gc
 import json
 import os
 import pathlib
@@ -623,6 +624,39 @@ def test_usage_error_exits_64(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 64
+
+
+def test_usage_errors_in_a_row_agree(tmp_path, capsys):
+    # the parser is built once and kept: an error leaves nothing behind
+    # that changes the next call
+    man = _write(tmp_path, "m.ini", FLAT_TRIVIAL)
+    errs = []
+    for argv in (["frobnicate"], ["geodesic", man]) * 2:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 64
+        errs.append(capsys.readouterr().err)
+    assert errs[:2] == errs[2:]
+    assert "invalid choice" in errs[0] and "required" in errs[1]
+    assert _run(capsys, ["check", man])[0] == 0
+
+
+def test_check_leaves_no_argparse_garbage(tmp_path, capsys):
+    # argparse's parser, actions and formatters form reference cycles, so a
+    # parser built per call would be left to the cyclic collector
+    man = _write(tmp_path, "m.ini", FLAT_TRIVIAL)
+    assert _run(capsys, ["check", man])[0] == 0
+    gc.collect()
+    old, n = gc.get_debug(), len(gc.garbage)
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert _run(capsys, ["check", man])[0] == 0
+        gc.collect()
+        left = [o for o in gc.garbage[n:] if type(o).__module__ == "argparse"]
+    finally:
+        gc.set_debug(old)
+        del gc.garbage[n:]
+    assert left == []
 
 
 def test_module_invocation_round_trip(tmp_path):

@@ -334,6 +334,52 @@ def test_normal_form_round_trips(e):
     _assert_content_form(nf)
 
 
+def _fresh(e):
+    """A structural copy of e with no normal form cached anywhere in it."""
+    t = type(e)
+    if t is Rat:
+        return Rat(e.val)
+    if t is Var:
+        return Var(e.name)
+    if t is Const:
+        return Const(e.name)
+    if t is Add:
+        return Add([_fresh(s) for s in e.terms])
+    if t is Mul:
+        return Mul([_fresh(f) for f in e.factors])
+    if t is Pow:
+        return Pow(_fresh(e.base), e.exp)
+    return Func(e.name, _fresh(e.arg))
+
+
+@given(_nf_exprs(3))
+@settings(max_examples=200, deadline=None)
+# a term sharing its monomial with the denominator, a radical and an exp atom
+@example(parse("(x + y)/x"))
+@example(parse("(x^3 + y)/(x^2*(1 + y^2))"))
+@example(parse("y/(x*(1-x^2)^(1/2)) + x^(1/2)/x"))
+@example(parse("sqrt(2)*x/6 + exp(y/2 - 1)/4 - 3/4*y^(1/3)"))
+def test_sum_terms_carry_their_canonical_normal_form(e):
+    # add() flattens a rebuilt sum into its terms, and a later sum
+    # normalizes each from the normal form nf_to_expr stored on it
+    try:
+        nf = to_nf(e)
+    except (ZeroDivisionError, EvalDomainError):
+        return
+    out = nf_to_expr(nf)
+    terms = out.terms if type(out) is Add else ()
+    for t in terms:
+        if t._nf is not None:
+            _assert_same_nf(t._nf, to_nf(_fresh(t)))
+
+
+def test_sum_terms_cancel_against_the_denominator():
+    out = nf_to_expr(to_nf(parse("(x + y)/x")))
+    terms = [t for t in out.terms if t._nf is not None]
+    assert len(terms) == 2
+    assert any(t._nf.num == {(): 1} and t._nf.den == () for t in terms)
+
+
 def _nfs(exprs):
     """The normal forms of exprs, leaving out those that fail to normalize."""
     out = []
@@ -880,6 +926,106 @@ def test_evaluated_expression_pickles():
     e2 = pickle.loads(pickle.dumps(e))
     assert e2 == e
     assert eval_at(e2, (0.5, 0.0)) == v == 0.8
+
+
+# --------------------------------------------------------------------------
+# one derivative per node and variable, one normalization per factor
+
+def test_diff_repeat_returns_the_same_tree(monkeypatch):
+    e = parse("sin(x)*y^2 + x/(1 + y^2)")
+    dx = diff(e, "x")
+    calls = []
+    real = expr_mod._nf_diff
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(expr_mod, "_nf_diff", counted)
+    assert diff(e, Var("x")) is dx
+    assert calls == []
+    dy = diff(e, "y")
+    assert calls and diff(e, "y") is dy and dx != dy
+    fresh = parse("sin(x)*y^2 + x/(1 + y^2)")
+    assert (dx, dy) == (diff(fresh, "x"), diff(fresh, "y"))
+
+
+def test_first_diff_from_two_threads_agrees():
+    text = "sin(x)/(1+x^2+y^2)^(3/2) + ln(2+y)*exp(x*y) - x^7*y^5/11"
+    e = parse(text)
+    barrier = threading.Barrier(2)
+    got = []
+
+    def first_diff():
+        barrier.wait(30)
+        got.append(diff(e, "x"))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=first_diff) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    want = diff(parse(text), "x")
+    assert got == [want, want]
+    assert diff(e, "x") == want
+
+
+def test_differentiated_expression_pickles():
+    # the normal forms cached on the nodes hold the atoms x and y as dict
+    # keys, and x's holds x itself: the caches are not pickled
+    e = parse("x*y^2/(1 + x^2)")
+    dx = diff(e, "x")
+    for node in (e, dx, simplify(e), parse("x")):
+        to_nf(node)
+        assert pickle.loads(pickle.dumps(node)) == node
+    e2 = pickle.loads(pickle.dumps(e))
+    assert diff(e2, "x") == dx and diff(e2, "y") == diff(e, "y")
+    assert eval_at(diff(e2, "x"), (0.5, 0.25)) == eval_at(dx, (0.5, 0.25))
+
+
+def test_diff_leaves_no_reference_cycle():
+    # the derivative kept on a node must not lead back to it, or every
+    # differentiated node would wait for the cyclic collector
+    e = parse("sin(x)*y + x^2/(1 + y^2)")
+    gc.disable()
+    try:
+        gc.collect()
+        diff(e, "x")
+        diff(diff(e, "x"), "y")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_product_normalizes_once_per_factor_after_the_first(monkeypatch):
+    # factors whose own normal forms need no normalization: a product of
+    # k of them is k - 1 normalizations, none of them a product with one
+    def factors():
+        return [Rat(3), Var("x"), Var("y"), Func("sin", Var("x")), Const("pi")]
+    calls = []
+    real = expr_mod._mk_nf
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(expr_mod, "_mk_nf", counted)
+    to_nf(Mul(factors()))
+    assert len(calls) == 4
+    calls.clear()
+    # an integer power of a product: k powers and k - 1 products
+    to_nf(Pow(Mul(factors()), Fraction(2)))
+    assert len(calls) == 9
+
+
+def test_compound_base_expression_built_once():
+    ((b, _),) = to_nf(parse("x/(1 + x^2)")).den
+    assert expr_mod._base_expr(b) is expr_mod._base_expr(b)
+    assert expr_mod._base_expr(b) == parse("1 + x^2")
 
 
 # --------------------------------------------------------------------------
