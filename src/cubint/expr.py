@@ -587,6 +587,12 @@ def _m_build(pairs) -> tuple:
                 coeff *= b.val ** k
             if e == 0:
                 continue
+            # a power with a rational value, as (9^(1/3))^(3/2) = 3
+            root = (_exact_rat_root(b.val, e.denominator) if b.val > 0
+                    else None)
+            if root is not None:
+                coeff *= root ** e.numerator
+                continue
         out.append((b, _int_exp(e)))
     out.sort(key=lambda p: _skey(p[0]))
     return coeff, tuple(out)
@@ -1531,7 +1537,7 @@ _EVAL_FUNCS = {
 # identifiers of the functions in generated code, and what they are bound to
 _EVAL_FUNC_IDENT = {name: "f_" + name for name in _EVAL_FUNCS}
 _EVAL_GLOBALS = {
-    "__builtins__": {}, "all": all, "map": map, "str": str, "float": float,
+    "__builtins__": {}, "str": str, "float": float,
     "isfinite": math.isfinite,
     "OverflowError": OverflowError, "ValueError": ValueError,
     "EvalDomainError": EvalDomainError,
@@ -1566,7 +1572,7 @@ def _evaluator(e: Expr):
     return f
 
 
-def compile_float(*roots: Expr):
+def compile_float(*roots: Expr, returns: Optional[str] = None):
     """Straight-line function f(x, y) -> (v1, ..., vn, T) evaluating the
     roots, where T is the tuple of the values of all their nodes.
 
@@ -1574,19 +1580,35 @@ def compile_float(*roots: Expr):
     temporary, so the DAG is evaluated, not the tree.  Every node does the
     float operation of the plain recursive walk (Add is 0.0 + a + ...,
     Mul is 1.0 * a * ..., in operand order), so each vi is bitwise what
-    compiling its root alone gives.  Every node's value must be finite;
-    merging equal subtrees changes neither that nor max(map(abs, T)), the
-    scale that eval_scaled reads.  Finiteness is checked once all nodes
-    are computed, so where a non-finite value reaches a domain check
-    first, the EvalDomainError names that check.  An operation that
-    raises OverflowError gives EvalDomainError('float overflow').
-    Constants are never written into the source: they are the defaults
-    of f's parameters after x and y."""
-    if not roots:
-        return lambda x, y: ((),)
+    compiling its root alone gives.  An operation that raises
+    OverflowError gives EvalDomainError('float overflow').  Constants are
+    never written into the source: they are the defaults of f's parameters
+    after x and y.
+
+    Every node's value must be finite, else EvalDomainError('non-finite
+    value'); merging equal subtrees changes neither that nor
+    max(map(abs, T)), the scale that eval_scaled reads.  Finiteness is
+    checked once all nodes are computed, so where a non-finite value
+    reaches a domain check first, the EvalDomainError names that check.
+    One test checks the roots, the bases of powers with exponent <= 0 and
+    the arguments of functions, and no other node (the bound constants
+    are finite).  It rejects exactly what a check of every node would:
+    in IEEE arithmetic a sum or product with an inf or nan operand is inf
+    or nan (inf*0 and inf - inf are nan), and so is a positive power of
+    an inf or nan base.  Only a power with exponent <= 0 (inf^-1 = 0) and
+    a function (exp(-inf) = 0, tanh(inf) = 1) can hide a non-finite
+    operand.  So every parent of a non-finite node that is not checked is
+    itself non-finite, and following parents from it reaches a root,
+    which is checked.
+
+    With returns, f takes (x, y, px, py) and returns the value of the
+    source text returns, written over the roots' values {0} ... {n-1} and
+    the momenta px and py, with no T.  An OverflowError there, after the
+    finiteness check, also gives EvalDomainError('float overflow')."""
     lines = []
     names = {}      # node -> name holding its value
     consts = {}     # (type, value) -> name of a bound constant
+    checked = {}    # names whose finiteness is read, in first-use order
 
     def const(v) -> str:
         key = (type(v), v)
@@ -1622,6 +1644,8 @@ def compile_float(*roots: Expr):
         elif t is Pow:
             b = emit(e.base)
             ex = e.exp
+            if ex <= 0:
+                checked[b] = None
             if ex.denominator == 1:
                 n = int(ex)
                 if n < 0:
@@ -1639,6 +1663,7 @@ def compile_float(*roots: Expr):
             lines.append(f"{out} = {b} ** {c}")
         elif t is Func:
             a = emit(e.arg)
+            checked[a] = None
             if e.name == "ln":
                 lines.append(f"if {a} <= 0.0: raise EvalDomainError("
                              "'ln of non-positive value')")
@@ -1652,24 +1677,37 @@ def compile_float(*roots: Expr):
         names[e] = out
         return out
 
-    res = ", ".join([emit(r) for r in roots])
+    res = [emit(r) for r in roots]
     # emit refers to itself through its closure; the cycle would keep
     # every compiled node alive (through names) until a cyclic collection
     del emit
-    values = ", ".join(dict.fromkeys(names.values()))
-    src = "\n".join([
-        f"def f(x, y, {''.join(c + ', ' for c in consts.values())}):",
+    checked.update(dict.fromkeys(res))
+    bound = set(consts.values())
+    finite = " and ".join(f"isfinite({n})" for n in checked if n not in bound)
+    body = [
         " try:",
         *["  " + ln for ln in lines or ["pass"]],
         " except OverflowError:",
         "  raise EvalDomainError('float overflow') from None",
         " except ValueError as ex:",
         "  raise EvalDomainError(str(ex)) from None",
-        f" T = ({values},)",
-        " if not all(map(isfinite, T)):",
-        "  raise EvalDomainError('non-finite value')",
-        f" return {res}, T",
-    ])
+        *([f" if not ({finite}):",
+           "  raise EvalDomainError('non-finite value')"] if finite else []),
+    ]
+    if returns is None:
+        params = "x, y, "
+        values = "".join(n + ", " for n in dict.fromkeys(names.values()))
+        body += [f" T = ({values})",
+                 f" return ({''.join(n + ', ' for n in res)}T,)"]
+    else:
+        params = "x, y, px, py, "
+        body += [" try:",
+                 f"  return {returns.format(*res)}",
+                 " except OverflowError:",
+                 "  raise EvalDomainError('float overflow') from None"]
+    src = "\n".join([
+        f"def f({params}{''.join(c + ', ' for c in consts.values())}):",
+        *body])
     ns = {}
     exec(compile(src, "<cubint.expr evaluator>", "exec"), _EVAL_GLOBALS, ns)
     f = ns["f"]

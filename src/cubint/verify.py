@@ -267,18 +267,13 @@ def integrate_geodesic(metric: Metric, state0, dt: float, steps: int):
     """
     inv = metric.inv
     # g^{11}, g^{12}, g^{22}, their x-derivatives, their y-derivatives
-    coeffs = compile_float(*inv, *(simplify(diff(c, v))
-                                   for v in ("x", "y") for c in inv))
-
-    def rhs(x, y, px, py):
-        c11, c12, c22, d11x, d12x, d22x, d11y, d12y, d22y, _ = coeffs(x, y)
-        return (c11 * px + c12 * py,
-                c12 * px + c22 * py,
-                -(0.5 * d11x * px * px + d12x * px * py
-                  + 0.5 * d22x * py * py),
-                -(0.5 * d11y * px * px + d12y * px * py
-                  + 0.5 * d22y * py * py))
-
+    rhs = compile_float(*inv, *(simplify(diff(c, v))
+                                for v in ("x", "y") for c in inv),
+                        returns="({0} * px + {1} * py, {1} * px + {2} * py,"
+                        " -(0.5 * {3} * px * px + {4} * px * py"
+                        " + 0.5 * {5} * py * py),"
+                        " -(0.5 * {6} * px * px + {7} * px * py"
+                        " + 0.5 * {8} * py * py))")
     x, y, px, py = (float(v) for v in state0)
     out = [(0.0, x, y, px, py)]
     t = 0.0
@@ -315,17 +310,23 @@ def conservation_report(metric: Metric, trajectory,
                         csv_path=None) -> dict:
     """Max absolute drift of H (and of F, when given) along a trajectory.
 
-    H and F are evaluated once per point, from one compiled function of
-    all their coefficients.  With csv_path, the trajectory is also written
+    H and F are evaluated once per point, by one compiled function that
+    returns both sums.  With csv_path, the trajectory is also written
     there as CSV with columns t,x,y,px,py,H,F (F empty without f), in the
     csv module's default dialect, one row per point as it is computed.
     When H or F fails to evaluate or overflows, an EvalDomainError is
     raised and the partial file is removed if it is a regular file."""
     h = hamiltonian_poly(metric)
     f_coeffs = f.coeffs if f is not None else {}
-    h_mons, f_mons = list(h.coeffs), list(f_coeffs)
-    n_h = len(h_mons)
-    coeffs = compile_float(*h.coeffs.values(), *f_coeffs.values())
+    # c * px ** i * py ** j per monomial, each sum from 0.0 in
+    # monomial order
+    terms = ["{%d} * px ** %d * py ** %d" % (k, i, j)
+             for k, (i, j) in enumerate([*h.coeffs, *f_coeffs])]
+    n_h = len(h.coeffs)
+    h_and_f = compile_float(
+        *h.coeffs.values(), *f_coeffs.values(),
+        returns="(%s, %s)" % (" + ".join(["0.0", *terms[:n_h]]),
+                              " + ".join(["0.0", *terms[n_h:]])))
     # the csv module's default dialect: no quoting needed, \r\n line ends;
     # without f the F field is empty ("%.0s" prints no character of it)
     row = ("%.10g,%.16g,%.16g,%.16g,%.16g,%.16g,"
@@ -340,22 +341,13 @@ def conservation_report(metric: Metric, trajectory,
             write("t,x,y,px,py,H,F\r\n")
         for (t, x, y, px, py) in trajectory:
             try:
-                vals = coeffs(x, y)
-                hv = 0.0
-                for (i, j), c in zip(h_mons, vals):
-                    hv += c * px ** i * py ** j
-                fv = 0.0
-                # the trailing node tuple has no monomial; zip drops it
-                for (i, j), c in zip(f_mons, vals[n_h:]):
-                    fv += c * px ** i * py ** j
-            except (EvalDomainError, OverflowError) as exc:
+                hv, fv = h_and_f(x, y, px, py)
+            except EvalDomainError:
                 if fh is not None:
                     fh.close()
                     # only the partial rows go: never a device like /dev/null
                     if os.path.isfile(csv_path):
                         os.remove(csv_path)
-                if isinstance(exc, OverflowError):    # px ** i, py ** j
-                    raise EvalDomainError("float overflow") from None
                 raise
             if h0 is None:
                 h0, f0 = hv, fv

@@ -12,7 +12,9 @@ nf_diff_reference and p_diff_reference, its former pairwise sum and
 derivatives, which normalized every intermediate sum and product,
 closure_compile with rk4_reference, the former closure compiler and RK4
 driver of the geodesic flow, momentum_poly_reference, the
-former per-polynomial evaluator of H and F, and the hand-written rank-3
+former per-polynomial evaluator of H and F, compile_float_reference, the
+float compiler as it was when its finiteness check read every node, and
+the hand-written rank-3
 and rank-4 J contractions and symmetrizations of tensorcoords
 (apply_j_slot3_reference, apply_j_slot4_reference, sym3_reference,
 sym4_reference): each is kept as the reference for the code that
@@ -25,7 +27,8 @@ from fractions import Fraction
 
 from cubint.expr import (Add, Const, EvalDomainError, Func, Mul, Pow, Rat,
                          Var, as_expr, diff, simplify)
-from cubint.expr import (NF, _NF_ONE, _NF_ZERO, _UNIT, _atom_nf, _folds,
+from cubint.expr import (NF, _EVAL_CHAIN, _EVAL_FUNC_IDENT, _EVAL_GLOBALS,
+                         _NF_ONE, _NF_ZERO, _UNIT, _atom_nf, _folds,
                          _func_outer_deriv, _glex_key, _int_exp, _m_build,
                          _m_div, _m_divides, _m_mul, _mk_nf,
                          _p_add_into, _p_mul_mono, _pb_prim, _PolyBase, _skey,
@@ -485,6 +488,106 @@ def m_mul_reference(m1, m2):
     product as it was before it became one merge, every pair of both
     monomials summed again by _m_build."""
     return _m_build(list(m1) + list(m2))
+
+
+_REFERENCE_GLOBALS = dict(_EVAL_GLOBALS, all=all, map=map)
+
+
+def compile_float_reference(*roots):
+    """Straight-line function f(x, y) -> (v1, ..., vn, T) of the roots, as
+    compile_float built it when it checked the finiteness of every node,
+    T included, with all(map(isfinite, T))."""
+    if not roots:
+        return lambda x, y: ((),)
+    lines = []
+    names = {}      # node -> name holding its value
+    consts = {}     # (type, value) -> name of a bound constant
+
+    def const(v) -> str:
+        key = (type(v), v)
+        c = consts.get(key)
+        if c is None:
+            c = consts[key] = f"c{len(consts)}"
+        return c
+
+    def emit(e) -> str:
+        out = names.get(e)
+        if out is not None:
+            return out
+        t = type(e)
+        if t is Var:
+            out = "x" if e.name == "x" else "y"
+        elif t is Const:
+            out = const(math.pi if e.name == "pi" else math.e)
+        elif t is Rat:
+            try:
+                out = const(float(e.val))
+            except OverflowError:
+                out = f"t{len(lines)}"
+                lines.append(f"{out} = float({const(e.val)})")
+        elif t is Add or t is Mul:
+            ops = [emit(s) for s in (e.terms if t is Add else e.factors)]
+            op, head = (" + ", "0.0") if t is Add else (" * ", "1.0")
+            out = f"t{len(lines)}"
+            for i in range(0, max(len(ops), 1), _EVAL_CHAIN):
+                chunk = [head] + ops[i:i + _EVAL_CHAIN]
+                lines.append(f"{out} = {op.join(chunk)}")
+                head = out
+        elif t is Pow:
+            b = emit(e.base)
+            ex = e.exp
+            if ex.denominator == 1:
+                n = int(ex)
+                if n < 0:
+                    lines.append(f"if {b} == 0.0: raise EvalDomainError("
+                                 "'pole: 0 raised to negative power')")
+                c = const(n)
+            else:
+                lines.append(f"if {b} < 0.0: raise EvalDomainError("
+                             "'fractional power of negative base')")
+                if ex < 0:
+                    lines.append(f"if {b} == 0.0: raise EvalDomainError("
+                                 "'pole: 0 raised to negative power')")
+                c = const(float(ex))
+            out = f"t{len(lines)}"
+            lines.append(f"{out} = {b} ** {c}")
+        elif t is Func:
+            a = emit(e.arg)
+            if e.name == "ln":
+                lines.append(f"if {a} <= 0.0: raise EvalDomainError("
+                             "'ln of non-positive value')")
+            elif e.name == "sqrt":
+                lines.append(f"if {a} < 0.0: raise EvalDomainError("
+                             "'sqrt of negative value')")
+            out = f"t{len(lines)}"
+            lines.append(f"{out} = {_EVAL_FUNC_IDENT[e.name]}({a})")
+        else:
+            raise TypeError(f"cannot evaluate {e!r}")
+        names[e] = out
+        return out
+
+    res = ", ".join([emit(r) for r in roots])
+    del emit
+    values = ", ".join(dict.fromkeys(names.values()))
+    src = "\n".join([
+        f"def f(x, y, {''.join(c + ', ' for c in consts.values())}):",
+        " try:",
+        *["  " + ln for ln in lines or ["pass"]],
+        " except OverflowError:",
+        "  raise EvalDomainError('float overflow') from None",
+        " except ValueError as ex:",
+        "  raise EvalDomainError(str(ex)) from None",
+        f" T = ({values},)",
+        " if not all(map(isfinite, T)):",
+        "  raise EvalDomainError('non-finite value')",
+        f" return {res}, T",
+    ])
+    ns = {}
+    exec(compile(src, "<compile_float_reference>", "exec"),
+         _REFERENCE_GLOBALS, ns)
+    f = ns["f"]
+    f.__defaults__ = tuple(v for _, v in consts)
+    return f
 
 
 def momentum_poly_reference(p):

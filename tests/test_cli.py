@@ -469,9 +469,9 @@ def test_geodesic_compiles_twice(tmp_path, capsys, monkeypatch):
     calls = []
     real = cubint.expr.compile_float
 
-    def counted(*roots):
+    def counted(*roots, **kw):
         calls.append(len(roots))
-        return real(*roots)
+        return real(*roots, **kw)
     monkeypatch.setattr(cubint.expr, "compile_float", counted)
     monkeypatch.setattr(cubint.verify, "compile_float", counted)
     man = _write(tmp_path, "m.ini", KILLING)

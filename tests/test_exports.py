@@ -3,6 +3,7 @@ import collections
 import importlib
 import pathlib
 import pkgutil
+from fractions import Fraction
 
 import pytest
 
@@ -131,3 +132,28 @@ def test_no_dead_private_code():
             for name, node in _private_definitions(tree)
             if uses[name] == list(_name_uses(node)).count(name)]
     assert dead == []
+
+
+def test_generated_code_reads_every_bound_global(monkeypatch):
+    # a name bound for the compiled evaluators that none of them reads is
+    # dead; the corpus reaches every branch of the compiler
+    from cubint import expr, verify
+    from cubint.geometry import isothermal_metric
+    made = []
+
+    def kept(*roots, **kw):
+        made.append(expr.compile_float(*roots, **kw))
+        return made[-1]
+    monkeypatch.setattr(verify, "compile_float", kept)
+    m = isothermal_metric("1 + x^2")
+    traj = verify.integrate_geodesic(m, (0.1, 0.2, 0.3, -0.1), 1e-3, 2)
+    verify.conservation_report(
+        m, traj, verify.MomentumPoly({(0, 3): expr.parse("x")}))
+    assert len(made) == 2
+    x = expr.Var("x")
+    made.append(expr.compile_float(
+        *(expr.Func(name, x) for name in expr.FUNCTIONS),
+        expr.Pow(x, Fraction(-2)), expr.Pow(x, Fraction(-1, 2)),
+        expr.Pow(x, Fraction(3, 2)), expr.Rat(10 ** 400)))
+    read = {n for f in made for n in f.__code__.co_names}
+    assert sorted(set(expr._EVAL_GLOBALS) - {"__builtins__"} - read) == []

@@ -20,7 +20,8 @@ from cubint.expr import (
 )
 from cubint import (Codifferential, InvariantEngine, expr as expr_mod,
                     isothermal_metric)
-from oracles import (fd_partial, m_mul_reference, nf_add_reference,
+from oracles import (compile_float_reference, fd_partial, m_mul_reference,
+                     nf_add_reference,
                      nf_diff_reference, p_div_exact_reference, p_div_reference,
                      p_leading_reference, p_mul_reference, tree_eval)
 
@@ -320,6 +321,7 @@ def _nf_exprs(depth):
 @example(parse("(3/2 + x^2 + 3*y^2)^-3*x/5"))
 @example(parse("sqrt(2)*x/6 + exp(y/2 - 1)/4 - 3/4*y^(1/3)"))
 @example(parse("exp(2 + ln(x))"))
+@example(parse("(x*(1/3)^(1/3))^(3/2)"))
 def test_normal_form_round_trips(e):
     # simplify and diff store the normal form on the expression they
     # rebuild from it; that is sound only if normalizing the rebuilt
@@ -448,6 +450,8 @@ def _assert_content_form(nf):
     "(5/7)^(1/2)*(7/5)^(1/2) - 1",
     # 48 = 2^3*6: n-th powers are not pulled out of the radicand
     "(3/4)^(1/3) - 48^(1/3)/4",
+    # a radicand whose root is rational after exponents multiply
+    "(x*9^(1/3))^(3/2) - 3*x^(3/2)",
 ])
 def test_one_value_has_one_normal_form(text):
     assert nf_is_zero(parse(text))
@@ -869,6 +873,43 @@ def test_eval_scaled_matches_tree_walk_bitwise(e, pts, others):
             scale = max(sc for _, sc in singles)
             assert repr(got[:-1]) == repr(values)
             assert repr(max(map(abs, got[-1]))) == repr(scale)
+
+
+def _outcome(f, pt):
+    try:
+        return repr(f(*pt))
+    except EvalDomainError as exc:
+        return f"EvalDomainError({exc})"
+
+
+_EXTREMES = st.one_of(_COORDS, st.sampled_from(
+    [math.inf, -math.inf, math.nan, 1e200, -1e200]))
+
+
+@given(_eval_exprs(3), st.lists(_eval_exprs(2), max_size=2),
+       st.lists(st.tuples(_EXTREMES, _EXTREMES), min_size=1, max_size=4))
+@settings(max_examples=300, deadline=None)
+# an inf operand hidden by a function or a negative power
+@example(e=parse("exp(-x)"), others=[], pts=[(math.inf, 0.0)])
+@example(e=parse("x^(-1)"), others=[], pts=[(math.inf, 0.0)])
+@example(e=parse("tanh(x)"), others=[], pts=[(math.inf, 0.0)])
+@example(e=parse("y + x^(-1/2)"), others=[], pts=[(math.inf, math.nan)])
+def test_finiteness_check_rejects_what_every_node_check_rejects(e, others,
+                                                               pts):
+    # the check reads the roots and the operands of functions and of
+    # powers with exponent <= 0; the reference reads every node
+    roots = (e, *others)
+    got, want = compile_float(*roots), compile_float_reference(*roots)
+    for pt in pts:
+        assert _outcome(got, pt) == _outcome(want, pt)
+
+
+@pytest.mark.parametrize("text", ["exp(-x)", "x^(-1)", "tanh(x)"])
+def test_non_finite_operand_hidden_by_parent_raises(text):
+    for compiled in (compile_float, compile_float_reference):
+        with pytest.raises(EvalDomainError) as exc:
+            compiled(parse(text))(math.inf, 0.0)
+        assert str(exc.value) == "non-finite value"
 
 
 def test_compile_float_leaves_no_reference_cycle():

@@ -231,6 +231,14 @@ def test_geodesic_aborts_on_non_finite_state():
     assert str(exc.value) == "non-finite state at t = 10"
 
 
+def test_geodesic_aborts_on_non_finite_hidden_by_exp():
+    # x*y overflows to inf at the start, and exp(-inf) = 0 is finite
+    with pytest.raises(EvalDomainError) as exc:
+        integrate_geodesic(isothermal_metric("1 + exp(-x*y)"),
+                           (1e200, 1e200, 0.1, 0), 1e-3, 3)
+    assert str(exc.value) == "non-finite value near t = 0"
+
+
 def test_flat_geodesics_are_straight_lines():
     m = isothermal_metric("1")
     traj = integrate_geodesic(m, (0.0, 0.0, 0.3, -0.2), 1e-2, 100)
