@@ -13,7 +13,8 @@ from typing import Union
 
 from .expr import (
     Box, Expr, Rat, Var, ZeroTestConfig, ZeroVerdict, _combine, as_expr,
-    diff, eval_at, is_zero, nf_is_zero, parse, simplify, to_str, DEFAULT_CFG,
+    eval_at, is_zero, nf_diff, nf_mul, nf_neg, nf_recip, nf_scale,
+    nf_sum, nf_to_expr, parse, simplify, to_nf, to_str, DEFAULT_CFG,
 )
 
 __all__ = [
@@ -76,17 +77,15 @@ class CExpr:
     def conj(self) -> "CExpr":
         return CExpr(self.re, -self.im)
 
-    def modulus_sq(self) -> Expr:
-        return self.re * self.re + self.im * self.im
-
     def __truediv__(self, other):
-        o = _coerce(other)
-        m = simplify(o.modulus_sq())
-        if nf_is_zero(m):
+        o = _nfs(_coerce(other))
+        m = nf_sum([nf_mul(o[0], o[0]), nf_mul(o[1], o[1])])
+        if m.is_zero():
             raise ZeroDivisionError(
                 "division by a complex expression that is symbolically zero")
-        num = self * o.conj()
-        return CExpr(simplify(num.re / m), simplify(num.im / m))
+        num = _c_mul(_nfs(self), (o[0], nf_neg(o[1])))
+        r = nf_recip(m)
+        return CExpr(*(nf_to_expr(nf_mul(v, r)) for v in num))
 
     def __rtruediv__(self, other):
         return _coerce(other) / self
@@ -110,9 +109,6 @@ class CExpr:
 
     def eval_at(self, point) -> complex:
         return complex(eval_at(self.re, point), eval_at(self.im, point))
-
-    def diff(self, var) -> "CExpr":
-        return CExpr(diff(self.re, var), diff(self.im, var))
 
     def is_zero(self, domain: Box, cfg: ZeroTestConfig = DEFAULT_CFG) -> ZeroVerdict:
         """Tri-state zero test of both components jointly; the imaginary
@@ -144,22 +140,36 @@ def ZBAR() -> CExpr:
     return CExpr(Var("x"), -Var("y"))
 
 
+def _nfs(c: CExpr):
+    return to_nf(c.re), to_nf(c.im)
+
+
+def _c_mul(a, b):
+    """The product of two complex values given as pairs of normal forms."""
+    (ar, ai), (br, bi) = a, b
+    return (nf_sum([nf_mul(ar, br), nf_neg(nf_mul(ai, bi))]),
+            nf_sum([nf_mul(ar, bi), nf_mul(ai, br)]))
+
+
+def _wirtinger(c, sign: int):
+    """(d/dx + sign * i d/dy)/2 of a pair of normal forms (re, im): d/dz
+    for sign -1, d/dzbar for sign 1."""
+    re, im = c
+    half = Fraction(1, 2)
+    return (nf_scale(nf_sum([nf_diff(re, "x"),
+                             nf_scale(nf_diff(im, "y"), -sign)]), half),
+            nf_scale(nf_sum([nf_diff(im, "x"),
+                             nf_scale(nf_diff(re, "y"), sign)]), half))
+
+
 def wirtinger_z(c: CExpr) -> CExpr:
     """d/dz = (d/dx - i d/dy)/2 applied componentwise."""
-    fx = c.diff("x")
-    fy = c.diff("y")
-    half = Fraction(1, 2)
-    return CExpr(simplify(half * (fx.re + fy.im)),
-                 simplify(half * (fx.im - fy.re)))
+    return CExpr(*map(nf_to_expr, _wirtinger(_nfs(c), -1)))
 
 
 def wirtinger_zbar(c: CExpr) -> CExpr:
     """d/dzbar = (d/dx + i d/dy)/2 applied componentwise."""
-    fx = c.diff("x")
-    fy = c.diff("y")
-    half = Fraction(1, 2)
-    return CExpr(simplify(half * (fx.re - fy.im)),
-                 simplify(half * (fx.im + fy.re)))
+    return CExpr(*map(nf_to_expr, _wirtinger(_nfs(c), 1)))
 
 
 def is_holomorphic(c: CExpr, domain: Box,

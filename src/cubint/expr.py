@@ -78,8 +78,10 @@ def _frac(v) -> Fraction:
 class Expr:
     """Immutable expression node.  Structural equality, cached hash.
 
-    _nf caches the normal form, _fn the compiled float evaluator and _d
-    the derivatives taken so far, {variable name: derivative}.
+    _nf caches the normal form, so that the next operation on a result
+    reads it without normalizing the tree again; _fn caches the compiled
+    float evaluator and _d the derivative trees built so far, {variable
+    name: tree}, so that the G trees share them.
     """
 
     __slots__ = ("_hash", "_nf", "_skey", "_fn", "_d")
@@ -93,9 +95,8 @@ class Expr:
 
     def __getstate__(self):
         # the caches are left out and built again on demand: _fn cannot be
-        # pickled, and an atom's normal form holds the atom itself as a
-        # dict key, which unpickling would hash before the atom's fields
-        # are set
+        # pickled, and a normal form holds the tree's atoms as dict keys,
+        # which unpickling would hash before the atoms' fields are set
         state = {k: getattr(self, k) for c in type(self).__mro__
                  for k in getattr(c, "__slots__", ())}
         state.update(_nf=None, _fn=None, _d=None)
@@ -480,12 +481,16 @@ class _RatPow:
 
 
 class NF:
-    __slots__ = ("content", "num", "den")
+    """content * num / den; d holds the derivatives taken so far,
+    {variable name: normal form} (see nf_diff)."""
+
+    __slots__ = ("content", "num", "den", "d")
 
     def __init__(self, content: Fraction, num: dict, den: tuple):
         self.content = content
         self.num = num
         self.den = den
+        self.d = None
 
     def is_zero(self) -> bool:
         return not self.num
@@ -1152,8 +1157,9 @@ def nf_pow(a: NF, e: Fraction) -> NF:
         return nf_pow(nf_recip(a), Fraction(-n))
     k = math.floor(e)
     r = e - k
-    out = nf_pow(a, Fraction(k)) if k != 0 else _NF_ONE
-    return nf_mul(out, _nf_frac_pow(a, r))
+    if k == 0:
+        return _nf_frac_pow(a, r)
+    return nf_mul(nf_pow(a, Fraction(k)), _nf_frac_pow(a, r))
 
 
 def _nf_frac_pow(a: NF, r: Fraction) -> NF:
@@ -1237,10 +1243,11 @@ def to_nf(e: Expr) -> NF:
     if e._nf is not None:
         return e._nf
     t = type(e)
+    if t is Var or t is Const:
+        # not kept: the normal form of an atom holds the atom itself
+        return _atom_nf(e)
     if t is Rat:
         nf = _nf_rat(e.val)
-    elif t is Var or t is Const:
-        nf = _atom_nf(e)
     elif t is Add:
         nf = nf_sum([to_nf(s) for s in e.terms])
     elif t is Mul:
@@ -1359,46 +1366,24 @@ def nf_to_expr(nf: NF) -> Expr:
         return ZERO
     den_factors = [pw(_base_expr(b), Fraction(-e)) for (b, e) in nf.den]
     cn, cd = nf.content.numerator, nf.content.denominator
-    many = len(nf.num) > 1
     out_terms = []
     for (m, c) in nf.num.items():
         factors = [Rat(c * cn, cd)]
         for (b, e) in m:
             factors.append(_base_expr(b) if e == 1 else pw(_base_expr(b), e))
         factors.extend(den_factors)
-        t = mul(*factors)
-        # a term that add() flattens into a later sum is normalized from
-        # its own normal form; a bare atom is not built here and keeps none
-        if many and type(t) in (Mul, Pow):
-            t._nf = _term_nf(nf.content, m, c, nf.den)
-        out_terms.append(t)
+        out_terms.append(mul(*factors))
     e = add(*out_terms)
     # the reconstruction is its own normal form (cheap cache hit):
-    # normalizing it again gives nf back
+    # normalizing it again gives nf back.  A bare atom is nf's own base,
+    # and nf would hold it: a function keeps the normal form of an equal
+    # copy, a variable or constant none.
     if e._nf is None:
-        e._nf = nf
+        if type(e) is Func:
+            e._nf = _atom_nf(Func(e.name, e.arg))
+        elif type(e) is not Var and type(e) is not Const:
+            e._nf = nf
     return e
-
-
-def _term_nf(content: Fraction, mono: tuple, c: int, den: tuple) -> NF:
-    """The normal form of the term content*c*mono/den of a normal form:
-    what _mk_nf makes of it.  The exponents mono shares with den cancel;
-    no trial division, as one term is never divisible by a compound base."""
-    cut = {}
-    out_den = []
-    if den:
-        have = dict(mono)
-        for (b, e) in den:
-            k = min(e, math.floor(have.get(b, 0)))
-            if k > 0:
-                cut[b] = k
-                e -= k
-            if e:
-                out_den.append((b, e))
-    if cut:
-        mono = tuple((b, e - cut.get(b, 0)) for (b, e) in mono
-                     if e != cut.get(b, 0))
-    return NF(content * abs(c), {mono: 1 if c > 0 else -1}, tuple(out_den))
 
 
 # --------------------------------------------------------------------------
@@ -1410,11 +1395,9 @@ def simplify(e: Expr) -> Expr:
 
 
 def diff(e: Expr, v: Union[str, Var]) -> Expr:
-    """Exact partial derivative, simplified.  Taken once per node and
-    variable: a repeat returns the same tree.
-
-    Threads racing on a first call each build an equal tree; whichever is
-    stored last is kept."""
+    """Exact partial derivative, simplified: the tree of nf_diff of e's
+    normal form, built once per node and variable (a race keeps the
+    tree stored last)."""
     name = v.name if isinstance(v, Var) else v
     if name not in _VAR_NAMES:
         raise ValueError(f"not a chart variable: {v!r}")
@@ -1423,7 +1406,22 @@ def diff(e: Expr, v: Union[str, Var]) -> Expr:
         d = e._d = {}
     out = d.get(name)
     if out is None:
-        out = d[name] = nf_to_expr(_nf_diff(to_nf(e), name, {}))
+        out = d[name] = nf_to_expr(nf_diff(to_nf(e), name))
+    return out
+
+
+def nf_diff(a: NF, var: str) -> NF:
+    """d(a)/d(var), taken once per normal form and variable and kept in
+    a.d.  Threads racing on a first call each compute an equal normal
+    form; whichever is stored last is kept."""
+    if a.is_zero():
+        return _NF_ZERO
+    d = a.d
+    if d is None:
+        d = a.d = {}
+    out = d.get(var)
+    if out is None:
+        out = d[var] = _nf_diff(a, var, {})
     return out
 
 
@@ -1444,7 +1442,8 @@ def _nf_diff(a: NF, var: str, memo: dict) -> NF:
     for (b, e) in a.den:
         if b in live:
             rest = _nf_prod([c for c in live if c is not b])
-            terms.append(nf_scale(nf_mul(nf_mul(n, rest), memo[b]), -e))
+            nr = n if rest is _NF_ONE else nf_mul(n, rest)
+            terms.append(nf_scale(nf_mul(nr, memo[b]), -e))
     db = tuple((b, e + 1) if b in live else (b, e) for (b, e) in a.den)
     return nf_mul(nf_sum(terms), NF(_UNIT, {(): 1}, db))
 
@@ -1471,7 +1470,10 @@ def _p_diff(p: dict, var: str, memo: dict) -> NF:
             # resolved by nf_mul's _mk_nf.
             low = ((b, e - 1),) if e != 1 else ()
             parts.setdefault(b, {})[m[:i] + low + m[i + 1:]] = c * e
-    return nf_sum([nf_mul(NF(_UNIT, dp, ()), memo[b])
+    # b' = 1 (b is the variable) needs only _mk_nf, to lift the negative
+    # exponents the lowering leaves
+    return nf_sum([_mk_nf(_UNIT, dp, ()) if memo[b] is _NF_ONE
+                   else nf_mul(NF(_UNIT, dp, ()), memo[b])
                    for b, dp in parts.items()])
 
 
@@ -1488,6 +1490,8 @@ def _dbase(b, var: str, memo: dict) -> NF:
         darg = _nf_diff(to_nf(b.arg), var, memo)
         if darg.is_zero():
             out = _NF_ZERO
+        elif darg is _NF_ONE:
+            out = _func_outer_deriv(b)
         else:
             out = nf_mul(_func_outer_deriv(b), darg)
     elif isinstance(b, _PolyBase):

@@ -24,9 +24,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Union
 
-from .cnum import CExpr, wirtinger_z, wirtinger_zbar
+from .cnum import CExpr, _c_mul, _wirtinger
 from .expr import (
-    Expr, Func, Rat, as_expr, diff, parse, simplify, to_str,
+    NF, _NF_ZERO, Expr, Func, Rat, as_expr, diff, nf_diff, nf_mul, nf_neg,
+    nf_pow, nf_recip, nf_scale, nf_sum, nf_to_expr, parse, simplify, to_nf,
+    to_str,
 )
 
 __all__ = [
@@ -37,6 +39,10 @@ __all__ = [
 ]
 
 HALF = Fraction(1, 2)
+
+# The formulas below combine normal forms (NF): one nf_sum per sum, one
+# nf_mul per product and nf_diff per derivative.  A public function builds
+# one tree, of its result.
 
 
 class ChartMismatch(Exception):
@@ -67,7 +73,8 @@ class Metric:
     @property
     def det(self) -> Expr:
         if "det" not in self._cache:
-            self._cache["det"] = simplify(self.g11 * self.g22 - self.g12 * self.g12)
+            g11, g12, g22 = (to_nf(g) for g in (self.g11, self.g12, self.g22))
+            self._cache["det"] = nf_to_expr(_cross(g11, g22, g12, g12))
         return self._cache["det"]
 
     @property
@@ -79,9 +86,10 @@ class Metric:
             if self.kind == "iso":
                 m = self.lam
             elif self.kind == "null":
-                m = simplify(HALF * self.lam)
+                m = nf_to_expr(nf_scale(to_nf(self.lam), HALF))
             else:
-                m = simplify(Func("sqrt", simplify(Rat(self.signature) * self.det)))
+                m = nf_to_expr(nf_pow(nf_scale(to_nf(self.det), self.signature),
+                                      HALF))
             self._cache["mu"] = m
         return self._cache["mu"]
 
@@ -90,17 +98,24 @@ class Metric:
         """Inverse components (g^11, g^12, g^22)."""
         if "inv" not in self._cache:
             if self.kind == "iso":
-                i11 = simplify(Rat(1) / self.lam)
+                i11 = nf_to_expr(nf_recip(to_nf(self.lam)))
                 comps = (i11, Rat(0), i11)
             elif self.kind == "null":
-                comps = (Rat(0), simplify(Rat(2) / self.lam), Rat(0))
+                comps = (Rat(0), nf_to_expr(nf_scale(nf_recip(to_nf(self.lam)), 2)),
+                         Rat(0))
             else:
-                d = self.det
-                comps = (simplify(self.g22 / d),
-                         simplify(-self.g12 / d),
-                         simplify(self.g11 / d))
+                r = nf_recip(to_nf(self.det))
+                comps = (nf_to_expr(nf_mul(to_nf(self.g22), r)),
+                         nf_to_expr(nf_neg(nf_mul(to_nf(self.g12), r))),
+                         nf_to_expr(nf_mul(to_nf(self.g11), r)))
             self._cache["inv"] = comps
         return self._cache["inv"]
+
+    def _inv_mu(self) -> NF:
+        """1/mu."""
+        if "1/mu" not in self._cache:
+            self._cache["1/mu"] = nf_recip(to_nf(self.mu))
+        return self._cache["1/mu"]
 
     # -- conformal-factor helpers (iso / null lanes) -------------------
     @property
@@ -111,34 +126,26 @@ class Metric:
             self._cache["u"] = simplify(Func("ln", self.lam))
         return self._cache["u"]
 
-    @property
-    def u_z(self) -> CExpr:
-        """d/dz of ln lambda (isothermal lane)."""
-        if self.kind != "iso":
-            raise ChartMismatch("u_z is an isothermal-lane quantity")
-        if "u_z" not in self._cache:
-            self._cache["u_z"] = wirtinger_z(CExpr.from_real(self.log_lam)).simplified()
-        return self._cache["u_z"]
-
-    @property
-    def u_zbar(self) -> CExpr:
-        if self.kind != "iso":
-            raise ChartMismatch("u_zbar is an isothermal-lane quantity")
-        if "u_zb" not in self._cache:
-            self._cache["u_zb"] = wirtinger_zbar(CExpr.from_real(self.log_lam)).simplified()
-        return self._cache["u_zb"]
+    def _u_grad(self, first: bool):
+        """The normal form of u_z (u_zbar unless first) in the isothermal
+        lane, of u_x (u_y) in the null lane, with u = ln lambda."""
+        key = ("du", first)
+        if key not in self._cache:
+            u = to_nf(self.log_lam)
+            if self.kind == "iso":
+                out = _wirtinger((u, _NF_ZERO), -1 if first else 1)
+            else:
+                out = nf_diff(u, "x" if first else "y")
+            self._cache[key] = out
+        return self._cache[key]
 
     @property
     def u_x(self) -> Expr:
-        if "u_x" not in self._cache:
-            self._cache["u_x"] = simplify(diff(self.log_lam, "x"))
-        return self._cache["u_x"]
+        return diff(self.log_lam, "x")
 
     @property
     def u_y(self) -> Expr:
-        if "u_y" not in self._cache:
-            self._cache["u_y"] = simplify(diff(self.log_lam, "y"))
-        return self._cache["u_y"]
+        return diff(self.log_lam, "y")
 
     def __repr__(self):
         if self.kind == "iso":
@@ -157,8 +164,8 @@ def isothermal_metric(lam: Union[Expr, str]) -> Metric:
 def null_metric(lam: Union[Expr, str]) -> Metric:
     """g = lambda dx dy (components g12 = g21 = lambda/2)."""
     lam = parse(lam) if isinstance(lam, str) else as_expr(lam)
-    return Metric("null", Rat(0), simplify(HALF * lam), Rat(0), lam=lam,
-                  signature=-1)
+    return Metric("null", Rat(0), nf_to_expr(nf_scale(to_nf(lam), HALF)),
+                  Rat(0), lam=lam, signature=-1)
 
 
 def general_metric(g11: Union[Expr, str], g12: Union[Expr, str],
@@ -171,100 +178,133 @@ def general_metric(g11: Union[Expr, str], g12: Union[Expr, str],
 # --------------------------------------------------------------------------
 # Christoffel symbols and curvature
 
+def _cross(a: NF, b: NF, c: NF, d: NF) -> NF:
+    """a*b - c*d."""
+    return nf_sum([nf_mul(a, b), nf_neg(nf_mul(c, d))])
+
+
 def christoffel(metric: Metric) -> dict:
     """Gamma^i_{jk} as a dict keyed by (i, j, k), 0-based, symmetric in jk."""
     key = "christoffel"
     if key in metric._cache:
         return metric._cache[key]
-    g = ((metric.g11, metric.g12), (metric.g12, metric.g22))
-    i11, i12, i22 = metric.inv
+    g = [[to_nf(c) for c in row] for row in
+         ((metric.g11, metric.g12), (metric.g12, metric.g22))]
+    i11, i12, i22 = (to_nf(c) for c in metric.inv)
     ginv = ((i11, i12), (i12, i22))
-    vs = ("x", "y")
-    dg = {}
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                dg[(i, j, k)] = diff(g[i][j], vs[k])
+    dg = {(i, j, k): nf_diff(g[i][j], v) for i in range(2) for j in range(2)
+          for k, v in enumerate(("x", "y"))}
     gam = {}
     for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                s = as_expr(0)
-                for l in range(2):
-                    s = s + ginv[i][l] * (dg[(l, j, k)] + dg[(l, k, j)] - dg[(j, k, l)])
-                gam[(i, j, k)] = simplify(HALF * s)
+        for (j, k) in ((0, 0), (0, 1), (1, 1)):
+            s = nf_sum([nf_mul(ginv[i][l], nf_sum([
+                dg[(l, j, k)], dg[(l, k, j)], nf_neg(dg[(j, k, l)])]))
+                for l in range(2)])
+            gam[(i, j, k)] = gam[(i, k, j)] = nf_to_expr(nf_scale(s, HALF))
     metric._cache[key] = gam
     return gam
 
 
-def _classical_curvature(metric: Metric) -> Expr:
+def _classical_curvature(metric: Metric) -> NF:
     """K = R_1212 / det via the Christoffel route (any chart)."""
-    gam = christoffel(metric)
+    gam = {k: to_nf(v) for k, v in christoffel(metric).items()}
     vs = ("x", "y")
-
-    def dgam(i, j, k, wrt):
-        return diff(gam[(i, j, k)], vs[wrt])
 
     def riem_up(i, j, k, l):
         # R^i_{jkl} = d_k Gamma^i_{lj} - d_l Gamma^i_{kj} + Gamma terms
-        s = dgam(i, l, j, k) - dgam(i, k, j, l)
+        terms = [nf_diff(gam[(i, l, j)], vs[k]),
+                 nf_neg(nf_diff(gam[(i, k, j)], vs[l]))]
         for m in range(2):
-            s = s + gam[(i, k, m)] * gam[(m, l, j)] - gam[(i, l, m)] * gam[(m, k, j)]
-        return s
+            terms.append(_cross(gam[(i, k, m)], gam[(m, l, j)],
+                                gam[(i, l, m)], gam[(m, k, j)]))
+        return nf_sum(terms)
 
-    r1212 = metric.g11 * riem_up(0, 1, 0, 1) + metric.g12 * riem_up(1, 1, 0, 1)
-    return simplify(r1212 / metric.det)
+    r1212 = nf_sum([nf_mul(to_nf(metric.g11), riem_up(0, 1, 0, 1)),
+                    nf_mul(to_nf(metric.g12), riem_up(1, 1, 0, 1))])
+    return nf_mul(r1212, nf_recip(to_nf(metric.det)))
 
 
 def gauss_curvature(metric: Metric) -> Expr:
     """Lane curvature (see module docstring for the null-lane convention)."""
     if "R" in metric._cache:
         return metric._cache["R"]
-    if metric.kind == "iso":
-        u = metric.log_lam
-        flat_lap = diff(diff(u, "x"), "x") + diff(diff(u, "y"), "y")
-        r = simplify(-HALF * flat_lap / metric.lam)
-    elif metric.kind == "null":
-        u = metric.log_lam
-        r = simplify(diff(diff(u, "x"), "y") / metric.lam)
-    else:
+    if metric.kind == "general":
         r = _classical_curvature(metric)
-    metric._cache["R"] = r
+    else:
+        ux, uy = _grad(to_nf(metric.log_lam))
+        if metric.kind == "iso":
+            flat_lap = nf_sum([nf_diff(ux, "x"), nf_diff(uy, "y")])
+            r = nf_scale(flat_lap, -HALF)
+        else:
+            r = nf_diff(ux, "y")
+        r = nf_mul(r, nf_recip(to_nf(metric.lam)))
+    metric._cache["R"] = r = nf_to_expr(r)
     return r
 
 
 # --------------------------------------------------------------------------
 # first-order scalar operators
 
+def _grad(f: NF):
+    return nf_diff(f, "x"), nf_diff(f, "y")
+
+
+def _pairing(metric: Metric, fg, hg) -> NF:
+    """g^{ij} f_i h_j from the gradients fg and hg."""
+    (fx, fy), (hx, hy) = fg, hg
+    i11, i12, i22 = (to_nf(c) for c in metric.inv)
+    if metric.kind == "iso":
+        return nf_mul(i11, nf_sum([nf_mul(fx, hx), nf_mul(fy, hy)]))
+    mixed = nf_mul(i12, nf_sum([nf_mul(fx, hy), nf_mul(fy, hx)]))
+    if metric.kind == "null":
+        return mixed
+    return nf_sum([nf_mul(i11, nf_mul(fx, hx)), mixed,
+                   nf_mul(i22, nf_mul(fy, hy))])
+
+
+def _bracket(metric: Metric, fg, hg) -> NF:
+    """{f, h} from the gradients fg and hg."""
+    (fx, fy), (hx, hy) = fg, hg
+    return nf_mul(_cross(fx, hy, fy, hx), metric._inv_mu())
+
+
+def _laplacian(metric: Metric, f: NF) -> NF:
+    fx, fy = _grad(f)
+    if metric.kind == "iso":
+        # mu g^{ij} is the identity
+        div = [nf_diff(fx, "x"), nf_diff(fy, "y")]
+    elif metric.kind == "null":
+        # mu g^{12} = 1 and mu g^{11} = mu g^{22} = 0
+        div = [nf_diff(fy, "x"), nf_diff(fx, "y")]
+    else:
+        mu = to_nf(metric.mu)
+        i11, i12, i22 = (to_nf(c) for c in metric.inv)
+        flux_x = nf_mul(mu, nf_sum([nf_mul(i11, fx), nf_mul(i12, fy)]))
+        flux_y = nf_mul(mu, nf_sum([nf_mul(i12, fx), nf_mul(i22, fy)]))
+        div = [nf_diff(flux_x, "x"), nf_diff(flux_y, "y")]
+    return nf_mul(nf_sum(div), metric._inv_mu())
+
+
 def grad_pairing(metric: Metric, f: Expr, h: Expr) -> Expr:
     """<grad f, grad h> = g^{ij} f_i h_j."""
-    i11, i12, i22 = metric.inv
-    fx, fy = diff(f, "x"), diff(f, "y")
-    hx, hy = diff(h, "x"), diff(h, "y")
-    return simplify(i11 * fx * hx + i12 * (fx * hy + fy * hx) + i22 * fy * hy)
+    return nf_to_expr(_pairing(metric, _grad(to_nf(f)), _grad(to_nf(h))))
 
 
 def grad_half_square(metric: Metric, f: Expr) -> Expr:
     """Half the squared gradient, (1/2) g^{ij} f_i f_j."""
-    return simplify(HALF * grad_pairing(metric, f, f))
+    fg = _grad(to_nf(f))
+    return nf_to_expr(nf_scale(_pairing(metric, fg, fg), HALF))
 
 
 def poisson_g(metric: Metric, f: Expr, h: Expr) -> Expr:
     """Poisson bracket of functions on the surface induced by the volume
     form mu dx^dy: {f, h} = (f_x h_y - f_y h_x) / mu."""
-    fx, fy = diff(f, "x"), diff(f, "y")
-    hx, hy = diff(h, "x"), diff(h, "y")
-    return simplify((fx * hy - fy * hx) / metric.mu)
+    return nf_to_expr(_bracket(metric, _grad(to_nf(f)), _grad(to_nf(h))))
 
 
 def laplacian(metric: Metric, f: Expr) -> Expr:
     """Laplace-Beltrami operator (1/mu) d_i (mu g^{ij} d_j f)."""
-    i11, i12, i22 = metric.inv
-    mu = metric.mu
-    fx, fy = diff(f, "x"), diff(f, "y")
-    flux_x = simplify(mu * (i11 * fx + i12 * fy))
-    flux_y = simplify(mu * (i12 * fx + i22 * fy))
-    return simplify((diff(flux_x, "x") + diff(flux_y, "y")) / mu)
+    return nf_to_expr(_laplacian(metric, to_nf(f)))
 
 
 def complex_structure(metric: Metric):
@@ -273,10 +313,10 @@ def complex_structure(metric: Metric):
 
     J^2 = -Id for Riemannian signature, +Id for split signature.
     """
-    i11, i12, i22 = metric.inv
-    w = metric.mu
-    return ((simplify(i12 * w), simplify(-(i11 * w))),
-            (simplify(i22 * w), simplify(-(i12 * w))))
+    w = to_nf(metric.mu)
+    i11, i12, i22 = (nf_mul(to_nf(c), w) for c in metric.inv)
+    return ((nf_to_expr(i12), nf_to_expr(nf_neg(i11))),
+            (nf_to_expr(i22), nf_to_expr(nf_neg(i12))))
 
 
 # --------------------------------------------------------------------------
@@ -312,19 +352,42 @@ class Section:
         return f"Section(weight={self.weight}, value={self.value!r})"
 
 
+def _nabla(m: Metric, v, p: int, first: bool):
+    """The value of the weighted derivative of a section of weight p in
+    the direction it names (first: (p, q) -> (p+1, q); else p is q):
+    v_z - p u_z v (isothermal lane, v a pair of normal forms (re, im);
+    v_zbar - q u_zbar v in the second direction) or v_x - p u_x v (null
+    lane, v_y - q u_y v)."""
+    du = m._u_grad(first)
+    if m.kind == "iso":
+        w = _wirtinger(v, -1 if first else 1)
+        if not p:
+            return w
+        uv = _c_mul(du, v)
+        return tuple(nf_sum([a, nf_scale(b, -p)]) for a, b in zip(w, uv))
+    dv = nf_diff(v, "x" if first else "y")
+    return nf_sum([dv, nf_scale(nf_mul(du, v), -p)]) if p else dv
+
+
+def _section_nabla(s: Section, first: bool) -> Section:
+    p, q = s.weight
+    m = s.metric
+    if m.kind == "iso":
+        v = _nabla(m, (to_nf(s.value.re), to_nf(s.value.im)),
+                   p if first else q, first)
+        v = CExpr(*map(nf_to_expr, v))
+    else:
+        v = nf_to_expr(_nabla(m, to_nf(s.value), p if first else q, first))
+    return Section(v, (p + 1, q) if first else (p, q + 1), m)
+
+
 def nabla10(s: Section) -> Section:
     """Weighted derivative in the first direction: weight (p, q) -> (p+1, q).
 
     Isothermal lane: nabla s = s_z - p u_z s;  null lane: s_x - p u_x s,
     with u = ln lambda.
     """
-    p, q = s.weight
-    m = s.metric
-    if m.kind == "iso":
-        v = wirtinger_z(s.value) - CExpr.from_real(Rat(p)) * m.u_z * s.value
-        return Section(v.simplified(), (p + 1, q), m)
-    v = simplify(diff(s.value, "x") - Rat(p) * m.u_x * s.value)
-    return Section(v, (p + 1, q), m)
+    return _section_nabla(s, True)
 
 
 def nabla01(s: Section) -> Section:
@@ -332,10 +395,4 @@ def nabla01(s: Section) -> Section:
 
     Isothermal lane: s_zbar - q u_zbar s;  null lane: s_y - q u_y s.
     """
-    p, q = s.weight
-    m = s.metric
-    if m.kind == "iso":
-        v = wirtinger_zbar(s.value) - CExpr.from_real(Rat(q)) * m.u_zbar * s.value
-        return Section(v.simplified(), (p, q + 1), m)
-    v = simplify(diff(s.value, "y") - Rat(q) * m.u_y * s.value)
-    return Section(v, (p, q + 1), m)
+    return _section_nabla(s, False)

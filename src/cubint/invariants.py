@@ -23,14 +23,17 @@ covariant index formulas.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .expr import (Box, DEFAULT_CFG, Expr, Rat, ZeroTestConfig, as_expr, diff,
-                   is_zero, nf_is_zero, parse, simplify)
-from .cnum import CExpr, parse_complex, wirtinger_z, wirtinger_zbar
-from .geometry import (ChartMismatch, Metric, Section, complex_structure,
-                       gauss_curvature, grad_half_square, grad_pairing,
-                       laplacian, nabla01, nabla10, poisson_g)
+from .expr import (_NF_ZERO, Box, DEFAULT_CFG, Expr, ZeroTestConfig, as_expr,
+                   diff, is_zero, nf_is_zero, nf_mul, nf_neg, nf_recip,
+                   nf_scale, nf_sum, nf_to_expr, parse, simplify, to_nf)
+from .cnum import (CExpr, _c_mul, _nfs, _wirtinger, parse_complex,
+                   wirtinger_zbar)
+from .geometry import (ChartMismatch, Metric, _bracket, _cross, _grad,
+                       _laplacian, _nabla, _pairing, complex_structure,
+                       gauss_curvature, grad_half_square, laplacian, poisson_g)
 from .tensorcoords import (SymTensor3, a_hat_from_complex, div1, div2, div3,
                            holo_residual)
 
@@ -172,13 +175,14 @@ def _gee(metric: Metric, fa, fb, fc, da, db, dc) -> Expr:
     return out
 
 
-def _det_form(metric: Metric, rows) -> Expr:
-    """(1/mu) det[[f_x, f_y, D] per row] for rows of (f, D)."""
-    m = [[diff(f, "x"), diff(f, "y"), d] for (f, d) in rows]
-    det = (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-           - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-           + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-    return simplify(det / metric.mu)
+def _det_form(metric: Metric, *rows) -> Expr:
+    """(1/mu) det[[f_x, f_y, D] per row] for rows f0, D0, f1, D1, f2, D2."""
+    m = [[*_grad(to_nf(f)), to_nf(d)] for f, d in zip(rows[::2], rows[1::2])]
+    det = nf_sum([nf_mul(m[0][0], _cross(m[1][1], m[2][2], m[1][2], m[2][1])),
+                  nf_neg(nf_mul(m[0][1], _cross(m[1][0], m[2][2],
+                                                m[1][2], m[2][0]))),
+                  nf_mul(m[0][2], _cross(m[1][0], m[2][1], m[1][1], m[2][0]))])
+    return nf_to_expr(nf_mul(det, metric._inv_mu()))
 
 
 def _kay(phi0: Expr, dee0: Expr, phi1_like: Expr, dee1_like: Expr,
@@ -191,11 +195,26 @@ def _kay(phi0: Expr, dee0: Expr, phi1_like: Expr, dee1_like: Expr,
         raise DegenerateBracket(
             "%s is %s on the sampled domain; covector undefined"
             % (denom_name, v.kind))
-    out = []
-    for var in ("x", "y"):
-        num = diff(phi0, var) * dee1_like - dee0 * diff(phi1_like, var)
-        out.append(simplify(num / denom))
-    return tuple(out)
+    num = _dform(phi0, dee0, phi1_like, dee1_like)
+    if any(n.num for n in num):
+        r = nf_recip(to_nf(denom))
+        num = [nf_mul(n, r) for n in num]
+    return tuple(map(nf_to_expr, num))
+
+
+def _dform(phi0: Expr, dee0: Expr, phi1_like: Expr, dee1_like: Expr):
+    """The normal forms of (phi0)_i D1 - D0 (phi1)_i for i = x, y, or of
+    their star variant."""
+    d0, d1 = to_nf(dee0), to_nf(dee1_like)
+    return tuple(_cross(a, d1, b, d0) for a, b in
+                 zip(_grad(to_nf(phi0)), _grad(to_nf(phi1_like))))
+
+
+def _formula(key: str, fn, *names):
+    """An InvariantEngine property: fn of the metric and the invariants
+    named, built once."""
+    return property(lambda eng: eng._get(key, lambda: fn(
+        eng.metric, *(getattr(eng, n) for n in names))))
 
 
 class InvariantEngine:
@@ -262,53 +281,29 @@ class InvariantEngine:
 
     # -- curvature chain ---------------------------------------------------
 
-    @property
-    def phi0(self) -> Expr:
-        return self._get("phi0", lambda: gauss_curvature(self.metric))
-
-    @property
-    def phi1(self) -> Expr:
-        return self._get("phi1",
-                         lambda: grad_half_square(self.metric, self.phi0))
-
-    @property
-    def phi2(self) -> Expr:
-        return self._get("phi2",
-                         lambda: poisson_g(self.metric, self.phi0, self.phi1))
-
-    @property
-    def phi3(self) -> Expr:
-        return self._get("phi3",
-                         lambda: grad_half_square(self.metric, self.phi1))
-
-    @property
-    def phistar1(self) -> Expr:
-        return self._get("phistar1", lambda: laplacian(self.metric, self.phi0))
-
-    @property
-    def phistar2(self) -> Expr:
-        return self._get("phistar2",
-                         lambda: poisson_g(self.metric, self.phi0, self.phistar1))
-
-    @property
-    def phistar3(self) -> Expr:
-        return self._get("phistar3",
-                         lambda: grad_half_square(self.metric, self.phistar1))
+    phi0 = _formula("phi0", gauss_curvature)
+    phi1 = _formula("phi1", grad_half_square, "phi0")
+    phi2 = _formula("phi2", poisson_g, "phi0", "phi1")
+    phi3 = _formula("phi3", grad_half_square, "phi1")
+    phistar1 = _formula("phistar1", laplacian, "phi0")
+    phistar2 = _formula("phistar2", poisson_g, "phi0", "phistar1")
+    phistar3 = _formula("phistar3", grad_half_square, "phistar1")
 
     # -- codifferential derivative helpers, one per lane -------------------
 
     def _iso_az(self):
-        # weighted derivative of the calculus coefficient a_cal = 2a
-        def build():
-            a_cal = self.codiff.a * Rat(2)
-            return nabla10(Section(a_cal, (-3, 0), self.metric))
-        return self._get("iso_az", build)
+        # weighted derivative (weight (-2, 0)) of the calculus coefficient
+        # a_cal = 2a, as a pair of normal forms
+        return self._get("iso_az", lambda: _nabla(
+            self.metric, tuple(nf_scale(v, 2) for v in _nfs(self.codiff.a)),
+            -3, True))
 
     def _null_parts(self):
+        # a1_x (weight (-2, 0)) and a2_y (weight (0, -2)), as normal forms
         def build():
-            s1 = Section(self.codiff.a1, (-3, 0), self.metric)
-            s2 = Section(self.codiff.a2, (0, -3), self.metric)
-            return nabla10(s1), nabla01(s2)
+            c, m = self.codiff, self.metric
+            return (_nabla(m, to_nf(c.a1), -3, True),
+                    _nabla(m, to_nf(c.a2), -3, False))
         return self._get("null_parts", build)
 
     def _w_tensor(self):
@@ -319,26 +314,20 @@ class InvariantEngine:
     def _pair_drop(self, dee: Expr, f: Expr) -> Expr:
         """<grad dee, grad f> minus the codifferential quadratic term
         4 Re(A_;z (f_;z)^2) in the matching lane."""
-        lead = grad_pairing(self.metric, dee, f)
+        fg = _grad(to_nf(f))
+        lead = _pairing(self.metric, _grad(to_nf(dee)), fg)
         c = self.codiff
         if c.variant == "iso":
-            az = self._iso_az().value
-            fz = wirtinger_z(CExpr(f, as_expr(0)))
-            term = (az * fz * fz).re
-            return simplify(lead - Rat(4) * term)
-        if c.variant == "null":
-            a1x, a2y = self._null_parts()
-            term = (a1x.value * diff(f, "x") ** 2
-                    + a2y.value * diff(f, "y") ** 2)
-            return simplify(lead - Rat(2) * term)
-        w = self._w_tensor()
-        fx, fy = diff(f, "x"), diff(f, "y")
-        grads = (fx, fy)
-        term = as_expr(0)
-        for i in range(2):
-            for j in range(2):
-                term = term + w[i][j] * grads[i] * grads[j]
-        return simplify(lead - Rat(4) * term)
+            fz = _wirtinger((to_nf(f), _NF_ZERO), -1)
+            terms = [nf_scale(_c_mul(_c_mul(self._iso_az(), fz), fz)[0], -4)]
+        elif c.variant == "null":
+            terms = [nf_scale(nf_mul(nf_mul(a, g), g), -2)
+                     for a, g in zip(self._null_parts(), fg)]
+        else:
+            w = [[to_nf(v) for v in row] for row in self._w_tensor()]
+            terms = [nf_scale(nf_mul(nf_mul(w[i][j], fg[i]), fg[j]), -4)
+                     for i in range(2) for j in range(2)]
+        return nf_to_expr(nf_sum([lead] + terms))
 
     # -- D family ----------------------------------------------------------
 
@@ -346,29 +335,33 @@ class InvariantEngine:
     def dee0(self) -> Expr:
         def build():
             self.check_holomorphic()
-            c = self.codiff
+            c, m = self.codiff, self.metric
             if c.variant == "iso":
-                azzz = nabla10(nabla10(self._iso_az())).value
-                return simplify(Rat(4) * azzz.re)
+                azzz = _nabla(m, _nabla(m, self._iso_az(), -2, True), -1, True)
+                return nf_to_expr(nf_scale(azzz[0], 4))
             if c.variant == "null":
                 a1x, a2y = self._null_parts()
-                a1xxx = nabla10(nabla10(a1x)).value
-                a2yyy = nabla01(nabla01(a2y)).value
-                return simplify(Rat(2) * (a1xxx + a2yyy))
-            v = div2(self.metric, self._w_tensor())
-            return simplify(Rat(4) * div1(self.metric, v))
+                a1xxx = _nabla(m, _nabla(m, a1x, -2, True), -1, True)
+                a2yyy = _nabla(m, _nabla(m, a2y, -2, False), -1, False)
+                return nf_to_expr(nf_scale(nf_sum([a1xxx, a2yyy]), 2))
+            v = div2(m, self._w_tensor())
+            return nf_to_expr(nf_scale(to_nf(div1(m, v)), 4))
         return self._get("D0", build)
 
     @property
     def dee1(self) -> Expr:
         return self._get("D1", lambda: self._pair_drop(self.dee0, self.phi0))
 
+    def _bracket_diff(self, f: Expr, dee: Expr) -> Expr:
+        """{D0, f} - {dee, phi0}: D2 for f = phi1, D*2 for f = phi*1."""
+        m, phi0 = self.metric, _grad(to_nf(self.phi0))
+        return nf_to_expr(nf_sum([
+            _bracket(m, _grad(to_nf(self.dee0)), _grad(to_nf(f))),
+            nf_neg(_bracket(m, _grad(to_nf(dee)), phi0))]))
+
     @property
     def dee2(self) -> Expr:
-        def build():
-            return simplify(poisson_g(self.metric, self.dee0, self.phi1)
-                            - poisson_g(self.metric, self.dee1, self.phi0))
-        return self._get("D2", build)
+        return self._get("D2", lambda: self._bracket_diff(self.phi1, self.dee1))
 
     @property
     def dee3(self) -> Expr:
@@ -378,102 +371,56 @@ class InvariantEngine:
     def deestar1(self) -> Expr:
         def build():
             self.check_holomorphic()
-            c = self.codiff
-            lead = laplacian(self.metric, self.dee0)
+            c, m = self.codiff, self.metric
+            lead = _laplacian(m, to_nf(self.dee0))
+            r = to_nf(self.phi0)
             if c.variant == "iso":
-                az = self._iso_az()          # weight (-2, 0)
-                rz = wirtinger_z(CExpr(self.phi0, as_expr(0)))
-                prod = Section(az.value * rz, (-1, 0), self.metric)
-                w = nabla10(prod).value
-                return simplify(lead - Rat(2) * w.re)
-            if c.variant == "null":
-                a1x, a2y = self._null_parts()
-                p1 = Section(simplify(a1x.value * diff(self.phi0, "x")),
-                             (-1, 0), self.metric)
-                p2 = Section(simplify(a2y.value * diff(self.phi0, "y")),
-                             (0, -1), self.metric)
-                return simplify(lead - nabla10(p1).value - nabla01(p2).value)
-            w2 = self._w_tensor()
-            v = tuple(
-                simplify(w2[j][0] * diff(self.phi0, "x")
-                         + w2[j][1] * diff(self.phi0, "y"))
-                for j in range(2))
-            return simplify(lead - Rat(2) * div1(self.metric, v))
+                rz = _wirtinger((r, _NF_ZERO), -1)
+                w = _nabla(m, _c_mul(self._iso_az(), rz), -1, True)
+                terms = [nf_scale(w[0], -2)]
+            elif c.variant == "null":
+                terms = [nf_neg(_nabla(m, nf_mul(a, g), -1, first))
+                         for a, g, first in zip(self._null_parts(), _grad(r),
+                                                 (True, False))]
+            else:
+                w2 = [[to_nf(v) for v in row] for row in self._w_tensor()]
+                rx, ry = _grad(r)
+                v = tuple(nf_to_expr(nf_sum([nf_mul(w2[j][0], rx),
+                                             nf_mul(w2[j][1], ry)]))
+                          for j in range(2))
+                terms = [nf_scale(to_nf(div1(m, v)), -2)]
+            return nf_to_expr(nf_sum([lead] + terms))
         return self._get("Dstar1", build)
 
     @property
     def deestar2(self) -> Expr:
-        def build():
-            return simplify(poisson_g(self.metric, self.dee0, self.phistar1)
-                            - poisson_g(self.metric, self.deestar1, self.phi0))
-        return self._get("Dstar2", build)
+        return self._get("Dstar2",
+                         lambda: self._bracket_diff(self.phistar1, self.deestar1))
 
     @property
     def deestar3(self) -> Expr:
         return self._get("Dstar3",
                          lambda: self._pair_drop(self.deestar1, self.phistar1))
 
-    # -- G combinations ----------------------------------------------------
+    # -- G combinations: {fa,fb} dc + {fb,fc} da + {fc,fa} db, and the
+    # determinant forms of G2, G3, G*2 and G*3 over rows (f, D)
 
-    @property
-    def gee0(self) -> Expr:
-        return self._get("G0", lambda: _gee(
-            self.metric, self.phi1, self.phi2, self.phi3,
-            self.dee1, self.dee2, self.dee3))
-
-    @property
-    def gee1(self) -> Expr:
-        return self._get("G1", lambda: _gee(
-            self.metric, self.phi0, self.phi2, self.phi3,
-            self.dee0, self.dee2, self.dee3))
-
-    @property
-    def gee2(self) -> Expr:
-        return self._get("G2", lambda: _gee(
-            self.metric, self.phi0, self.phi1, self.phi3,
-            self.dee0, self.dee1, self.dee3))
-
-    @property
-    def gee3(self) -> Expr:
-        return self._get("G3", lambda: _gee(
-            self.metric, self.phi0, self.phi1, self.phi2,
-            self.dee0, self.dee1, self.dee2))
-
-    @property
-    def geestar2(self) -> Expr:
-        return self._get("Gstar2", lambda: _gee(
-            self.metric, self.phi0, self.phistar1, self.phistar3,
-            self.dee0, self.deestar1, self.deestar3))
-
-    @property
-    def geestar3(self) -> Expr:
-        return self._get("Gstar3", lambda: _gee(
-            self.metric, self.phi0, self.phistar1, self.phistar2,
-            self.dee0, self.deestar1, self.deestar2))
-
-    @property
-    def gee2_det(self) -> Expr:
-        return self._get("G2det", lambda: _det_form(
-            self.metric, ((self.phi0, self.dee0), (self.phi1, self.dee1),
-                          (self.phi3, self.dee3))))
-
-    @property
-    def gee3_det(self) -> Expr:
-        return self._get("G3det", lambda: _det_form(
-            self.metric, ((self.phi0, self.dee0), (self.phi1, self.dee1),
-                          (self.phi2, self.dee2))))
-
-    @property
-    def geestar2_det(self) -> Expr:
-        return self._get("Gstar2det", lambda: _det_form(
-            self.metric, ((self.phi0, self.dee0), (self.phistar1, self.deestar1),
-                          (self.phistar3, self.deestar3))))
-
-    @property
-    def geestar3_det(self) -> Expr:
-        return self._get("Gstar3det", lambda: _det_form(
-            self.metric, ((self.phi0, self.dee0), (self.phistar1, self.deestar1),
-                          (self.phistar2, self.deestar2))))
+    gee0 = _formula("G0", _gee, "phi1", "phi2", "phi3", "dee1", "dee2", "dee3")
+    gee1 = _formula("G1", _gee, "phi0", "phi2", "phi3", "dee0", "dee2", "dee3")
+    gee2 = _formula("G2", _gee, "phi0", "phi1", "phi3", "dee0", "dee1", "dee3")
+    gee3 = _formula("G3", _gee, "phi0", "phi1", "phi2", "dee0", "dee1", "dee2")
+    geestar2 = _formula("Gstar2", _gee, "phi0", "phistar1", "phistar3",
+                        "dee0", "deestar1", "deestar3")
+    geestar3 = _formula("Gstar3", _gee, "phi0", "phistar1", "phistar2",
+                        "dee0", "deestar1", "deestar2")
+    gee2_det = _formula("G2det", _det_form, "phi0", "dee0", "phi1", "dee1",
+                        "phi3", "dee3")
+    gee3_det = _formula("G3det", _det_form, "phi0", "dee0", "phi1", "dee1",
+                        "phi2", "dee2")
+    geestar2_det = _formula("Gstar2det", _det_form, "phi0", "dee0", "phistar1",
+                            "deestar1", "phistar3", "deestar3")
+    geestar3_det = _formula("Gstar3det", _det_form, "phi0", "dee0", "phistar1",
+                            "deestar1", "phistar2", "deestar2")
 
     # -- K covector, B-hat, candidate F ------------------------------------
 
@@ -493,20 +440,18 @@ class InvariantEngine:
         """B-hat^{ijk} = (1/24)(g^{ij}g^{kl} + g^{ik}g^{jl} + g^{jk}g^{il})
         (K J)_l with the 1-form action (K J)_l = K_m J^m_l."""
         m = self.metric
-        i11, i12, i22 = m.inv
+        i11, i12, i22 = (to_nf(c) for c in m.inv)
         ginv = ((i11, i12), (i12, i22))
-        jmat = complex_structure(m)
-        jk = tuple(
-            simplify(kay[0] * jmat[0][l] + kay[1] * jmat[1][l])
-            for l in range(2))
-        f24 = Rat(1, 24)
+        jmat = [[to_nf(c) for c in row] for row in complex_structure(m)]
+        k = [to_nf(c) for c in kay]
+        jk = [nf_sum([nf_mul(k[0], jmat[0][l]), nf_mul(k[1], jmat[1][l])])
+              for l in range(2)]
 
         def comp(i, j, k):
-            s = as_expr(0)
-            for l in range(2):
-                s = s + (ginv[i][j] * ginv[k][l] + ginv[i][k] * ginv[j][l]
-                         + ginv[j][k] * ginv[i][l]) * jk[l]
-            return simplify(f24 * s)
+            return nf_to_expr(nf_scale(nf_sum([nf_mul(nf_sum([
+                nf_mul(ginv[i][j], ginv[k][l]), nf_mul(ginv[i][k], ginv[j][l]),
+                nf_mul(ginv[j][k], ginv[i][l])]), jk[l]) for l in range(2)]),
+                Fraction(1, 24)))
 
         return SymTensor3((comp(0, 0, 0), comp(0, 0, 1),
                            comp(0, 1, 1), comp(1, 1, 1)))
@@ -517,8 +462,10 @@ class InvariantEngine:
         if self.metric.kind != "iso":
             raise ChartMismatch("b_field is defined in the isothermal lane")
         k1, k2 = self.kay
-        lam2 = simplify(self.metric.lam * self.metric.lam)
-        return CExpr(simplify(k2 / lam2), simplify(Rat(-1) * k1 / lam2))
+        lam = to_nf(self.metric.lam)
+        r = nf_recip(nf_mul(lam, lam))
+        return CExpr(nf_to_expr(nf_mul(to_nf(k2), r)),
+                     nf_to_expr(nf_neg(nf_mul(to_nf(k1), r))))
 
     def f_tensor(self, kay: Optional[Tuple[Expr, Expr]] = None) -> SymTensor3:
         """Candidate integral F = A-hat + B-hat(kay); kay defaults to the
@@ -530,29 +477,16 @@ class InvariantEngine:
 
     # -- 1-forms for the degenerate branch ---------------------------------
 
-    @property
-    def dform_x(self) -> Expr:
-        return self._get("Dx", lambda: simplify(
-            diff(self.phi0, "x") * self.dee1
-            - diff(self.phi1, "x") * self.dee0))
+    def _dforms(self, star: bool):
+        """(D_x, D_y), or (D*_x, D*_y) for star, as trees."""
+        return self._get(("dforms", star), lambda: tuple(map(nf_to_expr, _dform(
+            self.phi0, self.dee0, *((self.phistar1, self.deestar1) if star
+                                    else (self.phi1, self.dee1))))))
 
-    @property
-    def dform_y(self) -> Expr:
-        return self._get("Dy", lambda: simplify(
-            diff(self.phi0, "y") * self.dee1
-            - diff(self.phi1, "y") * self.dee0))
-
-    @property
-    def dformstar_x(self) -> Expr:
-        return self._get("Dstarx", lambda: simplify(
-            diff(self.phi0, "x") * self.deestar1
-            - diff(self.phistar1, "x") * self.dee0))
-
-    @property
-    def dformstar_y(self) -> Expr:
-        return self._get("Dstary", lambda: simplify(
-            diff(self.phi0, "y") * self.deestar1
-            - diff(self.phistar1, "y") * self.dee0))
+    dform_x = property(lambda self: self._dforms(False)[0])
+    dform_y = property(lambda self: self._dforms(False)[1])
+    dformstar_x = property(lambda self: self._dforms(True)[0])
+    dformstar_y = property(lambda self: self._dforms(True)[1])
 
     # -- assembled report --------------------------------------------------
 

@@ -19,9 +19,12 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 from typing import Iterable, Tuple
 
-from .expr import Expr, Rat, as_expr, diff, nf_is_zero, simplify, to_str
+from .expr import (_NF_ZERO, Expr, Rat, as_expr, nf_diff, nf_is_zero, nf_mul,
+                   nf_neg, nf_scale, nf_sum, nf_to_expr, simplify, to_nf,
+                   to_str)
 from .cnum import CExpr
 from .geometry import Metric, christoffel, complex_structure
 from .verify import MomentumPoly
@@ -195,58 +198,58 @@ def imag_part(metric: Metric, a_hat: SymTensor3) -> SymTensor3:
 # --------------------------------------------------------------------------
 # covariant derivatives (Levi-Civita connection)
 
+def _gamma(metric: Metric) -> dict:
+    """The Christoffel symbols as normal forms."""
+    return {k: to_nf(v) for k, v in christoffel(metric).items()}
+
+
 def cov_deriv3(metric: Metric, t: SymTensor3):
-    """nabla_l T^{ijk}: dense array indexed [l][i][j][k]."""
-    gam = christoffel(metric)
-    d = t.dense()
+    """nabla_l T^{ijk}: dense array indexed [l][i][j][k].  It is symmetric
+    in ijk, so each of its 8 distinct entries is built once and shared."""
+    gam = _gamma(metric)
+    d = _dense(3, lambda idx: to_nf(t[idx]))
+    built = {}
 
     def entry(lijk):
         l, i, j, k = lijk
-        s = diff(d[i][j][k], _VS[l])
-        for m in range(2):
-            s = (s + gam[(i, l, m)] * d[m][j][k]
-                 + gam[(j, l, m)] * d[i][m][k]
-                 + gam[(k, l, m)] * d[i][j][m])
-        return simplify(s)
+        key = (l, i + j + k)
+        if key not in built:
+            terms = [nf_diff(d[i][j][k], _VS[l])]
+            for m in range(2):
+                terms += [nf_mul(gam[(i, l, m)], d[m][j][k]),
+                          nf_mul(gam[(j, l, m)], d[i][m][k]),
+                          nf_mul(gam[(k, l, m)], d[i][j][m])]
+            built[key] = nf_to_expr(nf_sum(terms))
+        return built[key]
     return _dense(4, entry)
 
 
 def div3(metric: Metric, t: SymTensor3):
     """(Div T)^{jk} = nabla_i T^{ijk}: symmetric 2x2 as ((w11, w12), (w12, w22))."""
     nt = cov_deriv3(metric, t)
-    w = {}
-    for j in range(2):
-        for k in range(2):
-            s = as_expr(0)
-            for i in range(2):
-                s = s + nt[i][i][j][k]
-            w[(j, k)] = simplify(s)
-    return ((w[(0, 0)], w[(0, 1)]), (w[(0, 1)], w[(1, 1)]))
+    w = [nf_to_expr(nf_sum([to_nf(nt[i][i][j][k]) for i in range(2)]))
+         for (j, k) in ((0, 0), (0, 1), (1, 1))]
+    return ((w[0], w[1]), (w[1], w[2]))
 
 
 def div2(metric: Metric, s2):
     """(Div S)^k = nabla_j S^{jk} for a symmetric 2-tensor ((s11,s12),(s12,s22))."""
-    gam = christoffel(metric)
-    out = []
-    for k in range(2):
-        acc = as_expr(0)
-        for j in range(2):
-            acc = acc + diff(s2[j][k], _VS[j])
-            for m in range(2):
-                acc = acc + gam[(j, j, m)] * s2[m][k] + gam[(k, j, m)] * s2[j][m]
-        out.append(simplify(acc))
-    return tuple(out)
+    gam = _gamma(metric)
+    s = [[to_nf(v) for v in row] for row in s2]
+    return tuple(nf_to_expr(nf_sum(
+        [nf_diff(s[j][k], _VS[j]) for j in range(2)]
+        + [nf_mul(gam[(j, j, m)], s[m][k]) for j in range(2) for m in range(2)]
+        + [nf_mul(gam[(k, j, m)], s[j][m]) for j in range(2) for m in range(2)]))
+        for k in range(2))
 
 
 def div1(metric: Metric, v) -> Expr:
     """nabla_i V^i for a vector (v1, v2)."""
-    gam = christoffel(metric)
-    acc = as_expr(0)
-    for i in range(2):
-        acc = acc + diff(v[i], _VS[i])
-        for m in range(2):
-            acc = acc + gam[(i, i, m)] * v[m]
-    return simplify(acc)
+    gam = _gamma(metric)
+    v = [to_nf(c) for c in v]
+    return nf_to_expr(nf_sum([nf_diff(v[i], _VS[i]) for i in range(2)]
+                             + [nf_mul(gam[(i, i, m)], v[m])
+                                for i in range(2) for m in range(2)]))
 
 
 # --------------------------------------------------------------------------
@@ -260,15 +263,19 @@ def holo_residual(metric: Metric, a_hat: SymTensor3) -> SymTensor4:
     with the derivative slot raised by the metric.
     """
     nt = cov_deriv3(metric, a_hat)
-    i11, i12, i22 = metric.inv
+    i11, i12, i22 = (to_nf(c) for c in metric.inv)
     ginv = ((i11, i12), (i12, i22))
+    built = {}
 
     def raised(ijkl):
-        # the derivative index raised: T^{ijk;l} = g^{lm} nabla_m T^{ijk}
-        s = as_expr(0)
-        for m in range(2):
-            s = s + ginv[ijkl[3]][m] * _at(nt, (m,) + ijkl[:3])
-        return simplify(s)
+        # the derivative index raised: T^{ijk;l} = g^{lm} nabla_m T^{ijk},
+        # symmetric in ijk like nt
+        key = (sum(ijkl[:3]), ijkl[3])
+        if key not in built:
+            built[key] = nf_to_expr(nf_sum([
+                nf_mul(ginv[ijkl[3]][m], to_nf(_at(nt, (m,) + ijkl[:3])))
+                for m in range(2)]))
+        return built[key]
     up = _dense(4, raised)
     jmat = complex_structure(metric)
     jd = up
@@ -294,40 +301,28 @@ def principle_residual(metric: Metric, k_potential: Expr,
     a = z/2, K = -x*y the reconstructed cubic (y/2) px^2 py - (x/2) px py^2
     is canonically conserved and this residual vanishes identically.
     """
-    gam = christoffel(metric)
-    jmat = complex_structure(metric)
-    dk = [diff(k_potential, v) for v in _VS]
+    gam = _gamma(metric)
+    jmat = [[to_nf(c) for c in row] for row in complex_structure(metric)]
+    k_nf = to_nf(k_potential)
+    dk = [nf_diff(k_nf, v) for v in _VS]
     # second covariant derivative of the scalar potential
-    kdd = [[None, None], [None, None]]
-    for k in range(2):
-        for l in range(2):
-            s = diff(dk[l], _VS[k])
-            for m in range(2):
-                s = s - gam[(m, k, l)] * dk[m]
-            kdd[k][l] = simplify(s)
-    half = Rat(1, 2)
-    term1 = [[None, None], [None, None]]
-    for i in range(2):
-        for j in range(2):
-            s = kdd[i][j]
-            for k in range(2):
-                for l in range(2):
-                    s = s - jmat[k][i] * jmat[l][j] * kdd[k][l]
-            term1[i][j] = simplify(half * s)
-    w = div3(metric, a_hat)
-    g = ((metric.g11, metric.g12), (metric.g12, metric.g22))
-    om = metric.mu
-    omega = ((as_expr(0), om), (simplify(-om), as_expr(0)))
-    two = Rat(2)
-    term2 = [[None, None], [None, None]]
-    for i in range(2):
-        for j in range(2):
-            s = as_expr(0)
-            for k in range(2):
-                for l in range(2):
-                    s = (s - two * (g[k][i] * omega[j][l]
-                                    + g[k][j] * omega[i][l]) * w[k][l])
-            term2[i][j] = simplify(s)
-    out = [[simplify(term1[i][j] + term2[i][j]) for j in range(2)]
-           for i in range(2)]
-    return ((out[0][0], out[0][1]), (out[1][0], out[1][1]))
+    kdd = [[nf_sum([nf_diff(dk[l], _VS[k])]
+                   + [nf_neg(nf_mul(gam[(m, k, l)], dk[m])) for m in range(2)])
+            for l in range(2)] for k in range(2)]
+    w = [[to_nf(c) for c in row] for row in div3(metric, a_hat)]
+    g = [[to_nf(c) for c in row]
+         for row in ((metric.g11, metric.g12), (metric.g12, metric.g22))]
+    om = to_nf(metric.mu)
+    omega = ((_NF_ZERO, om), (nf_neg(om), _NF_ZERO))
+
+    def entry(i, j):
+        # (1/2)(K_;ij - J^k_i J^l_j K_;kl) - 2 (g_ki om_jl + g_kj om_il) w^kl
+        terms = [nf_scale(kdd[i][j], Fraction(1, 2))]
+        for k, l in itertools.product(range(2), repeat=2):
+            terms += [nf_scale(nf_mul(nf_mul(jmat[k][i], jmat[l][j]),
+                                      kdd[k][l]), Fraction(-1, 2)),
+                      nf_scale(nf_mul(nf_sum([nf_mul(g[k][i], omega[j][l]),
+                                              nf_mul(g[k][j], omega[i][l])]),
+                                      w[k][l]), -2)]
+        return nf_to_expr(nf_sum(terms))
+    return ((entry(0, 0), entry(0, 1)), (entry(1, 0), entry(1, 1)))

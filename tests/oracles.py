@@ -17,8 +17,10 @@ float compiler as it was when its finiteness check read every node, and
 the hand-written rank-3
 and rank-4 J contractions and symmetrizations of tensorcoords
 (apply_j_slot3_reference, apply_j_slot4_reference, sym3_reference,
-sym4_reference): each is kept as the reference for the code that
-replaced it.
+sym4_reference), cov_deriv3_reference, the covariant derivative that
+built all 16 entries, and InvariantChainReference, the invariant chain
+of geometry, cnum and invariants as tree formulas that simplify every
+step: each is kept as the reference for the code that replaced it.
 """
 
 import itertools
@@ -33,7 +35,9 @@ from cubint.expr import (NF, _EVAL_CHAIN, _EVAL_FUNC_IDENT, _EVAL_GLOBALS,
                          _m_div, _m_divides, _m_mul, _mk_nf,
                          _p_add_into, _p_mul_mono, _pb_prim, _PolyBase, _skey,
                          nf_mul, nf_neg, nf_recip, nf_scale, to_nf)
-from cubint.tensorcoords import SymTensor3, SymTensor4
+from cubint.cnum import CExpr
+from cubint.geometry import christoffel
+from cubint.tensorcoords import SymTensor3, SymTensor4, div1, div2, div3
 
 
 def fd_partial(f, x, y, var, h=1e-5):
@@ -742,3 +746,225 @@ def _dbase_reference(b, var):
     if darg.is_zero():
         return _NF_ZERO
     return nf_mul(_func_outer_deriv(b), darg)
+
+
+def cov_deriv3_reference(metric, t):
+    """nabla_l T^{ijk} with every one of its 16 entries built and
+    simplified on its own: tensorcoords.cov_deriv3 as it was before it
+    shared the entries that symmetry makes equal."""
+    gam = christoffel(metric)
+    d = t.dense()
+    vs = ("x", "y")
+    out = [[[[None, None] for _ in range(2)] for _ in range(2)]
+            for _ in range(2)]
+    for l, i, j, k in itertools.product(range(2), repeat=4):
+        s = diff(d[i][j][k], vs[l])
+        for m in range(2):
+            s = (s + gam[(i, l, m)] * d[m][j][k]
+                 + gam[(j, l, m)] * d[i][m][k]
+                 + gam[(k, l, m)] * d[i][j][m])
+        out[l][i][j][k] = simplify(s)
+    return out
+
+
+_HALF = Fraction(1, 2)
+
+
+class InvariantChainReference:
+    """The invariant chain phi0..phi3, D0..D3, phi*1..phi*3 and D*1..D*3
+    of a (Metric, Codifferential) pair as geometry, cnum and invariants
+    computed it before they carried normal forms: every operator builds
+    an expression tree from its operands' trees and simplifies it.  The
+    metric's inputs (components, lambda, kind, signature) are read from
+    the Metric; everything derived from them is computed here again.
+    Tensor divergences of the general lane come from tensorcoords, which
+    did not change."""
+
+    def __init__(self, metric, codiff):
+        self.metric, self.codiff = metric, codiff
+        m = metric
+        self.det = simplify(m.g11 * m.g22 - m.g12 * m.g12)
+        if m.kind == "iso":
+            self.mu = m.lam
+            i11 = simplify(Rat(1) / m.lam)
+            self.inv = (i11, Rat(0), i11)
+        elif m.kind == "null":
+            self.mu = simplify(_HALF * m.lam)
+            self.inv = (Rat(0), simplify(Rat(2) / m.lam), Rat(0))
+        else:
+            self.mu = simplify(Func("sqrt", simplify(Rat(m.signature)
+                                                     * self.det)))
+            d = self.det
+            self.inv = (simplify(m.g22 / d), simplify(-m.g12 / d),
+                        simplify(m.g11 / d))
+        if m.lam is not None:
+            u = self.log_lam = simplify(Func("ln", m.lam))
+            self.u_x = simplify(diff(u, "x"))
+            self.u_y = simplify(diff(u, "y"))
+            self.u_z = self.wirtinger(CExpr.from_real(u), False).simplified()
+            self.u_zbar = self.wirtinger(CExpr.from_real(u), True).simplified()
+        self.memo = {}
+
+    # -- cnum and geometry ---------------------------------------------
+    @staticmethod
+    def wirtinger(c, bar):
+        fx = CExpr(diff(c.re, "x"), diff(c.im, "x"))
+        fy = CExpr(diff(c.re, "y"), diff(c.im, "y"))
+        if bar:
+            return CExpr(simplify(_HALF * (fx.re - fy.im)),
+                         simplify(_HALF * (fx.im + fy.re)))
+        return CExpr(simplify(_HALF * (fx.re + fy.im)),
+                     simplify(_HALF * (fx.im - fy.re)))
+
+    def curvature(self):
+        m = self.metric
+        if m.kind == "iso":
+            u = self.log_lam
+            flat_lap = diff(diff(u, "x"), "x") + diff(diff(u, "y"), "y")
+            return simplify(-_HALF * flat_lap / m.lam)
+        if m.kind == "null":
+            return simplify(diff(diff(self.log_lam, "x"), "y") / m.lam)
+        g = ((m.g11, m.g12), (m.g12, m.g22))
+        i11, i12, i22 = self.inv
+        ginv = ((i11, i12), (i12, i22))
+        vs = ("x", "y")
+        dg = {(i, j, k): diff(g[i][j], vs[k])
+              for i, j, k in itertools.product(range(2), repeat=3)}
+        gam = {}
+        for i, j, k in itertools.product(range(2), repeat=3):
+            s = as_expr(0)
+            for l in range(2):
+                s = s + ginv[i][l] * (dg[(l, j, k)] + dg[(l, k, j)]
+                                      - dg[(j, k, l)])
+            gam[(i, j, k)] = simplify(_HALF * s)
+
+        def riem_up(i, j, k, l):
+            s = diff(gam[(i, l, j)], vs[k]) - diff(gam[(i, k, j)], vs[l])
+            for n in range(2):
+                s = (s + gam[(i, k, n)] * gam[(n, l, j)]
+                     - gam[(i, l, n)] * gam[(n, k, j)])
+            return s
+
+        r1212 = m.g11 * riem_up(0, 1, 0, 1) + m.g12 * riem_up(1, 1, 0, 1)
+        return simplify(r1212 / self.det)
+
+    def grad_pairing(self, f, h):
+        i11, i12, i22 = self.inv
+        fx, fy = diff(f, "x"), diff(f, "y")
+        hx, hy = diff(h, "x"), diff(h, "y")
+        return simplify(i11 * fx * hx + i12 * (fx * hy + fy * hx)
+                        + i22 * fy * hy)
+
+    def grad_half_square(self, f):
+        return simplify(_HALF * self.grad_pairing(f, f))
+
+    def poisson(self, f, h):
+        fx, fy = diff(f, "x"), diff(f, "y")
+        hx, hy = diff(h, "x"), diff(h, "y")
+        return simplify((fx * hy - fy * hx) / self.mu)
+
+    def laplacian(self, f):
+        i11, i12, i22 = self.inv
+        mu = self.mu
+        fx, fy = diff(f, "x"), diff(f, "y")
+        flux_x = simplify(mu * (i11 * fx + i12 * fy))
+        flux_y = simplify(mu * (i12 * fx + i22 * fy))
+        return simplify((diff(flux_x, "x") + diff(flux_y, "y")) / mu)
+
+    def nabla(self, v, p, first):
+        """The weighted derivative of a section value v of weight p in
+        the direction it names (see geometry.nabla10 and nabla01)."""
+        if self.metric.kind == "iso":
+            du = self.u_z if first else self.u_zbar
+            w = self.wirtinger(v, not first) - CExpr.from_real(Rat(p)) * du * v
+            return w.simplified()
+        du = self.u_x if first else self.u_y
+        return simplify(diff(v, "x" if first else "y") - Rat(p) * du * v)
+
+    # -- invariants ----------------------------------------------------
+    def get(self, key, build):
+        if key not in self.memo:
+            self.memo[key] = build()
+        return self.memo[key]
+
+    def az(self):
+        return self.get("az", lambda: self.nabla(self.codiff.a * Rat(2), -3,
+                                                 True))
+
+    def null_parts(self):
+        c = self.codiff
+        return self.get("null", lambda: (self.nabla(c.a1, -3, True),
+                                         self.nabla(c.a2, -3, False)))
+
+    def w_tensor(self):
+        return self.get("w", lambda: div3(self.metric, self.codiff.a_hat))
+
+    def pair_drop(self, dee, f):
+        lead = self.grad_pairing(dee, f)
+        c = self.codiff
+        if c.variant == "iso":
+            fz = self.wirtinger(CExpr(f, as_expr(0)), False)
+            term = (self.az() * fz * fz).re
+            return simplify(lead - Rat(4) * term)
+        if c.variant == "null":
+            a1x, a2y = self.null_parts()
+            term = a1x * diff(f, "x") ** 2 + a2y * diff(f, "y") ** 2
+            return simplify(lead - Rat(2) * term)
+        w = self.w_tensor()
+        grads = (diff(f, "x"), diff(f, "y"))
+        term = as_expr(0)
+        for i in range(2):
+            for j in range(2):
+                term = term + w[i][j] * grads[i] * grads[j]
+        return simplify(lead - Rat(4) * term)
+
+    def dee0(self):
+        c = self.codiff
+        if c.variant == "iso":
+            azzz = self.nabla(self.nabla(self.az(), -2, True), -1, True)
+            return simplify(Rat(4) * azzz.re)
+        if c.variant == "null":
+            a1x, a2y = self.null_parts()
+            a1xxx = self.nabla(self.nabla(a1x, -2, True), -1, True)
+            a2yyy = self.nabla(self.nabla(a2y, -2, False), -1, False)
+            return simplify(Rat(2) * (a1xxx + a2yyy))
+        v = div2(self.metric, self.w_tensor())
+        return simplify(Rat(4) * div1(self.metric, v))
+
+    def deestar1(self, phi0, dee0):
+        c = self.codiff
+        lead = self.laplacian(dee0)
+        if c.variant == "iso":
+            rz = self.wirtinger(CExpr(phi0, as_expr(0)), False)
+            w = self.nabla(self.az() * rz, -1, True)
+            return simplify(lead - Rat(2) * w.re)
+        if c.variant == "null":
+            a1x, a2y = self.null_parts()
+            p1 = simplify(a1x * diff(phi0, "x"))
+            p2 = simplify(a2y * diff(phi0, "y"))
+            return simplify(lead - self.nabla(p1, -1, True)
+                            - self.nabla(p2, -1, False))
+        w2 = self.w_tensor()
+        v = tuple(simplify(w2[j][0] * diff(phi0, "x")
+                           + w2[j][1] * diff(phi0, "y")) for j in range(2))
+        return simplify(lead - Rat(2) * div1(self.metric, v))
+
+    def invariants(self):
+        """{name: tree} under the InvariantEngine property names."""
+        out = {}
+        phi0 = out["phi0"] = self.curvature()
+        phi1 = out["phi1"] = self.grad_half_square(phi0)
+        out["phi2"] = self.poisson(phi0, phi1)
+        out["phi3"] = self.grad_half_square(phi1)
+        ps1 = out["phistar1"] = self.laplacian(phi0)
+        out["phistar2"] = self.poisson(phi0, ps1)
+        out["phistar3"] = self.grad_half_square(ps1)
+        d0 = out["dee0"] = self.dee0()
+        d1 = out["dee1"] = self.pair_drop(d0, phi0)
+        out["dee2"] = simplify(self.poisson(d0, phi1) - self.poisson(d1, phi0))
+        out["dee3"] = self.pair_drop(d1, phi1)
+        ds1 = out["deestar1"] = self.deestar1(phi0, d0)
+        out["deestar2"] = simplify(self.poisson(d0, ps1)
+                                   - self.poisson(ds1, phi0))
+        out["deestar3"] = self.pair_drop(ds1, ps1)
+        return out

@@ -157,3 +157,23 @@ def test_generated_code_reads_every_bound_global(monkeypatch):
         expr.Pow(x, Fraction(3, 2)), expr.Rat(10 ** 400)))
     read = {n for f in made for n in f.__code__.co_names}
     assert sorted(set(expr._EVAL_GLOBALS) - {"__builtins__"} - read) == []
+
+
+# modules whose formulas combine normal forms (nf_sum, nf_mul, nf_diff): an
+# operator tree built only to be simplified is the round trip they replaced
+NF_NATIVE = ("cnum", "geometry", "invariants")
+
+
+def _simplified_operator_trees(tree):
+    """Lines where simplify() is called on an arithmetic expression."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name) and node.func.id == "simplify"
+            and any(isinstance(a, (ast.BinOp, ast.UnaryOp))
+                    for a in node.args)]
+
+
+@pytest.mark.parametrize("name", NF_NATIVE)
+def test_no_operator_tree_built_to_be_simplified(name):
+    path = ROOT / "src" / "cubint" / (name + ".py")
+    assert _simplified_operator_trees(ast.parse(path.read_text())) == []

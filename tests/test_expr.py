@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 from cubint.expr import (
     FUNCTIONS, Add, Box, Const, EvalDomainError, ExpressionSyntaxError, Func,
     Mul, Pow, Rat, UnknownIdentifier, Var, ZeroTestConfig,
-    compile_float, diff, eval_at, eval_scaled, is_zero, nf_is_zero,
+    compile_float, diff, eval_at, eval_scaled, is_zero, nf_diff, nf_is_zero,
     nf_to_expr, parse, simplify, to_nf, to_str,
 )
 from cubint import (Codifferential, InvariantEngine, expr as expr_mod,
@@ -334,52 +334,6 @@ def test_normal_form_round_trips(e):
     assert again.num == nf.num and again.den == nf.den
     assert again.content == nf.content
     _assert_content_form(nf)
-
-
-def _fresh(e):
-    """A structural copy of e with no normal form cached anywhere in it."""
-    t = type(e)
-    if t is Rat:
-        return Rat(e.val)
-    if t is Var:
-        return Var(e.name)
-    if t is Const:
-        return Const(e.name)
-    if t is Add:
-        return Add([_fresh(s) for s in e.terms])
-    if t is Mul:
-        return Mul([_fresh(f) for f in e.factors])
-    if t is Pow:
-        return Pow(_fresh(e.base), e.exp)
-    return Func(e.name, _fresh(e.arg))
-
-
-@given(_nf_exprs(3))
-@settings(max_examples=200, deadline=None)
-# a term sharing its monomial with the denominator, a radical and an exp atom
-@example(parse("(x + y)/x"))
-@example(parse("(x^3 + y)/(x^2*(1 + y^2))"))
-@example(parse("y/(x*(1-x^2)^(1/2)) + x^(1/2)/x"))
-@example(parse("sqrt(2)*x/6 + exp(y/2 - 1)/4 - 3/4*y^(1/3)"))
-def test_sum_terms_carry_their_canonical_normal_form(e):
-    # add() flattens a rebuilt sum into its terms, and a later sum
-    # normalizes each from the normal form nf_to_expr stored on it
-    try:
-        nf = to_nf(e)
-    except (ZeroDivisionError, EvalDomainError):
-        return
-    out = nf_to_expr(nf)
-    terms = out.terms if type(out) is Add else ()
-    for t in terms:
-        if t._nf is not None:
-            _assert_same_nf(t._nf, to_nf(_fresh(t)))
-
-
-def test_sum_terms_cancel_against_the_denominator():
-    out = nf_to_expr(to_nf(parse("(x + y)/x")))
-    terms = [t for t in out.terms if t._nf is not None]
-    assert len(terms) == 2
-    assert any(t._nf.num == {(): 1} and t._nf.den == () for t in terms)
 
 
 def _nfs(exprs):
@@ -986,6 +940,12 @@ def test_diff_repeat_returns_the_same_tree(monkeypatch):
     assert calls == []
     dy = diff(e, "y")
     assert calls and diff(e, "y") is dy and dx != dy
+    # the derivative is kept on the normal form too, so an equal tree that
+    # shares it, or the normal form itself, takes no derivative again
+    n = len(calls)
+    assert diff(simplify(e), "x") == dx
+    assert nf_diff(to_nf(e), "y") is to_nf(dy)
+    assert len(calls) == n
     fresh = parse("sin(x)*y^2 + x/(1 + y^2)")
     assert (dx, dy) == (diff(fresh, "x"), diff(fresh, "y"))
 
@@ -1030,8 +990,9 @@ def test_differentiated_expression_pickles():
 
 
 def test_diff_leaves_no_reference_cycle():
-    # the derivative kept on a node must not lead back to it, or every
-    # differentiated node would wait for the cyclic collector
+    # the derivative kept on a normal form must not lead back to it, nor a
+    # node's cached normal form to the node, or every normalized node
+    # would wait for the cyclic collector
     e = parse("sin(x)*y + x^2/(1 + y^2)")
     gc.disable()
     try:
@@ -1039,8 +1000,29 @@ def test_diff_leaves_no_reference_cycle():
         diff(e, "x")
         diff(diff(e, "x"), "y")
         assert gc.collect() == 0
+        to_nf(parse("x"))
+        assert gc.collect() == 0
+        simplify(parse("exp(x*y)"))
+        assert gc.collect() == 0
+        diff(simplify(parse("exp(x*y)")), "x")
+        assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_diff_multiplies_by_no_one(monkeypatch):
+    # b' = 1 for b the variable, and a quotient with one live compound
+    # denominator base: neither is a product with one
+    real = expr_mod.nf_mul
+
+    def no_one(a, b):
+        assert a is not expr_mod._NF_ONE and b is not expr_mod._NF_ONE
+        return real(a, b)
+    e = parse("x^2*y + 1/(1 + x^2)")
+    monkeypatch.setattr(expr_mod, "nf_mul", no_one)
+    got = to_nf(diff(e, "x"))
+    monkeypatch.undo()
+    _assert_same_nf(got, nf_diff_reference(to_nf(e), "x"))
 
 
 def test_product_normalizes_once_per_factor_after_the_first(monkeypatch):

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from cubint.cnum import CExpr, parse_complex
 from cubint.expr import (
     Box, Rat, as_expr, diff, eval_at, is_zero, nf_is_zero, parse, simplify,
-    to_str,
+    to_nf, to_str,
 )
 from cubint.geometry import (
     ChartMismatch, general_metric, isothermal_metric, null_metric, poisson_g,
@@ -14,7 +14,7 @@ from cubint.invariants import (
     InvariantEngine,
 )
 from cubint.tensorcoords import SymTensor3, a_hat_from_complex
-from oracles import fd_d0_iso, fd_d0_null
+from oracles import InvariantChainReference, fd_d0_iso, fd_d0_null
 
 BOX = Box(-1.0, 1.0, -1.0, 1.0)
 
@@ -384,3 +384,56 @@ def test_separately_built_engines_agree():
     dfm = other.report().dforms
     assert nf_is_zero(simplify(dfm["Dstarx"] - eng.dformstar_x))
 
+
+
+# --------------------------------------------------------------------------
+# the normal-form chain against the tree formulas it replaced
+
+_CHAIN = ("phi0", "phi1", "phi2", "phi3", "phistar1", "phistar2", "phistar3",
+          "dee0", "dee1", "dee2", "dee3", "deestar1", "deestar2", "deestar3")
+_COEF = st.sampled_from(["1", "-1", "1/2", "-1/3", "2/3", "3"])
+
+
+def _poly(coefs, monos):
+    return " + ".join("(%s)*%s" % (c, m) for c, m in zip(coefs, monos))
+
+
+def _chain_pair(lane, c):
+    """A polynomial metric and codifferential in one lane, with the
+    nonzero coefficients c."""
+    lam = "1 + " + _poly(c[:3], ("x^2", "y^2", "x"))
+    if lane == "iso":
+        # a = c0 + c1 z + c2 z^2 with complex c_k, holomorphic
+        p0, q0, p1, q1, p2 = c[3:]
+        a = ("%s + (%s)*x - (%s)*y + (%s)*(x^2 - y^2)" % (p0, p1, q1, p2),
+             "%s + (%s)*x + (%s)*y + (%s)*2*x*y" % (q0, q1, p1, p2))
+        return isothermal_metric(lam), Codifferential.isothermal(a)
+    if lane == "null":
+        return null_metric(lam), Codifferential.null_pair(
+            _poly(c[3:5], ("1", "x")), _poly(c[5:7], ("y", "y^2")))
+    if lane == "general":
+        # det = p^2 q^2, so that mu = p q is rational
+        p, q = "(1 + (%s)*x)" % c[3], "(1 + (%s)*y)" % c[4]
+        f = "(%s)" % _poly(c[5:7], ("x", "y"))
+        return general_metric("%s^2 + %s^2" % (p, f), "%s*%s" % (f, q),
+                              "%s^2" % q), \
+            Codifferential.general(SymTensor3((as_expr(0),) * 4))
+    # the general lane of a conformal metric, with the tensor of a
+    # holomorphic coefficient
+    a = parse_complex("%s + (%s)*x" % (c[3], c[4]), "%s + (%s)*y" % (c[5], c[4]))
+    return (general_metric(lam, "0", lam),
+            Codifferential.general(a_hat_from_complex(a)))
+
+
+@pytest.mark.parametrize("lane", ["iso", "null", "general", "conformal"])
+@given(st.lists(_COEF, min_size=8, max_size=8))
+@settings(max_examples=6, deadline=None)
+def test_invariant_chain_matches_tree_reference(lane, coefs):
+    metric, codiff = _chain_pair(lane, coefs)
+    eng = InvariantEngine(metric, codiff, BOX)
+    want = InvariantChainReference(metric, codiff).invariants()
+    for name in _CHAIN:
+        got, ref = to_nf(getattr(eng, name)), to_nf(want[name])
+        assert (got.content, got.num, got.den) == \
+            (ref.content, ref.num, ref.den), name
+        assert to_str(getattr(eng, name)) == to_str(want[name]), name

@@ -18,7 +18,7 @@ from cubint.tensorcoords import (SymTensor3, SymTensor4, a_hat_from_complex,
                                  sym3_from_momentum_poly)
 from cubint.tensorcoords import _apply_j_slot, _at, _dense, _symmetrize
 from oracles import (apply_j_slot3_reference, apply_j_slot4_reference,
-                     sym3_reference, sym4_reference)
+                     cov_deriv3_reference, sym3_reference, sym4_reference)
 
 BOX = Box(-0.9, 0.9, -0.9, 0.9)
 
@@ -235,6 +235,18 @@ def test_cov_deriv3_flat_is_partial():
     assert to_str(nt[0][0][0][0]) == "3*x^2"
     assert to_str(nt[1][1][1][1]) == "1"
     assert nf_is_zero(nt[1][0][0][0])
+
+
+def test_cov_deriv3_builds_each_distinct_entry_once():
+    # nabla_l T^{ijk} is symmetric in ijk: 8 distinct entries, each shared
+    # by its index orders, and equal to the entry built on its own
+    m = general_metric("1 + x^2", "x*y/3", "2 + y^2")
+    t = SymTensor3((parse("x*y"), parse("1 + x"), parse("y^2"), parse("2")))
+    nt = cov_deriv3(m, t)
+    want = cov_deriv3_reference(m, t)
+    for l, i, j, k in itertools.product(range(2), repeat=4):
+        assert nt[l][i][j][k] is nt[l][j][i][k] is nt[l][i][k][j]
+        assert nt[l][i][j][k] == want[l][i][j][k]
 
 
 def test_divergence_anticommutes_with_J_for_holomorphic_a():
