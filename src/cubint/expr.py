@@ -1555,8 +1555,12 @@ _EVAL_CHAIN = 64
 def eval_at(e: Expr, point) -> float:
     """Double-precision evaluation at (x, y).  Raises EvalDomainError on
     poles, ln(<=0), sqrt(<0), fractional powers of negatives, or non-finite
-    intermediates."""
-    return _evaluator(e)(float(point[0]), float(point[1]))[0]
+    intermediates.
+
+    Takes the value-only return of e's compiled function, which builds no
+    tuple of node values; the value, and the error raised, are bitwise
+    what eval_scaled gives at the same point."""
+    return _evaluator(e)(float(point[0]), float(point[1]), False)[0]
 
 
 def eval_scaled(e: Expr, point):
@@ -1579,6 +1583,8 @@ def _evaluator(e: Expr):
 def compile_float(*roots: Expr, returns: Optional[str] = None):
     """Straight-line function f(x, y) -> (v1, ..., vn, T) evaluating the
     roots, where T is the tuple of the values of all their nodes.
+    f(x, y, False) is the value-only return (v1, ..., vn): the same
+    operations and checks, with no T built.
 
     Structurally equal subtrees, within a root or across roots, share one
     temporary, so the DAG is evaluated, not the tree.  Every node does the
@@ -1607,8 +1613,9 @@ def compile_float(*roots: Expr, returns: Optional[str] = None):
 
     With returns, f takes (x, y, px, py) and returns the value of the
     source text returns, written over the roots' values {0} ... {n-1} and
-    the momenta px and py, with no T.  An OverflowError there, after the
-    finiteness check, also gives EvalDomainError('float overflow')."""
+    the momenta px and py, with no T and no value-only flag.  An
+    OverflowError there, after the finiteness check, also gives
+    EvalDomainError('float overflow')."""
     lines = []
     names = {}      # node -> name holding its value
     consts = {}     # (type, value) -> name of a bound constant
@@ -1699,12 +1706,17 @@ def compile_float(*roots: Expr, returns: Optional[str] = None):
            "  raise EvalDomainError('non-finite value')"] if finite else []),
     ]
     if returns is None:
-        params = "x, y, "
+        params = "x, y, nodes, "
+        roots_tuple = "".join(n + ", " for n in res)
         values = "".join(n + ", " for n in dict.fromkeys(names.values()))
-        body += [f" T = ({values})",
-                 f" return ({''.join(n + ', ' for n in res)}T,)"]
+        body += [" if not nodes:",
+                 f"  return ({roots_tuple})",
+                 f" T = ({values})",
+                 f" return ({roots_tuple}T,)"]
+        defaults = (True,)
     else:
         params = "x, y, px, py, "
+        defaults = ()
         body += [" try:",
                  f"  return {returns.format(*res)}",
                  " except OverflowError:",
@@ -1715,7 +1727,7 @@ def compile_float(*roots: Expr, returns: Optional[str] = None):
     ns = {}
     exec(compile(src, "<cubint.expr evaluator>", "exec"), _EVAL_GLOBALS, ns)
     f = ns["f"]
-    f.__defaults__ = tuple(v for _, v in consts)
+    f.__defaults__ = (*defaults, *(v for _, v in consts))
     return f
 
 
@@ -1866,6 +1878,20 @@ def is_zero(e: Expr, domain: Box, cfg: ZeroTestConfig = DEFAULT_CFG) -> ZeroVerd
     budgeted symbolic confirmation so clean identities report method
     "symbolic".  A numeric-only Zero (all probes under tolerance) is a
     legitimate verdict: the kernel need not know sin^2+cos^2 = 1.
+
+    A probe value |v| vanishes at or below abs_tol + rel_tol*scale, scale
+    the largest |value| of e's nodes there; above ten times that it is
+    strong, and the strongest probe is the NonZero witness; in between it
+    is in the band.  Each probe computes its value alone (eval_at), and
+    its scale (eval_scaled) only where the scale can change the verdict.
+    In two cases it cannot:
+    - |v| <= abs_tol.  The threshold is at least abs_tol for any scale,
+      so the probe vanishes.
+    - A witness exists and |v| <= |witness value|.  The probe cannot
+      become the witness, and once a witness exists the counts of band
+      and failed probes are never read.
+    So the verdict (kind, method, reason, witness and value) is bitwise
+    what scaling every probe gives.
     """
     if e._nf is not None and e._nf.is_zero():
         return ZeroVerdict.zero(method="symbolic")
@@ -1883,12 +1909,16 @@ def is_zero(e: Expr, domain: Box, cfg: ZeroTestConfig = DEFAULT_CFG) -> ZeroVerd
         for _ in range(cfg.n_probes):
             pt = domain.sample(rng)
             try:
-                v, scale = eval_scaled(e, pt)
+                v = eval_at(e, pt)
             except EvalDomainError:
                 n_fail += 1
                 continue
-            thr = cfg.abs_tol + cfg.rel_tol * scale
             av = abs(v)
+            if av <= cfg.abs_tol or (best_pt is not None
+                                     and av <= abs(best_val)):
+                continue
+            scale = eval_scaled(e, pt)[1]
+            thr = cfg.abs_tol + cfg.rel_tol * scale
             if av <= thr:
                 continue
             if av > _STRONG_FACTOR * thr:

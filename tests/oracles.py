@@ -13,8 +13,9 @@ derivatives, which normalized every intermediate sum and product,
 closure_compile with rk4_reference, the former closure compiler and RK4
 driver of the geodesic flow, momentum_poly_reference, the
 former per-polynomial evaluator of H and F, compile_float_reference, the
-float compiler as it was when its finiteness check read every node, and
-the hand-written rank-3
+float compiler as it was when its finiteness check read every node,
+is_zero_reference, the zero test as it was when every probe took its
+scale, and the hand-written rank-3
 and rank-4 J contractions and symmetrizations of tensorcoords
 (apply_j_slot3_reference, apply_j_slot4_reference, sym3_reference,
 sym4_reference), cov_deriv3_reference, the covariant derivative that
@@ -25,12 +26,16 @@ step: each is kept as the reference for the code that replaced it.
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
-from cubint.expr import (Add, Const, EvalDomainError, Func, Mul, Pow, Rat,
-                         Var, as_expr, diff, simplify)
-from cubint.expr import (NF, _EVAL_CHAIN, _EVAL_FUNC_IDENT, _EVAL_GLOBALS,
-                         _NF_ONE, _NF_ZERO, _UNIT, _atom_nf, _folds,
+from cubint.expr import (DEFAULT_CFG, Add, Const, EvalDomainError, Func, Mul,
+                         Pow, Rat, Var, ZeroVerdict, as_expr, diff,
+                         eval_scaled, simplify)
+from cubint.expr import (NF, _BUDGET_LEFT, _EVAL_CHAIN, _EVAL_FUNC_IDENT,
+                         _EVAL_GLOBALS, _MAX_FAIL_FRAC, _NF_ONE, _NF_ZERO,
+                         _STRONG_FACTOR, _TERM_BUDGET, _UNIT, _BudgetExceeded,
+                         _atom_nf, _folds,
                          _func_outer_deriv, _glex_key, _int_exp, _m_build,
                          _m_div, _m_divides, _m_mul, _mk_nf,
                          _p_add_into, _p_mul_mono, _pb_prim, _PolyBase, _skey,
@@ -592,6 +597,59 @@ def compile_float_reference(*roots):
     f = ns["f"]
     f.__defaults__ = tuple(v for _, v in consts)
     return f
+
+
+def is_zero_reference(e, domain, cfg=DEFAULT_CFG):
+    """The tri-state zero test as it was when every probe took its scale:
+    eval_scaled at each point, then the verdict from value and scale."""
+    if e._nf is not None and e._nf.is_zero():
+        return ZeroVerdict.zero(method="symbolic")
+    if isinstance(e, Rat):
+        if e.val == 0:
+            return ZeroVerdict.zero(method="symbolic")
+        return ZeroVerdict.nonzero(domain.center(), float(e.val))
+    n_fail = 0
+    n_band = 0
+    best_val = 0.0
+    best_pt = None
+    total = cfg.n_probes * len(cfg.seeds)
+    for seed in cfg.seeds:
+        rng = random.Random(seed)
+        for _ in range(cfg.n_probes):
+            pt = domain.sample(rng)
+            try:
+                v, scale = eval_scaled(e, pt)
+            except EvalDomainError:
+                n_fail += 1
+                continue
+            thr = cfg.abs_tol + cfg.rel_tol * scale
+            av = abs(v)
+            if av <= thr:
+                continue
+            if av > _STRONG_FACTOR * thr:
+                if av > abs(best_val):
+                    best_val = v
+                    best_pt = pt
+            else:
+                n_band += 1
+    if best_pt is not None:
+        return ZeroVerdict.nonzero(best_pt, best_val)
+    if n_fail > _MAX_FAIL_FRAC * total:
+        return ZeroVerdict.unknown(
+            f"evaluation failed at {n_fail}/{total} probes")
+    if n_band > 0:
+        return ZeroVerdict.unknown(
+            f"{n_band} probe values inside the tolerance band")
+    # all probes vanish; try to upgrade to a symbolic certificate
+    token = _BUDGET_LEFT.set(_TERM_BUDGET)
+    try:
+        if to_nf(e).is_zero():
+            return ZeroVerdict.zero(method="symbolic")
+    except (_BudgetExceeded, OverflowError, ZeroDivisionError):
+        pass
+    finally:
+        _BUDGET_LEFT.reset(token)
+    return ZeroVerdict.zero(method="probed")
 
 
 def momentum_poly_reference(p):

@@ -20,8 +20,8 @@ from cubint.expr import (
 )
 from cubint import (Codifferential, InvariantEngine, expr as expr_mod,
                     isothermal_metric)
-from oracles import (compile_float_reference, fd_partial, m_mul_reference,
-                     nf_add_reference,
+from oracles import (compile_float_reference, fd_partial, is_zero_reference,
+                     m_mul_reference, nf_add_reference,
                      nf_diff_reference, p_div_exact_reference, p_div_reference,
                      p_leading_reference, p_mul_reference, tree_eval)
 
@@ -797,6 +797,18 @@ def _compiled(e, pt):
         return "EvalDomainError"
 
 
+def _assert_value_only_agrees(e, pt):
+    # eval_at raises eval_scaled's error, or returns its value bitwise
+    try:
+        want = eval_scaled(e, pt)[0]
+    except EvalDomainError as exc:
+        with pytest.raises(EvalDomainError) as got:
+            eval_at(e, pt)
+        assert str(got.value) == str(exc)
+    else:
+        assert repr(eval_at(e, pt)) == repr(want)
+
+
 _COORDS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
                     st.floats(min_value=-3.0, max_value=3.0))
 
@@ -816,6 +828,8 @@ def test_eval_scaled_matches_tree_walk_bitwise(e, pts, others):
         assert repr(_compiled(e, pt)) == want
         assert repr(_compiled(e, pt)) == want   # the cached evaluator
         singles = [_compiled(r, pt) for r in roots]
+        for r in roots:
+            _assert_value_only_agrees(r, pt)
         try:
             got = many(*pt)
         except EvalDomainError:
@@ -826,6 +840,7 @@ def test_eval_scaled_matches_tree_walk_bitwise(e, pts, others):
             values = tuple(eval_at(r, pt) for r in roots)
             scale = max(sc for _, sc in singles)
             assert repr(got[:-1]) == repr(values)
+            assert repr(many(*pt, False)) == repr(values)
             assert repr(max(map(abs, got[-1]))) == repr(scale)
 
 
@@ -855,7 +870,17 @@ def test_finiteness_check_rejects_what_every_node_check_rejects(e, others,
     roots = (e, *others)
     got, want = compile_float(*roots), compile_float_reference(*roots)
     for pt in pts:
-        assert _outcome(got, pt) == _outcome(want, pt)
+        outcome = _outcome(got, pt)
+        assert outcome == _outcome(want, pt)
+        # the value-only return raises the same error, or returns the
+        # values without T
+        value_only = _outcome(lambda x, y: got(x, y, False), pt)
+        if outcome.startswith("EvalDomainError"):
+            assert value_only == outcome
+        else:
+            assert value_only == repr(got(*pt)[:-1])
+        for r in roots:
+            _assert_value_only_agrees(r, pt)
 
 
 @pytest.mark.parametrize("text", ["exp(-x)", "x^(-1)", "tanh(x)"])
@@ -1148,6 +1173,66 @@ def test_zero_test_config_rejects_no_seeds():
 def test_is_zero_small_but_nonzero_function():
     v = is_zero(parse("1/1000000*x"), BOX, ZeroTestConfig())
     assert v.is_nonzero
+
+
+def _verdict_bytes(v):
+    # repr of every field, so that signed zeros and all digits count
+    return repr((v.kind, v.method, v.reason, v.witness, v.value))
+
+
+_TOLS = st.sampled_from([0.0, 1e-12, 1e-9, 1e-3, 1e3])
+# values near every tolerance: an expression times a power of ten
+_ZERO_TEST_EXPRS = st.one_of(
+    _eval_exprs(2),
+    st.builds(lambda e, k: Mul((Rat(Fraction(10) ** k), e)),
+              _eval_exprs(2), st.integers(-14, 4)))
+_BOXES = st.builds(
+    lambda x0, w, y0, h: Box(x0, x0 + w, y0, y0 + h),
+    st.floats(-3.0, 3.0), st.floats(1e-3, 4.0),
+    st.floats(-3.0, 3.0), st.floats(1e-3, 4.0))
+
+
+@given(_ZERO_TEST_EXPRS, _BOXES, st.integers(1, 16),
+       st.lists(st.integers(0, 2 ** 32), min_size=1, max_size=3),
+       _TOLS, _TOLS)
+@settings(max_examples=300, deadline=None)
+# a constant: every later probe ties the witness
+@example(e=Const("pi"), box=BOX, n_probes=16, seeds=[1], abs_tol=1e-9,
+         rel_tol=1e-9)
+# no probe above ten times abs_tol, some above abs_tol: in the band
+@example(e=Mul((Rat(Fraction(1, 2 * 10 ** 8)), Var("x"))), box=BOX,
+         n_probes=16, seeds=[1], abs_tol=1e-9, rel_tol=0.0)
+def test_is_zero_matches_reference_that_scales_every_probe(
+        e, box, n_probes, seeds, abs_tol, rel_tol):
+    cfg = ZeroTestConfig(n_probes, seeds, abs_tol, rel_tol)
+    # each test on its own cache-free copy: a normal form that one test
+    # leaves on the nodes could decide the other's symbolic confirmation
+    got = is_zero(pickle.loads(pickle.dumps(e)), box, cfg)
+    want = is_zero_reference(pickle.loads(pickle.dumps(e)), box, cfg)
+    assert _verdict_bytes(got) == _verdict_bytes(want)
+
+
+def test_is_zero_scales_only_probes_that_can_change_the_verdict(
+        monkeypatch):
+    calls = []
+    real = expr_mod.eval_scaled
+
+    def counted(e, pt):
+        calls.append(pt)
+        return real(e, pt)
+    monkeypatch.setattr(expr_mod, "eval_scaled", counted)
+    # scaling every probe takes 192 calls; here only a probe larger than
+    # the witness so far takes one
+    assert is_zero(parse("x + 2"), BOX).is_nonzero
+    assert len(calls) <= 16
+    # every probe is below abs_tol
+    calls.clear()
+    assert repr(is_zero(parse("x/10^12"), BOX)) == "Zero(probed)"
+    assert calls == []
+    # a constant: after the first probe each one ties the witness
+    calls.clear()
+    assert is_zero(Const("pi"), BOX).is_nonzero
+    assert len(calls) == 1
 
 
 @given(st.sampled_from(DIFF_CASES), st.sampled_from(["x", "y"]))

@@ -22,7 +22,14 @@ Families, each run in-process on this checkout's src/:
                 isothermal pairs whose normal forms carry radicals of
                 rationals and exp atoms, so exact division takes the
                 kernel's folding loop (_p_div_folding), which no other
-                family reaches.
+                family reaches;
+* zero-tests -- every field (kind, method, reason, witness and value, each
+                as its repr) of the is_zero verdict on each invariant of
+                the example manifest in README.md, in the isothermal lane
+                and as the same pair in the general lane, under
+                DEFAULT_CFG and two of its with_seed configurations,
+                so the NonZero witness selection shows for every
+                invariant, not only through an Incompatible report.
 
 Temporary paths are replaced by "<tmp>" before hashing.  Compare the
 printout of two checkouts; where a family differs, --list names the
@@ -146,10 +153,52 @@ def folding_outputs(cli, tmp):
             yield "folding/%s/%s" % (name, argv[0]), "%s\n%s" % (code, out)
 
 
+ZERO_TEST_SEEDS = (1, 2)
+
+
+def _invariants(rep):
+    """(name, expression) of every invariant in an InvariantReport; a
+    degenerate bracket leaves K or K* out."""
+    yield from zip(("phi0", "phi1", "phi2", "phi3"), rep.phi)
+    yield from zip(("D0", "D1", "D2", "D3"), rep.dee)
+    yield from zip(("G0", "G1", "G2", "G3"), rep.gee)
+    yield from zip(("K1", "K2"), rep.kay or ())
+    for name, e in rep.star.items():
+        if name == "Kstar":
+            yield from zip(("Kstar1", "Kstar2"), e or ())
+        else:
+            yield name, e
+    yield from rep.dforms.items()
+
+
+def zero_test_outputs(cli, tmp):
+    cub = bench.import_cubint()
+    from cubint.expr import DEFAULT_CFG
+    man = cli.load_manifest(
+        bench.write_file(tmp, "readme.ini", _readme_manifest()))
+    lam = man.metric.lam
+    engines = (
+        ("iso", cub.InvariantEngine(man.metric, man.codiff, man.domain)),
+        ("general", cub.InvariantEngine(
+            cub.general_metric(lam, "0", lam),
+            cub.Codifferential.general(cub.a_hat_from_complex(man.codiff.a)),
+            man.domain)))
+    cfgs = [("default", DEFAULT_CFG)] + [
+        ("seed%d" % s, DEFAULT_CFG.with_seed(s)) for s in ZERO_TEST_SEEDS]
+    for lane, eng in engines:
+        for name, e in _invariants(eng.report()):
+            for cname, cfg in cfgs:
+                v = cub.is_zero(e, man.domain, cfg)
+                yield ("zero-tests/%s/%s/%s" % (lane, name, cname),
+                       repr((v.kind, v.method, v.reason, v.witness,
+                             v.value)))
+
+
 FAMILIES = (("check", check_outputs), ("invariants", invariants_outputs),
             ("geodesic", geodesic_outputs),
             ("geodesic-abort", geodesic_abort_outputs),
-            ("folding", folding_outputs))
+            ("folding", folding_outputs),
+            ("zero-tests", zero_test_outputs))
 
 
 def main(argv=None) -> int:
