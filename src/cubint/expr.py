@@ -1589,11 +1589,14 @@ def compile_float(*roots: Expr, returns: Optional[str] = None):
     Structurally equal subtrees, within a root or across roots, share one
     temporary, so the DAG is evaluated, not the tree.  Every node does the
     float operation of the plain recursive walk (Add is 0.0 + a + ...,
-    Mul is 1.0 * a * ..., in operand order), so each vi is bitwise what
-    compiling its root alone gives.  An operation that raises
-    OverflowError gives EvalDomainError('float overflow').  Constants are
-    never written into the source: they are the defaults of f's parameters
-    after x and y.
+    Mul is a * ..., in operand order; the walk's 1.0 * head of a product
+    is left out, since 1.0 * a equals a bit for bit, -0.0, infinities and
+    nan included), so each vi is bitwise what compiling its root alone
+    gives.  Each domain check is emitted once per temporary: the code is
+    straight-line, so a repeat of a check that passed cannot fail.  An
+    operation that raises OverflowError gives EvalDomainError('float
+    overflow').  Constants are never written into the source: they are the
+    defaults of f's parameters after x and y.
 
     Every node's value must be finite, else EvalDomainError('non-finite
     value'); merging equal subtrees changes neither that nor
@@ -1620,6 +1623,7 @@ def compile_float(*roots: Expr, returns: Optional[str] = None):
     names = {}      # node -> name holding its value
     consts = {}     # (type, value) -> name of a bound constant
     checked = {}    # names whose finiteness is read, in first-use order
+    guards = set()  # domain checks emitted
 
     def const(v) -> str:
         key = (type(v), v)
@@ -1627,6 +1631,12 @@ def compile_float(*roots: Expr, returns: Optional[str] = None):
         if c is None:
             c = consts[key] = f"c{len(consts)}"
         return c
+
+    def guard(line: str):
+        # the code is straight-line: a check already passed holds later
+        if line not in guards:
+            guards.add(line)
+            lines.append(line)
 
     def emit(e: Expr) -> str:
         out = names.get(e)
@@ -1646,12 +1656,13 @@ def compile_float(*roots: Expr, returns: Optional[str] = None):
                 lines.append(f"{out} = float({const(e.val)})")
         elif t is Add or t is Mul:
             ops = [emit(s) for s in (e.terms if t is Add else e.factors)]
-            op, head = (" + ", "0.0") if t is Add else (" * ", "1.0")
+            # 1.0 * a equals a bit for bit; 0.0 + a does not for a = -0.0
+            op, head = (" + ", ["0.0"]) if t is Add else (" * ", [])
             out = f"t{len(lines)}"
             for i in range(0, max(len(ops), 1), _EVAL_CHAIN):
-                chunk = [head] + ops[i:i + _EVAL_CHAIN]
-                lines.append(f"{out} = {op.join(chunk)}")
-                head = out
+                chunk = head + ops[i:i + _EVAL_CHAIN]
+                lines.append(f"{out} = {op.join(chunk) or '1.0'}")
+                head = [out]
         elif t is Pow:
             b = emit(e.base)
             ex = e.exp
@@ -1660,15 +1671,15 @@ def compile_float(*roots: Expr, returns: Optional[str] = None):
             if ex.denominator == 1:
                 n = int(ex)
                 if n < 0:
-                    lines.append(f"if {b} == 0.0: raise EvalDomainError("
-                                 "'pole: 0 raised to negative power')")
+                    guard(f"if {b} == 0.0: raise EvalDomainError("
+                          "'pole: 0 raised to negative power')")
                 c = const(n)
             else:
-                lines.append(f"if {b} < 0.0: raise EvalDomainError("
-                             "'fractional power of negative base')")
+                guard(f"if {b} < 0.0: raise EvalDomainError("
+                      "'fractional power of negative base')")
                 if ex < 0:
-                    lines.append(f"if {b} == 0.0: raise EvalDomainError("
-                                 "'pole: 0 raised to negative power')")
+                    guard(f"if {b} == 0.0: raise EvalDomainError("
+                          "'pole: 0 raised to negative power')")
                 c = const(float(ex))
             out = f"t{len(lines)}"
             lines.append(f"{out} = {b} ** {c}")
@@ -1676,11 +1687,11 @@ def compile_float(*roots: Expr, returns: Optional[str] = None):
             a = emit(e.arg)
             checked[a] = None
             if e.name == "ln":
-                lines.append(f"if {a} <= 0.0: raise EvalDomainError("
-                             "'ln of non-positive value')")
+                guard(f"if {a} <= 0.0: raise EvalDomainError("
+                      "'ln of non-positive value')")
             elif e.name == "sqrt":
-                lines.append(f"if {a} < 0.0: raise EvalDomainError("
-                             "'sqrt of negative value')")
+                guard(f"if {a} < 0.0: raise EvalDomainError("
+                      "'sqrt of negative value')")
             out = f"t{len(lines)}"
             lines.append(f"{out} = {_EVAL_FUNC_IDENT[e.name]}({a})")
         else:

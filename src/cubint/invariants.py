@@ -34,8 +34,8 @@ from .cnum import (CExpr, _c_mul, _nfs, _wirtinger, parse_complex,
 from .geometry import (ChartMismatch, Metric, _bracket, _cross, _grad,
                        _laplacian, _nabla, _pairing, complex_structure,
                        gauss_curvature, grad_half_square, laplacian, poisson_g)
-from .tensorcoords import (SymTensor3, a_hat_from_complex, div1, div2, div3,
-                           holo_residual)
+from .tensorcoords import (SymTensor3, _cov_deriv3, _div3, _holo_residual,
+                           a_hat_from_complex, div1, div2)
 
 __all__ = [
     "Codifferential", "InvariantReport", "InvariantEngine",
@@ -270,7 +270,7 @@ class InvariantEngine:
                         "quasi-holomorphicity fails: %s = %s at %s"
                         % (name, v.value, v.witness))
         else:
-            res = holo_residual(self.metric, c.a_hat)
+            res = _holo_residual(self.metric, self._nabla_a_hat())
             for comp in res.c:
                 v = self._is_zero(comp)
                 if v.kind == "nonzero":
@@ -306,10 +306,15 @@ class InvariantEngine:
                     _nabla(m, to_nf(c.a2), -3, False))
         return self._get("null_parts", build)
 
+    def _nabla_a_hat(self):
+        # nabla A-hat for the general lane, as normal forms: read by the
+        # holomorphy check and by Div A-hat
+        return self._get("nabla_a_hat",
+                         lambda: _cov_deriv3(self.metric, self.codiff.a_hat))
+
     def _w_tensor(self):
         # (Div A-hat)^{jk} for the general lane
-        return self._get("w_tensor",
-                         lambda: div3(self.metric, self.codiff.a_hat))
+        return self._get("w_tensor", lambda: _div3(self._nabla_a_hat()))
 
     def _pair_drop(self, dee: Expr, f: Expr) -> Expr:
         """<grad dee, grad f> minus the codifferential quadratic term

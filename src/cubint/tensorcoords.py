@@ -12,13 +12,15 @@ The cubic-integral machinery needs, in any chart:
 2-D symmetric tensors are stored by their independent components: the
 rank + 1 values T[0...0], T[0...01], ..., T[1...1], so component n is
 the one with n indices equal to 1.  Index gymnastics run on dense
-2 x ... x 2 nested lists of any rank.
+2 x ... x 2 nested lists of any rank that hold normal forms: each J
+contraction, symmetrization and covariant derivative combines them with
+nf_sum, nf_mul and nf_diff, and a public result builds one tree per
+component of the result.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 from typing import Iterable, Tuple
 
@@ -56,28 +58,34 @@ def _at(d, idx):
 
 
 def _apply_j_slot(d, j, slot: int, rank: int):
-    """Contract J^new_old into one contravariant slot of a dense array."""
+    """Contract J^new_old into one contravariant slot of a dense array of
+    normal forms; j is J as a 2x2 of normal forms."""
     def entry(idx):
-        s = as_expr(0)
-        for m in range(2):
-            src = idx[:slot] + (m,) + idx[slot + 1:]
-            s = s + j[idx[slot]][m] * _at(d, src)
-        return s
+        return nf_sum([nf_mul(j[idx[slot]][m],
+                              _at(d, idx[:slot] + (m,) + idx[slot + 1:]))
+                       for m in range(2)])
     return _dense(rank, entry)
 
 
-def _symmetrize(d, cls):
-    """The cls tensor whose component n averages a dense array over every
-    slot order of the index pattern with n ones."""
-    rank = cls.rank
-    w = Rat(1, math.factorial(rank))
+def _symmetrize(rank: int, *arrays):
+    """The rank + 1 components, as normal forms, of the average over every
+    slot order of the sum of dense arrays.  The pattern with n ones has
+    C(rank, n) distinct arrangements, each reached by n! (rank - n)! of
+    the rank! slot orders, so component n sums each arrangement once and
+    scales by 1 / C(rank, n)."""
     comps = []
     for n in range(rank + 1):
-        s = as_expr(0)
-        for idx in itertools.permutations((0,) * (rank - n) + (1,) * n):
-            s = s + _at(d, idx)
-        comps.append(simplify(w * s))
-    return cls(comps)
+        idxs = [tuple(int(k in ones) for k in range(rank))
+                for ones in itertools.combinations(range(rank), n)]
+        comps.append(nf_scale(nf_sum([_at(d, idx) for d in arrays
+                                      for idx in idxs]),
+                              Fraction(1, len(idxs))))
+    return comps
+
+
+def _j_nf(metric: Metric):
+    """The complex structure J as a 2x2 of normal forms."""
+    return [[to_nf(c) for c in row] for row in complex_structure(metric)]
 
 
 # --------------------------------------------------------------------------
@@ -167,32 +175,37 @@ def a_hat_from_complex(a: CExpr) -> SymTensor3:
     return SymTensor3((q * a.re, q * a.im, -(q * a.re), -(q * a.im)))
 
 
+def _nf_dense(t: _SymTensor):
+    """t as a dense array of the normal forms of its components."""
+    return _dense(t.rank, lambda idx: to_nf(t[idx]))
+
+
 def split_AB(metric: Metric, f: SymTensor3) -> Tuple[SymTensor3, SymTensor3]:
     """Split F = A-hat + B-hat using the complex structure J.
 
     A-hat is the projection onto the "third-codifferential" subspace:
     A = (F - F(J.,J.,.) - F(J.,.,J.) - F(.,J.,J.)) / 4, applied through
-    the contravariant slots; B-hat is the complement F - A-hat.
+    the contravariant slots and symmetrized; B-hat is the complement
+    F - A-hat.  F is symmetric, so the three double contractions are slot
+    orders of one another and symmetrize alike:
+    A = (F - 3 sym F(J.,J.,.)) / 4.
     """
-    j = complex_structure(metric)
-    d = f.dense()
-    t01, t02, t12 = (_apply_j_slot(_apply_j_slot(d, j, s1, 3), j, s2, 3)
-                     for (s1, s2) in ((0, 1), (0, 2), (1, 2)))
-    quarter = Rat(1, 4)
-    a_hat = _symmetrize(_dense(3, lambda i: quarter * (
-        _at(d, i) - (_at(t01, i) + _at(t02, i) + _at(t12, i)))), SymTensor3)
+    j = _j_nf(metric)
+    t01 = _apply_j_slot(_apply_j_slot(_nf_dense(f), j, 0, 3), j, 1, 3)
+    a_hat = SymTensor3(
+        nf_to_expr(nf_scale(nf_sum([to_nf(c), nf_scale(s, -3)]),
+                            Fraction(1, 4)))
+        for c, s in zip(f.c, _symmetrize(3, t01)))
     return a_hat, f - a_hat
 
 
 def imag_part(metric: Metric, a_hat: SymTensor3) -> SymTensor3:
     """The tensor counterpart of multiplying the complex coefficient by i:
-    (1/3)(A^{ljk} J_l^i + A^{ilk} J_l^j + A^{ijl} J_l^k)."""
-    j = complex_structure(metric)
-    d = a_hat.dense()
-    t0, t1, t2 = (_apply_j_slot(d, j, slot, 3) for slot in range(3))
-    third = Rat(1, 3)
-    return _symmetrize(_dense(3, lambda i: third * (
-        _at(t0, i) + _at(t1, i) + _at(t2, i))), SymTensor3)
+    (1/3)(A^{ljk} J_l^i + A^{ilk} J_l^j + A^{ijl} J_l^k).  A-hat is
+    symmetric, so the three terms are slot orders of one another and the
+    result is the symmetrization of the first."""
+    t0 = _apply_j_slot(_nf_dense(a_hat), _j_nf(metric), 0, 3)
+    return SymTensor3(map(nf_to_expr, _symmetrize(3, t0)))
 
 
 # --------------------------------------------------------------------------
@@ -203,11 +216,12 @@ def _gamma(metric: Metric) -> dict:
     return {k: to_nf(v) for k, v in christoffel(metric).items()}
 
 
-def cov_deriv3(metric: Metric, t: SymTensor3):
-    """nabla_l T^{ijk}: dense array indexed [l][i][j][k].  It is symmetric
-    in ijk, so each of its 8 distinct entries is built once and shared."""
+def _cov_deriv3(metric: Metric, t: SymTensor3):
+    """nabla_l T^{ijk} as a dense array [l][i][j][k] of normal forms.  It
+    is symmetric in ijk, so each of its 8 distinct entries is built once
+    and shared."""
     gam = _gamma(metric)
-    d = _dense(3, lambda idx: to_nf(t[idx]))
+    d = _nf_dense(t)
     built = {}
 
     def entry(lijk):
@@ -219,17 +233,30 @@ def cov_deriv3(metric: Metric, t: SymTensor3):
                 terms += [nf_mul(gam[(i, l, m)], d[m][j][k]),
                           nf_mul(gam[(j, l, m)], d[i][m][k]),
                           nf_mul(gam[(k, l, m)], d[i][j][m])]
-            built[key] = nf_to_expr(nf_sum(terms))
+            built[key] = nf_sum(terms)
         return built[key]
     return _dense(4, entry)
 
 
-def div3(metric: Metric, t: SymTensor3):
-    """(Div T)^{jk} = nabla_i T^{ijk}: symmetric 2x2 as ((w11, w12), (w12, w22))."""
-    nt = cov_deriv3(metric, t)
-    w = [nf_to_expr(nf_sum([to_nf(nt[i][i][j][k]) for i in range(2)]))
+def cov_deriv3(metric: Metric, t: SymTensor3):
+    """nabla_l T^{ijk}: dense array indexed [l][i][j][k], one tree per
+    distinct entry, shared by its index orders."""
+    nt = _cov_deriv3(metric, t)
+    trees = [[nf_to_expr(_at(nt, (l,) + (0,) * (3 - n) + (1,) * n))
+              for n in range(4)] for l in range(2)]
+    return _dense(4, lambda lijk: trees[lijk[0]][sum(lijk[1:])])
+
+
+def _div3(nt):
+    """Div T from nabla T, the dense array of normal forms of _cov_deriv3."""
+    w = [nf_to_expr(nf_sum([nt[i][i][j][k] for i in range(2)]))
          for (j, k) in ((0, 0), (0, 1), (1, 1))]
     return ((w[0], w[1]), (w[1], w[2]))
+
+
+def div3(metric: Metric, t: SymTensor3):
+    """(Div T)^{jk} = nabla_i T^{ijk}: symmetric 2x2 as ((w11, w12), (w12, w22))."""
+    return _div3(_cov_deriv3(metric, t))
 
 
 def div2(metric: Metric, s2):
@@ -255,14 +282,9 @@ def div1(metric: Metric, v) -> Expr:
 # --------------------------------------------------------------------------
 # residuals of the two structure equations, in real coordinates
 
-def holo_residual(metric: Metric, a_hat: SymTensor3) -> SymTensor4:
-    """Real-chart Cauchy-Riemann residual of the A-hat tensor.
-
-    Zero iff the complex codifferential coefficient encoded by A-hat is
-    holomorphic.  Built as avgsym(nabla A^{ijk;l}) + avgsym(JJJJ nabla A)
-    with the derivative slot raised by the metric.
-    """
-    nt = cov_deriv3(metric, a_hat)
+def _holo_residual(metric: Metric, nt) -> SymTensor4:
+    """holo_residual from nabla A-hat, the dense array of normal forms of
+    _cov_deriv3."""
     i11, i12, i22 = (to_nf(c) for c in metric.inv)
     ginv = ((i11, i12), (i12, i22))
     built = {}
@@ -272,16 +294,26 @@ def holo_residual(metric: Metric, a_hat: SymTensor3) -> SymTensor4:
         # symmetric in ijk like nt
         key = (sum(ijkl[:3]), ijkl[3])
         if key not in built:
-            built[key] = nf_to_expr(nf_sum([
-                nf_mul(ginv[ijkl[3]][m], to_nf(_at(nt, (m,) + ijkl[:3])))
-                for m in range(2)]))
+            built[key] = nf_sum([nf_mul(ginv[ijkl[3]][m],
+                                        _at(nt, (m,) + ijkl[:3]))
+                                 for m in range(2)])
         return built[key]
     up = _dense(4, raised)
-    jmat = complex_structure(metric)
+    j = _j_nf(metric)
     jd = up
     for slot in range(4):
-        jd = _apply_j_slot(jd, jmat, slot, 4)
-    return _symmetrize(_dense(4, lambda i: _at(up, i) + _at(jd, i)), SymTensor4)
+        jd = _apply_j_slot(jd, j, slot, 4)
+    return SymTensor4(map(nf_to_expr, _symmetrize(4, up, jd)))
+
+
+def holo_residual(metric: Metric, a_hat: SymTensor3) -> SymTensor4:
+    """Real-chart Cauchy-Riemann residual of the A-hat tensor.
+
+    Zero iff the complex codifferential coefficient encoded by A-hat is
+    holomorphic.  Built as avgsym(nabla A^{ijk;l}) + avgsym(JJJJ nabla A)
+    with the derivative slot raised by the metric.
+    """
+    return _holo_residual(metric, _cov_deriv3(metric, a_hat))
 
 
 def principle_residual(metric: Metric, k_potential: Expr,
@@ -302,7 +334,7 @@ def principle_residual(metric: Metric, k_potential: Expr,
     is canonically conserved and this residual vanishes identically.
     """
     gam = _gamma(metric)
-    jmat = [[to_nf(c) for c in row] for row in complex_structure(metric)]
+    jmat = _j_nf(metric)
     k_nf = to_nf(k_potential)
     dk = [nf_diff(k_nf, v) for v in _VS]
     # second covariant derivative of the scalar potential

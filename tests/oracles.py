@@ -18,7 +18,10 @@ is_zero_reference, the zero test as it was when every probe took its
 scale, and the hand-written rank-3
 and rank-4 J contractions and symmetrizations of tensorcoords
 (apply_j_slot3_reference, apply_j_slot4_reference, sym3_reference,
-sym4_reference), cov_deriv3_reference, the covariant derivative that
+sym4_reference), the rank-generic tree versions that replaced them and
+the tensors built with them (apply_j_slot_reference,
+symmetrize_reference, split_AB_reference, imag_part_reference,
+holo_residual_reference), cov_deriv3_reference, the covariant derivative that
 built all 16 entries, and InvariantChainReference, the invariant chain
 of geometry, cnum and invariants as tree formulas that simplify every
 step: each is kept as the reference for the code that replaced it.
@@ -39,10 +42,12 @@ from cubint.expr import (NF, _BUDGET_LEFT, _EVAL_CHAIN, _EVAL_FUNC_IDENT,
                          _func_outer_deriv, _glex_key, _int_exp, _m_build,
                          _m_div, _m_divides, _m_mul, _mk_nf,
                          _p_add_into, _p_mul_mono, _pb_prim, _PolyBase, _skey,
-                         nf_mul, nf_neg, nf_recip, nf_scale, to_nf)
+                         nf_mul, nf_neg, nf_recip, nf_scale, nf_sum,
+                         nf_to_expr, to_nf)
 from cubint.cnum import CExpr
-from cubint.geometry import christoffel
-from cubint.tensorcoords import SymTensor3, SymTensor4, div1, div2, div3
+from cubint.geometry import christoffel, complex_structure
+from cubint.tensorcoords import (SymTensor3, SymTensor4, _at, _dense,
+                                 cov_deriv3, div1, div2, div3)
 
 
 def fd_partial(f, x, y, var, h=1e-5):
@@ -726,6 +731,83 @@ def sym4_reference(d4):
             s = s + d4[idx[0]][idx[1]][idx[2]][idx[3]]
         comps.append(simplify(f24 * s))
     return SymTensor4(comps)
+
+
+def apply_j_slot_reference(d, j, slot: int, rank: int):
+    """Contract J^new_old into one contravariant slot of a dense array:
+    tensorcoords._apply_j_slot as it was when it built a tree per entry."""
+    def entry(idx):
+        s = as_expr(0)
+        for m in range(2):
+            src = idx[:slot] + (m,) + idx[slot + 1:]
+            s = s + j[idx[slot]][m] * _at(d, src)
+        return s
+    return _dense(rank, entry)
+
+
+def symmetrize_reference(d, cls):
+    """The cls tensor whose component n averages a dense array over every
+    slot order of the index pattern with n ones: tensorcoords._symmetrize
+    as it was when it summed all rank! slot orders as one tree."""
+    rank = cls.rank
+    w = Rat(1, math.factorial(rank))
+    comps = []
+    for n in range(rank + 1):
+        s = as_expr(0)
+        for idx in itertools.permutations((0,) * (rank - n) + (1,) * n):
+            s = s + _at(d, idx)
+        comps.append(simplify(w * s))
+    return cls(comps)
+
+
+def split_AB_reference(metric, f):
+    """tensorcoords.split_AB as it was on trees: three double J
+    contractions, their 6 slot orders each, and a simplify per component."""
+    j = complex_structure(metric)
+    d = f.dense()
+    t01, t02, t12 = (apply_j_slot_reference(
+        apply_j_slot_reference(d, j, s1, 3), j, s2, 3)
+        for (s1, s2) in ((0, 1), (0, 2), (1, 2)))
+    quarter = Rat(1, 4)
+    a_hat = symmetrize_reference(_dense(3, lambda i: quarter * (
+        _at(d, i) - (_at(t01, i) + _at(t02, i) + _at(t12, i)))), SymTensor3)
+    return a_hat, f - a_hat
+
+
+def imag_part_reference(metric, a_hat):
+    """tensorcoords.imag_part as it was on trees."""
+    j = complex_structure(metric)
+    d = a_hat.dense()
+    t0, t1, t2 = (apply_j_slot_reference(d, j, slot, 3) for slot in range(3))
+    third = Rat(1, 3)
+    return symmetrize_reference(_dense(3, lambda i: third * (
+        _at(t0, i) + _at(t1, i) + _at(t2, i))), SymTensor3)
+
+
+def holo_residual_reference(metric, a_hat):
+    """tensorcoords.holo_residual as it was on trees: the raised array as
+    trees, four J contractions of trees and 24 slot orders per component."""
+    nt = cov_deriv3(metric, a_hat)
+    i11, i12, i22 = (to_nf(c) for c in metric.inv)
+    ginv = ((i11, i12), (i12, i22))
+    built = {}
+
+    def raised(ijkl):
+        # the derivative index raised: T^{ijk;l} = g^{lm} nabla_m T^{ijk},
+        # symmetric in ijk like nt
+        key = (sum(ijkl[:3]), ijkl[3])
+        if key not in built:
+            built[key] = nf_to_expr(nf_sum([
+                nf_mul(ginv[ijkl[3]][m], to_nf(_at(nt, (m,) + ijkl[:3])))
+                for m in range(2)]))
+        return built[key]
+    up = _dense(4, raised)
+    jmat = complex_structure(metric)
+    jd = up
+    for slot in range(4):
+        jd = apply_j_slot_reference(jd, jmat, slot, 4)
+    return symmetrize_reference(
+        _dense(4, lambda i: _at(up, i) + _at(jd, i)), SymTensor4)
 
 
 def nf_add_reference(a, b):

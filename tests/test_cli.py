@@ -175,6 +175,41 @@ def test_check_general_chart_formula_branch(tmp_path, capsys):
     assert all(v["kind"] == "zero" for v in rep["certificate"].values())
 
 
+# a = z^2 over lambda = 1 + x^2 + y^2/2, in the general lane
+GENERAL_Z2 = """\
+[metric]
+kind = general
+g11 = 1 + x^2 + y^2/2
+g12 = 0
+g22 = 1 + x^2 + y^2/2
+
+[codifferential]
+kind = general-real
+a111 = (x^2 - y^2)/4
+a112 = x*y/2
+a122 = (y^2 - x^2)/4
+a222 = -x*y/2
+"""
+
+
+def test_check_general_lane_takes_nabla_a_hat_once(tmp_path, capsys,
+                                                   monkeypatch):
+    # the holomorphy check and Div A-hat read one nabla A-hat
+    calls = []
+    real = cubint.tensorcoords._cov_deriv3
+
+    def counted(metric, t):
+        calls.append(t)
+        return real(metric, t)
+    monkeypatch.setattr(cubint.tensorcoords, "_cov_deriv3", counted)
+    monkeypatch.setattr(cubint.invariants, "_cov_deriv3", counted)
+    man = _write(tmp_path, "m.ini", GENERAL_Z2)
+    code, rep = _run(capsys, ["check", man])
+    # G2 is built from D0 ... D3, so Div A-hat was taken
+    assert (code, rep["failed"]) == (1, "G2")
+    assert len(calls) == 1
+
+
 def test_check_nonholomorphic_exit_64(tmp_path, capsys):
     man = _write(tmp_path, "m.ini", FLAT_TRIVIAL.replace("a_re = 0",
                                                          "a_re = x"))

@@ -1,4 +1,5 @@
 import copy
+import dis
 import functools
 import gc
 import math
@@ -889,6 +890,17 @@ def test_non_finite_operand_hidden_by_parent_raises(text):
         with pytest.raises(EvalDomainError) as exc:
             compiled(parse(text))(math.inf, 0.0)
         assert str(exc.value) == "non-finite value"
+
+
+def test_generated_code_has_no_no_op_operation():
+    # one pole check for the three negative powers of x; no 1.0 * head
+    f = compile_float(parse("1/x + 1/x^2 + 1/x^3"))
+    raises = [i.argval for i in dis.get_instructions(f)]
+    # the pole check, the two exception handlers and the finiteness check
+    assert raises.count("EvalDomainError") == 4
+    g = compile_float(parse("x*y*sin(x)"))
+    assert 1.0 not in g.__code__.co_consts
+    assert math.copysign(1.0, g(0.5, -0.0, False)[0]) == -1.0
 
 
 def test_compile_float_leaves_no_reference_cycle():

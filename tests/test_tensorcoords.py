@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubint.expr import Box, Rat, eval_at, nf_is_zero, parse, simplify, to_str
+from cubint.expr import (Box, Rat, eval_at, nf_is_zero, nf_to_expr, parse,
+                         simplify, to_nf, to_str)
 from cubint.cnum import CExpr, is_holomorphic, parse_complex
 from cubint.geometry import (Section, complex_structure, gauss_curvature,
                              general_metric, isothermal_metric, nabla01,
@@ -18,7 +19,9 @@ from cubint.tensorcoords import (SymTensor3, SymTensor4, a_hat_from_complex,
                                  sym3_from_momentum_poly)
 from cubint.tensorcoords import _apply_j_slot, _at, _dense, _symmetrize
 from oracles import (apply_j_slot3_reference, apply_j_slot4_reference,
-                     cov_deriv3_reference, sym3_reference, sym4_reference)
+                     cov_deriv3_reference, holo_residual_reference,
+                     imag_part_reference, split_AB_reference, sym3_reference,
+                     sym4_reference)
 
 BOX = Box(-0.9, 0.9, -0.9, 0.9)
 
@@ -88,17 +91,22 @@ SMALL_POLY = st.tuples(*(st.integers(-3, 3) for _ in range(3))).map(
 @given(entries=st.lists(SMALL_POLY, min_size=16, max_size=16),
        jm=st.lists(SMALL_POLY, min_size=4, max_size=4))
 def test_dense_layer_matches_references(rank, entries, jm):
-    d = _dense(rank, lambda idx: entries[sum(b << k for k, b in enumerate(idx))])
+    # the layer takes and returns normal forms; the references take trees
+    def entry(idx):
+        return entries[sum(b << k for k, b in enumerate(idx))]
+    d = _dense(rank, entry)
+    d_nf = _dense(rank, lambda idx: to_nf(entry(idx)))
     j = ((jm[0], jm[1]), (jm[2], jm[3]))
+    j_nf = [[to_nf(v) for v in row] for row in j]
     apply_ref, sym_ref, cls = {
         3: (apply_j_slot3_reference, sym3_reference, SymTensor3),
         4: (apply_j_slot4_reference, sym4_reference, SymTensor4)}[rank]
     for slot in range(rank):
-        got = _apply_j_slot(d, j, slot, rank)
+        got = _apply_j_slot(d_nf, j_nf, slot, rank)
         want = apply_ref(d, j, slot)
         for idx in itertools.product(range(2), repeat=rank):
-            assert simplify(_at(got, idx)) == simplify(_at(want, idx))
-    assert _symmetrize(d, cls).c == sym_ref(d).c
+            assert nf_to_expr(_at(got, idx)) == simplify(_at(want, idx))
+    assert cls(map(nf_to_expr, _symmetrize(rank, d_nf))).c == sym_ref(d).c
 
 
 def test_dense_layer_leaves_no_reference_cycle():
@@ -106,11 +114,35 @@ def test_dense_layer_leaves_no_reference_cycle():
     gc.disable()
     try:
         gc.collect()
-        d = _dense(4, lambda idx: parse("x") * sum(idx))
-        _apply_j_slot(d, ((Rat(0), Rat(1)), (Rat(-1), Rat(0))), 2, 4)
+        d = _dense(4, lambda idx: to_nf(parse("x") * sum(idx)))
+        j = [[to_nf(Rat(0)), to_nf(Rat(1))], [to_nf(Rat(-1)), to_nf(Rat(0))]]
+        _symmetrize(4, _apply_j_slot(d, j, 2, 4))
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# metrics of the general lane: conformal ones, whose J is rational, and one
+# that is not conformal, whose J carries the radical sqrt(det)
+GENERAL_METRICS = (("1 + x^2", "0", "1 + x^2"),
+                   ("2 + x*y", "0", "2 + x*y"),
+                   ("1 + x^2", "x*y/3", "2 + y^2"))
+SMALL_TENSOR = st.lists(st.tuples(*(st.integers(-2, 2) for _ in range(3))),
+                        min_size=4, max_size=4).map(lambda cs: SymTensor3(
+                            Rat(a) + Rat(b) * parse("x") + Rat(c) * parse("y^2")
+                            for a, b, c in cs))
+
+
+@settings(max_examples=12, deadline=None)
+@given(g=st.sampled_from(GENERAL_METRICS), f=SMALL_TENSOR)
+def test_normal_form_tensors_match_tree_references(g, f):
+    m = general_metric(*g)
+    a_hat, b_hat = split_AB(m, f)
+    want_a, want_b = split_AB_reference(m, f)
+    assert a_hat.c == want_a.c
+    assert b_hat.c == want_b.c
+    assert imag_part(m, f).c == imag_part_reference(m, f).c
+    assert holo_residual(m, f).c == holo_residual_reference(m, f).c
 
 
 def test_momentum_poly_of_tensor():

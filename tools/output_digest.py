@@ -29,7 +29,15 @@ Families, each run in-process on this checkout's src/:
                 and as the same pair in the general lane, under
                 DEFAULT_CFG and two of its with_seed configurations,
                 so the NonZero witness selection shows for every
-                invariant, not only through an Incompatible report.
+                invariant, not only through an Incompatible report;
+* tensors    -- the to_str of tensorcoords' holo_residual, split_AB,
+                imag_part, div3 and principle_residual on a tensor that
+                is not holomorphic over three general metrics (two
+                conformal, one not, whose J carries a radical), and
+                `cubint check` (exit code and stderr, with the residual's
+                value and witness) on a general-lane pair whose A-hat is
+                not holomorphic; the other families reach the
+                general-lane residual only through all-Zero verdicts.
 
 Temporary paths are replaced by "<tmp>" before hashing.  Compare the
 printout of two checkouts; where a family differs, --list names the
@@ -194,11 +202,42 @@ def zero_test_outputs(cli, tmp):
                              v.value)))
 
 
+# (g11, g12, g22) of the tensors family
+TENSOR_METRICS = (("1 + x^2 + y^2/2", "0", "1 + x^2 + y^2/2"),
+                  ("2 + x*y", "0", "2 + x*y"),
+                  ("1 + x^2", "x*y/3", "2 + y^2"))
+TENSOR = ("x*y", "1 + x", "y^2", "2")
+POTENTIAL = "x*y - y^2/3"
+
+
+def tensor_outputs(cli, tmp):
+    cub = bench.import_cubint()
+    from cubint.expr import parse, to_str
+    from cubint import tensorcoords as tc
+    f = tc.SymTensor3(parse(c) for c in TENSOR)
+    for g in TENSOR_METRICS:
+        m = cub.general_metric(*g)
+        name = "tensors/" + ",".join(g)
+        yield name + "/holo_residual", repr(tc.holo_residual(m, f))
+        yield name + "/split_AB", repr(tc.split_AB(m, f))
+        yield name + "/imag_part", repr(tc.imag_part(m, f))
+        yield name + "/div3", repr([to_str(w) for row in tc.div3(m, f)
+                                    for w in row])
+        yield name + "/principle_residual", repr([
+            to_str(p) for row in tc.principle_residual(m, parse(POTENTIAL), f)
+            for p in row])
+    g = TENSOR_METRICS[2]
+    man = bench.write_file(tmp, "tensors-check.ini", bench.manifest_text(
+        dict(lane="general", metric=g, codiff=("x", "-y"), box=bench.BOX)))
+    code, out, err = _cli(cli, ["check", man])
+    yield "tensors/check-not-holomorphic", "%s\n%s\n%s" % (code, out, err)
+
+
 FAMILIES = (("check", check_outputs), ("invariants", invariants_outputs),
             ("geodesic", geodesic_outputs),
             ("geodesic-abort", geodesic_abort_outputs),
             ("folding", folding_outputs),
-            ("zero-tests", zero_test_outputs))
+            ("zero-tests", zero_test_outputs), ("tensors", tensor_outputs))
 
 
 def main(argv=None) -> int:
