@@ -170,37 +170,27 @@ class Rat(Expr):
 class Const(Expr):
     __slots__ = ("name",)
 
-    def __init__(self, name: str):
-        if name not in _CONST_NAMES:
-            raise ValueError(f"unknown constant {name!r}")
-        self.name = name
-        self._init_meta()
+    def __new__(cls, name: str):
+        try:
+            return _CONSTS[name]
+        except KeyError:
+            raise ValueError(f"unknown constant {name!r}") from None
 
-    def __eq__(self, other):
-        return type(other) is Const and other.name == self.name
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(("C", self.name))
-        return self._hash
+    def __reduce__(self):
+        return Const, (self.name,)
 
 
 class Var(Expr):
     __slots__ = ("name",)
 
-    def __init__(self, name: str):
-        if name not in _VAR_NAMES:
-            raise ValueError(f"unknown variable {name!r}")
-        self.name = name
-        self._init_meta()
+    def __new__(cls, name: str):
+        try:
+            return _VARS[name]
+        except KeyError:
+            raise ValueError(f"unknown variable {name!r}") from None
 
-    def __eq__(self, other):
-        return type(other) is Var and other.name == self.name
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(("V", self.name))
-        return self._hash
+    def __reduce__(self):
+        return Var, (self.name,)
 
 
 class Add(Expr):
@@ -272,6 +262,27 @@ class Func(Expr):
         return self._hash
 
 
+def _atoms(cls, names) -> dict:
+    """The one node of each name, {name: node}: Var("x") is X, and a
+    pickled or copied atom comes back as that node (__reduce__).  Atoms
+    compare and hash by identity, in C; monomial dict keys hash and compare
+    them all the time.
+
+    Every caller and thread shares an atom's caches, and none of them can
+    decide a verdict: to_nf and nf_to_expr never store an atom's _nf (it
+    would hold the atom itself), and _skey, _fn (the compiled atom) and _d
+    (its derivatives, 0 or 1) hold the same values whoever builds them."""
+    out = {}
+    for name in names:
+        a = object.__new__(cls)
+        a.name = name
+        a._init_meta()
+        out[name] = a
+    return out
+
+
+_CONSTS = _atoms(Const, _CONST_NAMES)
+_VARS = _atoms(Var, _VAR_NAMES)
 X = Var("x")
 Y = Var("y")
 ZERO = Rat(0)
@@ -283,7 +294,9 @@ _E = Const("e")
 # structural total order (for canonical ordering of commutative operands)
 
 def _skey(e) -> tuple:
-    k = e._skey if isinstance(e, Expr) else getattr(e, "_skey", None)
+    """The sort key of an Expr, _PolyBase or _RatPow, kept in its _skey
+    slot."""
+    k = e._skey
     if k is not None:
         return k
     t = type(e)
@@ -307,10 +320,7 @@ def _skey(e) -> tuple:
         k = (8, len(e.terms), tuple(_skey(t2) for t2 in e.terms))
     else:
         raise TypeError(f"no sort key for {e!r}")
-    try:
-        e._skey = k
-    except AttributeError:
-        pass
+    e._skey = k
     return k
 
 
@@ -849,6 +859,12 @@ def _p_div_exact(p: dict, q: dict) -> Optional[dict]:
     monomial tuples and rational coefficients instead.  Both loops stay
     because one tuple loop for every input made the division about a
     quarter slower on the decide-suite benchmark.
+
+    The same lemma gives a pre-check: an integer quotient s takes an
+    integer value s(t) = p(t)/q(t) at the integer point t of _p_eval_int,
+    so q(t) not dividing p(t) proves that there is none.  Most trial
+    divisions of _mk_nf fail, and this rejects them with one evaluation
+    each instead of long division on exponent vectors.
     """
     if not p:
         return {}
@@ -862,6 +878,11 @@ def _p_div_exact(p: dict, q: dict) -> Optional[dict]:
         # graded-lex order is compatible with products, so q*s has the
         # distinct terms lead(q)*lead(s) > trail(q)*trail(s): never one term
         return None
+    qt = _p_eval_int(q)
+    if qt:
+        pt = _p_eval_int(p)
+        if pt is not None and pt % qt:
+            return None
     order, key = _glex_key(bases)
     qk = {key(m): c for m, c in q.items()}
     qlk = max(qk)
@@ -897,6 +918,31 @@ def _p_div_exact(p: dict, q: dict) -> Optional[dict]:
                 rem[nk] = nc
     return {tuple((order[i], _int_exp(e)) for i, e in enumerate(v) if e): c
             for v, c in quot.items()}
+
+
+# the point of _p_eval_int: two primes of different size, so that few
+# factors that the kernel divides by vanish there or take the value +-1
+_X_AT, _Y_AT = 1009, 2003
+
+
+def _p_eval_int(p: dict) -> Optional[int]:
+    """p at x = _X_AT, y = _Y_AT, or None when that value need not be an
+    integer: a base other than x and y, an exponent that is negative or
+    not an integer, or a coefficient that is not an int (a Fraction
+    coefficient makes the sum a Fraction)."""
+    s = 0
+    for m, c in p.items():
+        for (b, e) in m:
+            if type(e) is not int or e < 0:
+                return None
+            if b is X:
+                c *= _X_AT ** e
+            elif b is Y:
+                c *= _Y_AT ** e
+            else:
+                return None
+        s += c
+    return s if type(s) is int else None
 
 
 def _p_div_folding(p: dict, q: dict) -> Optional[dict]:

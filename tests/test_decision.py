@@ -207,6 +207,11 @@ def test_concurrent_decisions_match_serial_ones():
 
     threads = [threading.Thread(target=worker, args=(i,))
                for i in range(len(pairs))]
+    # x and y are one node each, shared by every thread: the threads race
+    # to build the derivatives and compiled function that the atoms keep
+    from cubint.expr import X, Y
+    for atom in (X, Y):
+        atom._d = atom._fn = None
     saved = sys.getswitchinterval()
     sys.setswitchinterval(1e-4)
     try:

@@ -105,6 +105,29 @@ def test_variable_not_callable():
         parse("x(1)")
 
 
+def test_atoms_are_one_node_per_name():
+    x = Var("x")
+    assert x is expr_mod.X and parse("x") is x and parse("x + 1").terms[1] is x
+    pi = Const("pi")
+    assert parse("pi") is pi and parse("2*pi").factors[1] is pi
+    for atom in (x, Var("y"), pi, Const("e")):
+        assert pickle.loads(pickle.dumps(atom)) is atom
+        assert copy.copy(atom) is atom and copy.deepcopy(atom) is atom
+    # a tree built again from a pickle or a deep copy shares its atoms
+    e = parse("x*y^2 + sin(x)")
+    for e2 in (pickle.loads(pickle.dumps(e)), copy.deepcopy(e)):
+        assert e2 == e and e2 is not e
+        assert e2.terms[1].factors[0] is x
+    # identity is equality: no Python-level __eq__ or __hash__ left
+    for cls in (Var, Const):
+        assert "__eq__" not in vars(cls) and "__hash__" not in vars(cls)
+    assert Var("x") != Var("y") and Var("x") != Const("e")
+    with pytest.raises(ValueError, match="^unknown variable 'z'$"):
+        Var("z")
+    with pytest.raises(ValueError, match="^unknown constant 'tau'$"):
+        Const("tau")
+
+
 def test_division_by_literal_zero_rejected():
     with pytest.raises((ExpressionSyntaxError, ZeroDivisionError)):
         parse("x/0")
@@ -525,6 +548,13 @@ def _poly(text):
 # (x + y^3)/x: the leading term in graded-lex order is y^3/x, so the
 # division succeeds; in plain lex order it would be 1, which x does not divide
 _X_PLUS_Y3 = _poly("x + y^3")
+_X_PLUS_Y3_OVER_X = expr_mod._p_mul(_X_PLUS_Y3, {((Var("x"), -1),): 1})
+
+
+def _product_and_factor(q_text, s_text):
+    """(q*s, q) for the numerators of two parsed polynomials."""
+    q = _poly(q_text)
+    return expr_mod._p_mul(q, _poly(s_text)), q
 
 
 @given(_polys(_PLAIN_BASES + _FOLDING_BASES, 6).filter(bool))
@@ -534,7 +564,7 @@ _X_PLUS_Y3 = _poly("x + y^3")
 # x^(1/2) against a radical base of the same degree, and y^3/x, of the
 # larger total degree though one exponent is negative
 @example(_poly("(1 + x^2)^(1/2) + x^(1/2)"))
-@example(expr_mod._p_mul(_X_PLUS_Y3, {((Var("x"), -1),): 1}))
+@example(_X_PLUS_Y3_OVER_X)
 def test_leading_term_matches_reference(p):
     assert expr_mod._p_leading(p) == p_leading_reference(p)
 
@@ -568,12 +598,41 @@ def test_product_of_primitive_polynomials_is_primitive(p, q):
 
 @given(_integral_polys(_PLAIN_BASES), _primitive_polys(_PLAIN_BASES))
 @settings(max_examples=300, deadline=None)
-@example(expr_mod._p_mul(_X_PLUS_Y3, {((Var("x"), -1),): 1}), _X_PLUS_Y3)
+@example(_X_PLUS_Y3_OVER_X, _X_PLUS_Y3)
 # lc(q) = 2 does not divide lc(p) = 3: the integer loop stops at once
 @example(_poly("3*x^2 + 2*y"), _poly("2*x + 1"))
 @example(_poly("6*x^2 + 3*x + 4*x*y + 2*y"), _poly("2*x + 1"))
+# exact quotients that the integer pre-check must leave to long division:
+# q vanishes at the point t of _p_eval_int; Laurent monomials; fractional
+# powers of x and of a compound base; a function and a constant base.  A
+# pre-check that took rational or float values at t would reject the
+# Laurent ones (here and the first example) and x^(1/2)
+@example(*_product_and_factor(
+    f"{expr_mod._Y_AT}*x - {expr_mod._X_AT}*y", "x + y"))
+@example(expr_mod._p_mul(_poly("x + 2"), _X_PLUS_Y3_OVER_X), _X_PLUS_Y3_OVER_X)
+@example(*_product_and_factor("x^(1/2) + y", "x + 2"))
+@example(*_product_and_factor("(1 + x^2)^(1/2) + x", "x + 2"))
+@example(*_product_and_factor("sin(x) + 2*x", "pi + y"))
 def test_division_matches_reference(p, q):
     _same_division(p, q)
+
+
+def test_division_rejects_by_one_integer_evaluation(monkeypatch):
+    # q(t) = 1009 + 4006 does not divide p(t) at t = (1009, 2003), so no
+    # graded-lex key is built
+    calls = []
+    real = expr_mod._glex_key
+
+    def counted(bases):
+        calls.append(bases)
+        return real(bases)
+    monkeypatch.setattr(expr_mod, "_glex_key", counted)
+    p, q = _poly("x^2 + 3*y + 1"), _poly("x + 2*y")
+    assert p_div_reference(_fractions(p), _fractions(q)) is None
+    assert expr_mod._p_div_exact(p, q) is None
+    assert calls == []
+    # a quotient that exists is still found
+    assert expr_mod._p_div_exact(expr_mod._p_mul(p, q), q) == p
 
 
 @given(_primitive_polys(_PLAIN_BASES, 4),
@@ -1217,8 +1276,9 @@ _BOXES = st.builds(
 def test_is_zero_matches_reference_that_scales_every_probe(
         e, box, n_probes, seeds, abs_tol, rel_tol):
     cfg = ZeroTestConfig(n_probes, seeds, abs_tol, rel_tol)
-    # each test on its own cache-free copy: a normal form that one test
-    # leaves on the nodes could decide the other's symbolic confirmation
+    # each test on its own copy, cache-free but for the shared atoms x, y,
+    # pi and e: a normal form that one test leaves on the nodes could
+    # decide the other's symbolic confirmation, and an atom keeps none
     got = is_zero(pickle.loads(pickle.dumps(e)), box, cfg)
     want = is_zero_reference(pickle.loads(pickle.dumps(e)), box, cfg)
     assert _verdict_bytes(got) == _verdict_bytes(want)
