@@ -1835,8 +1835,8 @@ class Box:
 _STRONG_FACTOR = 10.0
 # Unknown when more than this share of the probes fails to evaluate.
 _MAX_FAIL_FRAC = 0.5
-# Term-products the symbolic confirmation of an all-vanishing probe run
-# may spend before settling for a probed Zero.
+# Term-products is_zero may spend normalizing an expression that carries
+# no normal form before it probes that expression in floats.
 _TERM_BUDGET = 200_000
 
 
@@ -1885,8 +1885,8 @@ class ZeroVerdict:
         return cls("zero", method=method)
 
     @classmethod
-    def nonzero(cls, witness, value):
-        return cls("nonzero", witness=witness, value=value)
+    def nonzero(cls, witness, value, method="probed"):
+        return cls("nonzero", witness=witness, value=value, method=method)
 
     @classmethod
     def unknown(cls, reason):
@@ -1931,17 +1931,22 @@ def _combine(*vs: ZeroVerdict) -> ZeroVerdict:
 def is_zero(e: Expr, domain: Box, cfg: ZeroTestConfig = DEFAULT_CFG) -> ZeroVerdict:
     """Tri-state identically-zero test on the domain box.
 
-    Probes first (cheap, and NonZero needs no algebra), then attempts a
-    budgeted symbolic confirmation so clean identities report method
-    "symbolic".  A numeric-only Zero (all probes under tolerance) is a
-    legitimate verdict: the kernel need not know sin^2+cos^2 = 1.
+    Reads e's normal form first, normalizing e under a term budget if it
+    carries none.  A zero normal form is Zero(symbolic).  A nonzero one
+    that is rational in x and y is decided exactly (exact.rational_verdict):
+    NonZero with method "exact" at the first probe point where its exact
+    numerator and denominator are nonzero, else Unknown, never Zero.
 
-    A probe value |v| vanishes at or below abs_tol + rel_tol*scale, scale
-    the largest |value| of e's nodes there; above ten times that it is
-    strong, and the strongest probe is the NonZero witness; in between it
-    is in the band.  Each probe computes its value alone (eval_at), and
-    its scale (eval_scaled) only where the scale can change the verdict.
-    In two cases it cannot:
+    Only a normal form that is not rational in x and y (function atoms,
+    constants, radicals), or one over the budget, is probed in floats, and
+    only there do the tolerances apply.  Such a Zero is Zero(probed): the
+    kernel need not know sin^2+cos^2 = 1.  A probe value |v| vanishes at or
+    below abs_tol + rel_tol*scale, scale the largest |value| of e's nodes
+    there; above ten times that it is strong, and the strongest probe is
+    the NonZero witness, method "probed"; in between it is in the band.
+    Each probe computes its value alone (eval_at), and its scale
+    (eval_scaled) only where the scale can change the verdict.  In two
+    cases it cannot:
     - |v| <= abs_tol.  The threshold is at least abs_tol for any scale,
       so the probe vanishes.
     - A witness exists and |v| <= |witness value|.  The probe cannot
@@ -1950,12 +1955,21 @@ def is_zero(e: Expr, domain: Box, cfg: ZeroTestConfig = DEFAULT_CFG) -> ZeroVerd
     So the verdict (kind, method, reason, witness and value) is bitwise
     what scaling every probe gives.
     """
-    if e._nf is not None and e._nf.is_zero():
-        return ZeroVerdict.zero(method="symbolic")
-    if isinstance(e, Rat):
-        if e.val == 0:
+    token = _BUDGET_LEFT.set(_TERM_BUDGET)
+    try:
+        nf = to_nf(e)
+    except (_BudgetExceeded, OverflowError, ZeroDivisionError,
+            EvalDomainError):
+        nf = None
+    finally:
+        _BUDGET_LEFT.reset(token)
+    if nf is not None:
+        if nf.is_zero():
             return ZeroVerdict.zero(method="symbolic")
-        return ZeroVerdict.nonzero(domain.center(), float(e.val))
+        from .exact import rational_verdict
+        v = rational_verdict(nf, domain, cfg)
+        if v is not None:
+            return v
     n_fail = 0
     n_band = 0
     best_val = 0.0
@@ -1992,15 +2006,6 @@ def is_zero(e: Expr, domain: Box, cfg: ZeroTestConfig = DEFAULT_CFG) -> ZeroVerd
     if n_band > 0:
         return ZeroVerdict.unknown(
             f"{n_band} probe values inside the tolerance band")
-    # all probes vanish; try to upgrade to a symbolic certificate
-    token = _BUDGET_LEFT.set(_TERM_BUDGET)
-    try:
-        if to_nf(e).is_zero():
-            return ZeroVerdict.zero(method="symbolic")
-    except (_BudgetExceeded, OverflowError, ZeroDivisionError):
-        pass
-    finally:
-        _BUDGET_LEFT.reset(token)
     return ZeroVerdict.zero(method="probed")
 
 

@@ -14,8 +14,8 @@ closure_compile with rk4_reference, the former closure compiler and RK4
 driver of the geodesic flow, momentum_poly_reference, the
 former per-polynomial evaluator of H and F, compile_float_reference, the
 float compiler as it was when its finiteness check read every node,
-is_zero_reference, the zero test as it was when every probe took its
-scale, and the hand-written rank-3
+is_zero_reference, the zero test's float probes as they were when every
+probe took its scale, and the hand-written rank-3
 and rank-4 J contractions and symmetrizations of tensorcoords
 (apply_j_slot3_reference, apply_j_slot4_reference, sym3_reference,
 sym4_reference), the rank-generic tree versions that replaced them and
@@ -35,9 +35,9 @@ from fractions import Fraction
 from cubint.expr import (DEFAULT_CFG, Add, Const, EvalDomainError, Func, Mul,
                          Pow, Rat, Var, ZeroVerdict, as_expr, diff,
                          eval_scaled, simplify)
-from cubint.expr import (NF, _BUDGET_LEFT, _EVAL_CHAIN, _EVAL_FUNC_IDENT,
+from cubint.expr import (NF, _EVAL_CHAIN, _EVAL_FUNC_IDENT,
                          _EVAL_GLOBALS, _MAX_FAIL_FRAC, _NF_ONE, _NF_ZERO,
-                         _STRONG_FACTOR, _TERM_BUDGET, _UNIT, _BudgetExceeded,
+                         _STRONG_FACTOR, _UNIT,
                          _atom_nf, _folds,
                          _func_outer_deriv, _glex_key, _int_exp, _m_build,
                          _m_div, _m_divides, _m_mul, _mk_nf,
@@ -605,14 +605,10 @@ def compile_float_reference(*roots):
 
 
 def is_zero_reference(e, domain, cfg=DEFAULT_CFG):
-    """The tri-state zero test as it was when every probe took its scale:
-    eval_scaled at each point, then the verdict from value and scale."""
-    if e._nf is not None and e._nf.is_zero():
-        return ZeroVerdict.zero(method="symbolic")
-    if isinstance(e, Rat):
-        if e.val == 0:
-            return ZeroVerdict.zero(method="symbolic")
-        return ZeroVerdict.nonzero(domain.center(), float(e.val))
+    """The float probes of the zero test as they were when every probe took
+    its scale: eval_scaled at each point, then the verdict from value and
+    scale.  is_zero runs them on a normal form that is not rational in x
+    and y."""
     n_fail = 0
     n_band = 0
     best_val = 0.0
@@ -645,15 +641,6 @@ def is_zero_reference(e, domain, cfg=DEFAULT_CFG):
     if n_band > 0:
         return ZeroVerdict.unknown(
             f"{n_band} probe values inside the tolerance band")
-    # all probes vanish; try to upgrade to a symbolic certificate
-    token = _BUDGET_LEFT.set(_TERM_BUDGET)
-    try:
-        if to_nf(e).is_zero():
-            return ZeroVerdict.zero(method="symbolic")
-    except (_BudgetExceeded, OverflowError, ZeroDivisionError):
-        pass
-    finally:
-        _BUDGET_LEFT.reset(token)
     return ZeroVerdict.zero(method="probed")
 
 

@@ -65,8 +65,9 @@ y_min = 0.2
 y_max = 1
 """
 
-# flat metric, a = z^3 + z^4/100: D0 = 48 + 1.92 x, and abs tolerance 10
-# parks every probe inside the (thr, 10 thr] band -> Unknown -> exit 2
+# flat metric, a = z^3 + exp(z)/100: D0 = 48 + 2/25*cos(y)*exp(x), whose
+# exp atom sends the zero test to the float probes; abs tolerance 10 parks
+# every probe inside the (thr, 10 thr] band -> Unknown -> exit 2
 BANDED = """\
 [metric]
 kind = isothermal
@@ -74,8 +75,8 @@ lambda = 1
 
 [codifferential]
 kind = isothermal-complex
-a_re = x^3 - 3*x*y^2 + (x^4 - 6*x^2*y^2 + y^4)/100
-a_im = 3*x^2*y - y^3 + (4*x^3*y - 4*x*y^3)/100
+a_re = x^3 - 3*x*y^2 + exp(x)*cos(y)/100
+a_im = 3*x^2*y - y^3 + exp(x)*sin(y)/100
 
 [tolerances]
 abs = 10
@@ -162,6 +163,24 @@ def test_check_undetermined_exit_2(tmp_path, capsys):
     assert code == 2
     assert rep["status"] == "Undetermined"
     assert rep["reason"] == "Is D0 == 0?"
+    assert "inside the tolerance band" in rep["trace"][-1]["verdict"]["reason"]
+
+
+def test_check_reports_how_a_nonzero_was_found(tmp_path, capsys):
+    # a rational D0 is decided on its normal form, D0 with an exp atom by
+    # the float probes; the tolerances reach only the second
+    exact = _write(tmp_path, "exact.ini", BANDED.replace(
+        "exp(x)*cos(y)/100", "(x^4 - 6*x^2*y^2 + y^4)/100").replace(
+        "exp(x)*sin(y)/100", "(4*x^3*y - 4*x*y^3)/100"))
+    probed = _write(tmp_path, "probed.ini", BANDED.replace(
+        "abs = 10", "abs = 1"))
+    for man, method in ((exact, "exact"), (probed, "probed")):
+        code, rep = _run(capsys, ["check", man])
+        assert code == 1
+        assert rep["failed"] == "D0"
+        last = rep["trace"][-1]["verdict"]
+        assert (last["kind"], last["method"]) == ("nonzero", method)
+        assert last["value"] == rep["witness_value"]
 
 
 def test_check_general_chart_formula_branch(tmp_path, capsys):

@@ -1,11 +1,15 @@
+from fractions import Fraction
+
 import pytest
 
 from cubint.decision import (
     CONST_CURVATURE_NOTE, KILLING_NOTE, _combine, _dform_test, decide,
 )
-from cubint.expr import Box, ZeroVerdict, as_expr, is_zero, parse
+from cubint.exact import nf_at
+from cubint.expr import Box, ZeroVerdict, as_expr, is_zero, parse, to_nf
 from cubint.geometry import ChartMismatch, general_metric, isothermal_metric, null_metric
 from cubint.invariants import Codifferential, HolomorphicityViolated, InvariantEngine
+from cubint.pseudo import decide_pseudo
 from cubint.tensorcoords import SymTensor3
 from cubint.verify import certificate_all_zero
 
@@ -224,3 +228,55 @@ def test_concurrent_decisions_match_serial_ones():
     assert not any(t.is_alive() for t in threads)
     assert errors == []
     assert [got[i] for i in range(len(pairs))] == [run(*p) for p in pairs]
+
+
+# --------------------------------------------------------------------------
+# zero tests on rational normal forms are exact: pairs that float probes
+# once decided wrongly (a nonzero invariant under the tolerance) or left
+# Undetermined (probes in the tolerance band)
+
+BOX11 = Box(-1.0, 1.0, -1.0, 1.0)
+
+
+def test_small_nonzero_obstruction_is_incompatible():
+    m = isothermal_metric("2 + x/3 + y^2/5")
+    c = Codifferential.isothermal(("1", "0"))
+    v = decide(m, c, BOX11)
+    assert v.status == "Incompatible" and v.failed in ("G2", "G3")
+    assert v.trace[-1].verdict.method == "exact"
+    # the witness is proved by exact evaluation of the failed invariant
+    eng = InvariantEngine(m, c, BOX11)
+    obstruction = {"G2": eng.gee2, "G3": eng.gee3}[v.failed]
+    exact = nf_at(to_nf(obstruction), *map(Fraction, v.witness))
+    assert exact != 0 and float(exact) == v.witness_value
+
+
+@pytest.mark.parametrize("decider, metric, codiff", [
+    (decide, isothermal_metric("4 + x^2 + y^2/4"),
+     Codifferential.isothermal(("1", "0"))),
+    (decide_pseudo, null_metric("1 + x^2/2 + 2*y^2"),
+     Codifferential.null_pair("0", "0")),
+])
+def test_banded_phi2_decides_with_formula(decider, metric, codiff):
+    v = decider(metric, codiff, BOX11)
+    assert v.status == "CompatibleWithFormula"
+    assert certificate_all_zero(v.certificate)
+
+
+def test_large_coefficient_metric_is_not_constant_curvature():
+    v = decide(isothermal_metric("1 + 10^200*x^2"),
+               Codifferential.isothermal(("0", "-1")), BOX11)
+    assert v.status == "CompatibleKilling"
+    assert v.path() == KILLING_PATH
+
+
+@pytest.mark.xfail(strict=True, reason="float probes on a normal form with "
+                   "exp atoms use a tolerance scaled by the largest node")
+def test_nonzero_obstruction_with_exp_atom_is_not_zero():
+    # G2 and G3 of this pair are nonzero (|G2| from 1.4e-11 to 2.6e-9 at
+    # four probes, by 60-digit evaluation), below the threshold
+    # abs_tol + rel_tol*scale, scale about 2.8e7
+    eng = InvariantEngine(isothermal_metric("2 + exp(x*y)"),
+                          Codifferential.isothermal(("1", "0")), BOX11)
+    verdicts = [is_zero(g, BOX11) for g in (eng.gee2, eng.gee3)]
+    assert not any(v.is_zero for v in verdicts)

@@ -11,7 +11,7 @@ import threading
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 from cubint.expr import (
     FUNCTIONS, Add, Box, Const, EvalDomainError, ExpressionSyntaxError, Func,
@@ -21,6 +21,7 @@ from cubint.expr import (
 )
 from cubint import (Codifferential, InvariantEngine, expr as expr_mod,
                     isothermal_metric)
+from cubint.exact import NotRationalError, nf_at
 from oracles import (compile_float_reference, fd_partial, is_zero_reference,
                      m_mul_reference, nf_add_reference,
                      nf_diff_reference, p_div_exact_reference, p_div_reference,
@@ -1163,11 +1164,17 @@ def test_is_zero_numeric_identity():
 
 
 def test_is_zero_nonzero_with_witness():
+    # rational: the first probe point, on the 1/1024 grid, is the witness,
+    # and the value is exact there
     v = is_zero(parse("x"), BOX)
-    assert v.is_nonzero
+    assert v.is_nonzero and v.method == "exact"
     assert BOX.contains(v.witness)
-    assert abs(v.value) > 1e-6
-    # |x| is maximized near the domain edge
+    assert v.witness[0] * 1024 == int(v.witness[0] * 1024)
+    assert v.value == v.witness[0] != 0
+    # float probes: |e*x| is maximized near the domain edge
+    v = is_zero(parse("e*x"), BOX)
+    assert v.is_nonzero and v.method == "probed"
+    assert BOX.contains(v.witness)
     assert abs(v.witness[0]) > 1.0
 
 
@@ -1252,11 +1259,36 @@ def _verdict_bytes(v):
 
 
 _TOLS = st.sampled_from([0.0, 1e-12, 1e-9, 1e-3, 1e3])
+# only a normal form that is not rational in x and y goes to the float
+# probes: a function, a radical or a constant atom in every expression
+_NON_RATIONAL = st.one_of(
+    st.builds(Func, st.sampled_from(["exp", "sin"]), _eval_exprs(1)),
+    st.builds(Pow, _eval_exprs(1), st.sampled_from(
+        [Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3)])),
+    st.sampled_from([Const("pi"), Const("e")]))
 # values near every tolerance: an expression times a power of ten
-_ZERO_TEST_EXPRS = st.one_of(
-    _eval_exprs(2),
-    st.builds(lambda e, k: Mul((Rat(Fraction(10) ** k), e)),
-              _eval_exprs(2), st.integers(-14, 4)))
+_ZERO_TEST_EXPRS = st.builds(
+    lambda e, atom, op, k: Mul((Rat(Fraction(10) ** k), op((e, atom)))),
+    _eval_exprs(2), _NON_RATIONAL, st.sampled_from([Add, Mul]),
+    st.integers(-14, 4))
+
+
+def _float_probed(e):
+    """Does is_zero probe e in floats: is e's normal form out of reach or
+    not rational in x and y?  None when the normal form is zero."""
+    try:
+        nf = to_nf(e)
+    except (ZeroDivisionError, OverflowError, EvalDomainError):
+        return True
+    if nf.is_zero():
+        return None
+    try:
+        nf_at(nf, 0, 0)
+    except NotRationalError:
+        return True
+    except ZeroDivisionError:
+        pass
+    return False
 _BOXES = st.builds(
     lambda x0, w, y0, h: Box(x0, x0 + w, y0, y0 + h),
     st.floats(-3.0, 3.0), st.floats(1e-3, 4.0),
@@ -1266,13 +1298,16 @@ _BOXES = st.builds(
 @given(_ZERO_TEST_EXPRS, _BOXES, st.integers(1, 16),
        st.lists(st.integers(0, 2 ** 32), min_size=1, max_size=3),
        _TOLS, _TOLS)
-@settings(max_examples=300, deadline=None)
+# no shrinking: each shrink step reruns up to 192 probes on a fresh copy,
+# and a failure shrank for minutes; the failing example is reported as drawn
+@settings(max_examples=300, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
 # a constant: every later probe ties the witness
 @example(e=Const("pi"), box=BOX, n_probes=16, seeds=[1], abs_tol=1e-9,
          rel_tol=1e-9)
 # no probe above ten times abs_tol, some above abs_tol: in the band
-@example(e=Mul((Rat(Fraction(1, 2 * 10 ** 8)), Var("x"))), box=BOX,
-         n_probes=16, seeds=[1], abs_tol=1e-9, rel_tol=0.0)
+@example(e=Mul((Rat(Fraction(1, 6 * 10 ** 8)), Const("e"), Var("x"))),
+         box=BOX, n_probes=16, seeds=[1], abs_tol=1e-9, rel_tol=0.0)
 def test_is_zero_matches_reference_that_scales_every_probe(
         e, box, n_probes, seeds, abs_tol, rel_tol):
     cfg = ZeroTestConfig(n_probes, seeds, abs_tol, rel_tol)
@@ -1280,8 +1315,14 @@ def test_is_zero_matches_reference_that_scales_every_probe(
     # pi and e: a normal form that one test leaves on the nodes could
     # decide the other's symbolic confirmation, and an atom keeps none
     got = is_zero(pickle.loads(pickle.dumps(e)), box, cfg)
-    want = is_zero_reference(pickle.loads(pickle.dumps(e)), box, cfg)
-    assert _verdict_bytes(got) == _verdict_bytes(want)
+    probed = _float_probed(pickle.loads(pickle.dumps(e)))
+    if probed is None:
+        assert repr(got) == "Zero(symbolic)"
+    elif probed:
+        want = is_zero_reference(pickle.loads(pickle.dumps(e)), box, cfg)
+        assert _verdict_bytes(got) == _verdict_bytes(want)
+    else:
+        assert got.method == "exact" or got.is_unknown
 
 
 def test_is_zero_scales_only_probes_that_can_change_the_verdict(
@@ -1295,11 +1336,11 @@ def test_is_zero_scales_only_probes_that_can_change_the_verdict(
     monkeypatch.setattr(expr_mod, "eval_scaled", counted)
     # scaling every probe takes 192 calls; here only a probe larger than
     # the witness so far takes one
-    assert is_zero(parse("x + 2"), BOX).is_nonzero
+    assert is_zero(parse("x + e"), BOX).is_nonzero
     assert len(calls) <= 16
     # every probe is below abs_tol
     calls.clear()
-    assert repr(is_zero(parse("x/10^12"), BOX)) == "Zero(probed)"
+    assert repr(is_zero(parse("e*x/10^12"), BOX)) == "Zero(probed)"
     assert calls == []
     # a constant: after the first probe each one ties the witness
     calls.clear()
