@@ -244,7 +244,7 @@ def _tensor_json(t: Optional[SymTensor3]):
     if t is None:
         return None
     names = ("F111", "F112", "F122", "F222")
-    return {n: to_str(simplify(c)) for n, c in zip(names, t.c)}
+    return {n: to_str(c) for n, c in zip(names, t.c)}
 
 
 def _certificate_json(cert):

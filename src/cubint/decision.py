@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .expr import (Box, DEFAULT_CFG, EvalDomainError, Expr, ZeroTestConfig,
-                   ZeroVerdict, _combine, diff, eval_at, is_zero)
+from .expr import (Box, DEFAULT_CFG, Expr, ZeroTestConfig, ZeroVerdict,
+                   _combine, diff, is_zero)
 from .geometry import ChartMismatch, Metric
 from .invariants import (Codifferential, DEFAULT_DOMAIN, DegenerateBracket,
                          InvariantEngine)
@@ -97,33 +97,16 @@ def _incompatible(trace, name, v: ZeroVerdict) -> Verdict:
                    witness=v.witness, witness_value=v.value)
 
 
-def _apparent_magnitude(e: Expr, domain: Box) -> float:
-    """Cheap numeric peek at |e| on a tiny fixed sub-grid (heuristic used
-    only to order zero tests; verdicts do not depend on it)."""
-    w, h = domain.x_max - domain.x_min, domain.y_max - domain.y_min
-    best = 0.0
-    for fx, fy in ((0.5, 0.5), (0.23, 0.71), (0.81, 0.37), (0.66, 0.88)):
-        try:
-            v = abs(eval_at(e, (domain.x_min + fx * w, domain.y_min + fy * h)))
-        except EvalDomainError:
-            continue
-        best = max(best, v)
-    return best
-
-
 def _formula_branch(eng: InvariantEngine, trace, zs, domain, cfg,
                     gees, kay_getter: Callable, via: str) -> Verdict:
     """Common tail of the two explicit-formula branches: test the pair of
     obstruction scalars, assemble F, certify it.
 
-    The pair is tested in order of apparent numeric magnitude so that a
-    plainly violated obstruction short-circuits before the certified-zero
-    confirmation of its partner is ever attempted."""
+    The pair is tested in the paper's order, G2 before G3 (G*2 before
+    G*3), and the first NonZero ends the walk Incompatible."""
     label = "Are %s and %s == 0?" % (gees[0][0], gees[1][0])
-    ordered = sorted(gees, key=lambda ne: _apparent_magnitude(ne[1], domain),
-                     reverse=True)
     named = []
-    for name, e in ordered:
+    for name, e in gees:
         v = zs(e)
         named.append((name, v))
         if v.is_nonzero:

@@ -6,7 +6,7 @@ Everything the compatibility decision consumes is computed here:
   their Poisson bracket, and the half-square of the gradient of phi1);
 * the codifferential chain D0..D3 obtained by repeatedly pairing with
   gradients of the phi's;
-* the obstruction combinations G0..G3 (and determinant forms of G2, G3);
+* the obstruction combinations G0..G3;
 * the covector K and the candidate integral tensor F = A-hat + B-hat;
 * the star family (phi1 replaced by the Laplacian of the curvature) with
   its own D*, G*, K*;
@@ -155,10 +155,11 @@ def _gee(metric: Metric, fa, fb, fc, da, db, dc) -> Expr:
     """{fa,fb} dc + {fb,fc} da + {fc,fa} db.
 
     Terms with an identically-zero D-multiplier are dropped before the
-    bracket is ever formed, and the surviving combination is left
-    unnormalized: expanding these products over a common denominator
-    is the single most expensive simplification in the whole chain,
-    and the zero tests downstream neither need nor reward it."""
+    bracket is ever formed, and the surviving combination is left an
+    unnormalized tree: the first zero test of it normalizes it.
+    Normalizing it here instead, for every G of a report, made the
+    set-up of bench/run.py's invariant-grid, which builds its reports
+    before any timed round, about 40 % slower."""
     om = metric.mu
     terms = []
     for (f1, f2, d) in ((fa, fb, dc), (fb, fc, da), (fc, fa, db)):
@@ -173,16 +174,6 @@ def _gee(metric: Metric, fa, fb, fc, da, db, dc) -> Expr:
     for t in terms[1:]:
         out = out + t
     return out
-
-
-def _det_form(metric: Metric, *rows) -> Expr:
-    """(1/mu) det[[f_x, f_y, D] per row] for rows f0, D0, f1, D1, f2, D2."""
-    m = [[*_grad(to_nf(f)), to_nf(d)] for f, d in zip(rows[::2], rows[1::2])]
-    det = nf_sum([nf_mul(m[0][0], _cross(m[1][1], m[2][2], m[1][2], m[2][1])),
-                  nf_neg(nf_mul(m[0][1], _cross(m[1][0], m[2][2],
-                                                m[1][2], m[2][0]))),
-                  nf_mul(m[0][2], _cross(m[1][0], m[2][1], m[1][1], m[2][0]))])
-    return nf_to_expr(nf_mul(det, metric._inv_mu()))
 
 
 def _kay(phi0: Expr, dee0: Expr, phi1_like: Expr, dee1_like: Expr,
@@ -407,8 +398,7 @@ class InvariantEngine:
         return self._get("Dstar3",
                          lambda: self._pair_drop(self.deestar1, self.phistar1))
 
-    # -- G combinations: {fa,fb} dc + {fb,fc} da + {fc,fa} db, and the
-    # determinant forms of G2, G3, G*2 and G*3 over rows (f, D)
+    # -- G combinations: {fa,fb} dc + {fb,fc} da + {fc,fa} db
 
     gee0 = _formula("G0", _gee, "phi1", "phi2", "phi3", "dee1", "dee2", "dee3")
     gee1 = _formula("G1", _gee, "phi0", "phi2", "phi3", "dee0", "dee2", "dee3")
@@ -418,14 +408,6 @@ class InvariantEngine:
                         "dee0", "deestar1", "deestar3")
     geestar3 = _formula("Gstar3", _gee, "phi0", "phistar1", "phistar2",
                         "dee0", "deestar1", "deestar2")
-    gee2_det = _formula("G2det", _det_form, "phi0", "dee0", "phi1", "dee1",
-                        "phi3", "dee3")
-    gee3_det = _formula("G3det", _det_form, "phi0", "dee0", "phi1", "dee1",
-                        "phi2", "dee2")
-    geestar2_det = _formula("Gstar2det", _det_form, "phi0", "dee0", "phistar1",
-                            "deestar1", "phistar3", "deestar3")
-    geestar3_det = _formula("Gstar3det", _det_form, "phi0", "dee0", "phistar1",
-                            "deestar1", "phistar2", "deestar2")
 
     # -- K covector, B-hat, candidate F ------------------------------------
 

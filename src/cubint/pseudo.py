@@ -67,7 +67,7 @@ def _cubic_poly(f) -> MomentumPoly:
     A1 px^3 + B1 px^2 py + B2 px py^2 + A2 py^3."""
     if isinstance(f, tuple) and len(f) == 4:
         conv = lambda v: parse(v) if isinstance(v, str) else as_expr(v)
-        a1, b1, b2, a2 = (simplify(conv(v)) for v in f)
+        a1, b1, b2, a2 = (conv(v) for v in f)
         return MomentumPoly({(3, 0): a1, (2, 1): b1, (1, 2): b2, (0, 3): a2})
     if not isinstance(f, MomentumPoly):
         f = f.to_momentum_poly()

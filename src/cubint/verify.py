@@ -156,7 +156,7 @@ def _real_part_poly(terms) -> MomentumPoly:
             piece = (Rat(re_w.numerator, re_w.denominator) * c.re
                      - Rat(im_w.numerator, im_w.denominator) * c.im)
             out[mono] = out.get(mono, as_expr(0)) + piece
-    return MomentumPoly({k: simplify(v) for k, v in out.items()})
+    return MomentumPoly(out)
 
 
 def _structured_iso(metric: Metric, f: MomentumPoly) -> MomentumPoly:
@@ -209,7 +209,7 @@ def _structured_null(metric: Metric, f: MomentumPoly) -> MomentumPoly:
                         + b2 * lx + Rat(3) * a2 * ly),
         (0, 4): inv1 * diff(a2, "x"),
     }
-    return MomentumPoly({k: simplify(v) for k, v in out.items()})
+    return MomentumPoly(out)
 
 
 def bracket_FH(metric: Metric, f) -> MomentumPoly:
@@ -267,8 +267,7 @@ def integrate_geodesic(metric: Metric, state0, dt: float, steps: int):
     """
     inv = metric.inv
     # g^{11}, g^{12}, g^{22}, their x-derivatives, their y-derivatives
-    rhs = compile_float(*inv, *(simplify(diff(c, v))
-                                for v in ("x", "y") for c in inv),
+    rhs = compile_float(*inv, *(diff(c, v) for v in ("x", "y") for c in inv),
                         returns="({0} * px + {1} * py, {1} * px + {2} * py,"
                         " -(0.5 * {3} * px * px + {4} * px * py"
                         " + 0.5 * {5} * py * py),"

@@ -25,6 +25,8 @@ holo_residual_reference), cov_deriv3_reference, the covariant derivative that
 built all 16 entries, and InvariantChainReference, the invariant chain
 of geometry, cnum and invariants as tree formulas that simplify every
 step: each is kept as the reference for the code that replaced it.
+gee_det_reference, the determinant form of the obstructions G, is the
+second formula for G that the engine computed before it kept one.
 """
 
 import itertools
@@ -45,7 +47,7 @@ from cubint.expr import (NF, _EVAL_CHAIN, _EVAL_FUNC_IDENT,
                          nf_mul, nf_neg, nf_recip, nf_scale, nf_sum,
                          nf_to_expr, to_nf)
 from cubint.cnum import CExpr
-from cubint.geometry import christoffel, complex_structure
+from cubint.geometry import _cross, _grad, christoffel, complex_structure
 from cubint.tensorcoords import (SymTensor3, SymTensor4, _at, _dense,
                                  cov_deriv3, div1, div2, div3)
 
@@ -1095,3 +1097,15 @@ class InvariantChainReference:
                                    - self.poisson(ds1, phi0))
         out["deestar3"] = self.pair_drop(ds1, ps1)
         return out
+
+
+def gee_det_reference(metric, *rows):
+    """G as (1/mu) det[[f_x, f_y, D] per row] for the rows f0, D0, f1, D1,
+    f2, D2: expanding along the D column gives the bracket form
+    {f0,f1} D2 + {f1,f2} D0 + {f2,f0} D1 term by term."""
+    m = [[*_grad(to_nf(f)), to_nf(d)] for f, d in zip(rows[::2], rows[1::2])]
+    det = nf_sum([nf_mul(m[0][0], _cross(m[1][1], m[2][2], m[1][2], m[2][1])),
+                  nf_neg(nf_mul(m[0][1], _cross(m[1][0], m[2][2],
+                                                m[1][2], m[2][0]))),
+                  nf_mul(m[0][2], _cross(m[1][0], m[2][1], m[1][1], m[2][0]))])
+    return nf_to_expr(nf_mul(det, metric._inv_mu()))

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from cubint import expr
 from cubint.decision import (
     CONST_CURVATURE_NOTE, KILLING_NOTE, _combine, _dform_test, decide,
 )
@@ -242,13 +243,37 @@ def test_small_nonzero_obstruction_is_incompatible():
     m = isothermal_metric("2 + x/3 + y^2/5")
     c = Codifferential.isothermal(("1", "0"))
     v = decide(m, c, BOX11)
-    assert v.status == "Incompatible" and v.failed in ("G2", "G3")
+    # G2 is tested first, and it does not vanish
+    assert v.status == "Incompatible" and v.failed == "G2"
     assert v.trace[-1].verdict.method == "exact"
     # the witness is proved by exact evaluation of the failed invariant
     eng = InvariantEngine(m, c, BOX11)
-    obstruction = {"G2": eng.gee2, "G3": eng.gee3}[v.failed]
-    exact = nf_at(to_nf(obstruction), *map(Fraction, v.witness))
+    exact = nf_at(to_nf(eng.gee2), *map(Fraction, v.witness))
     assert exact != 0 and float(exact) == v.witness_value
+
+
+@pytest.mark.parametrize("lam, status", [
+    ("2 + x/3 + y^2/5", "Incompatible"),
+    ("4 + x^2 + y^2/4", "CompatibleWithFormula"),
+])
+def test_rational_pair_is_decided_without_float_code(monkeypatch, lam,
+                                                      status):
+    # every zero test of a rational normal form is exact, and the walk
+    # orders no test by a float value, so no float code is compiled
+    calls = []
+    compile_float = expr.compile_float
+
+    def counting(*roots, **kw):
+        calls.append(roots)
+        return compile_float(*roots, **kw)
+
+    monkeypatch.setattr(expr, "compile_float", counting)
+    v = decide(isothermal_metric(lam), Codifferential.isothermal(("1", "0")),
+               BOX11)
+    assert v.status == status
+    if v.is_compatible:
+        assert certificate_all_zero(v.certificate)
+    assert calls == []
 
 
 @pytest.mark.parametrize("decider, metric, codiff", [

@@ -14,7 +14,8 @@ from cubint.invariants import (
     InvariantEngine,
 )
 from cubint.tensorcoords import SymTensor3, a_hat_from_complex
-from oracles import InvariantChainReference, fd_d0_iso, fd_d0_null
+from oracles import (InvariantChainReference, fd_d0_iso, fd_d0_null,
+                     gee_det_reference)
 
 BOX = Box(-1.0, 1.0, -1.0, 1.0)
 
@@ -197,12 +198,38 @@ def test_d2_respects_bracket_antisymmetry():
 # --------------------------------------------------------------------------
 # G combinations: bracket form vs determinant form
 
+# the rows (f, D) of each G's determinant form
+_GEE_ROWS = {
+    "gee0": ("phi1", "dee1", "phi2", "dee2", "phi3", "dee3"),
+    "gee1": ("phi0", "dee0", "phi2", "dee2", "phi3", "dee3"),
+    "gee2": ("phi0", "dee0", "phi1", "dee1", "phi3", "dee3"),
+    "gee3": ("phi0", "dee0", "phi1", "dee1", "phi2", "dee2"),
+    "geestar2": ("phi0", "dee0", "phistar1", "deestar1", "phistar3",
+                 "deestar3"),
+    "geestar3": ("phi0", "dee0", "phistar1", "deestar1", "phistar2",
+                 "deestar2"),
+}
+
+
 def test_gee_det_forms_match_bracket_forms():
-    eng = generic_engine()
-    for a, b in ((eng.gee2, eng.gee2_det), (eng.gee3, eng.gee3_det),
-                 (eng.geestar2, eng.geestar2_det),
-                 (eng.geestar3, eng.geestar3_det)):
-        assert is_zero(simplify(a - b), BOX).is_zero
+    # one pair in each lane; every G is nonzero, so that each term of
+    # the bracket form counts.  Equal values may have NF fields that
+    # differ in the general lane, so the difference is tested
+    lam, a = "1 + x^2 + y^2/2", ("x^2 - y^2", "2*x*y")
+    engines = (
+        generic_engine(),
+        InvariantEngine(null_metric(lam),
+                        Codifferential.null_pair("x^2", "y"), BOX),
+        InvariantEngine(general_metric(lam, "0", lam), Codifferential.general(
+            a_hat_from_complex(parse_complex(*a))), BOX),
+    )
+    for eng in engines:
+        for name, rows in _GEE_ROWS.items():
+            got = getattr(eng, name)
+            want = gee_det_reference(eng.metric,
+                                     *(getattr(eng, r) for r in rows))
+            assert not nf_is_zero(got), (eng.metric.kind, name)
+            assert nf_is_zero(simplify(got - want)), (eng.metric.kind, name)
 
 
 def test_killing_fixture_obstructions_vanish():
@@ -369,9 +396,6 @@ def test_separately_built_engines_agree():
     gee = (other.gee0, other.gee1, other.gee2, other.gee3)
     assert all(nf_is_zero(simplify(a - b))
                for a, b in zip(gee, (eng.gee0, eng.gee1, eng.gee2, eng.gee3)))
-    g2, g3 = other.gee2_det, other.gee3_det
-    assert nf_is_zero(simplify(g2 - eng.gee2_det))
-    assert nf_is_zero(simplify(g3 - eng.gee3_det))
     k = other.kay
     ek = eng.kay
     assert nf_is_zero(simplify(k[0] - ek[0]))
