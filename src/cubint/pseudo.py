@@ -18,8 +18,7 @@ from typing import Tuple
 
 from .decision import TraceStep, Verdict, _decision_walk
 from .expr import (Box, DEFAULT_CFG, Expr, Rat, ZeroTestConfig, ZeroVerdict,
-                   _combine, as_expr, diff, is_zero, nf_is_zero, parse,
-                   simplify)
+                   _combine, as_expr, diff, is_zero, nf_diff, parse, to_nf)
 from .geometry import ChartMismatch, Metric, null_metric
 from .invariants import Codifferential, DEFAULT_DOMAIN, InvariantEngine
 from .verify import MomentumPoly, _structured_null, bracket_certificate
@@ -132,7 +131,7 @@ def normal_form_metric(f) -> Metric:
     |grad R|^2 == 0 is locally of this shape, and its curvature is read
     straight off the profile: R = 2 df/dx."""
     prof = parse(f) if isinstance(f, str) else as_expr(f)
-    if not nf_is_zero(diff(prof, "y")):
+    if not nf_diff(to_nf(prof), "y").is_zero():
         raise ValueError("normal-form profile must be a function of x only")
     base = parse("y") + prof
-    return null_metric(simplify(Rat(1) / (base * base)))
+    return null_metric(Rat(1) / (base * base))

@@ -20,12 +20,13 @@ import os
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
-from .cnum import CExpr, wirtinger_z, wirtinger_zbar
+from .cnum import _c_mul, _wirtinger
 from .expr import (
-    Box, EvalDomainError, Expr, Rat, ZeroTestConfig, ZeroVerdict, as_expr,
-    compile_float, diff, is_zero, nf_is_zero, simplify, to_str, DEFAULT_CFG,
+    Box, EvalDomainError, Expr, ZeroTestConfig, ZeroVerdict, as_expr,
+    _NF_ZERO, compile_float, diff, is_zero, nf_diff, nf_mul, nf_neg, nf_recip,
+    nf_scale, nf_sum, nf_to_expr, to_nf, to_str, DEFAULT_CFG,
 )
-from .geometry import Metric
+from .geometry import HALF, Metric
 
 __all__ = [
     "MomentumPoly", "hamiltonian_poly", "canonical_bracket",
@@ -37,40 +38,31 @@ __all__ = [
 
 class MomentumPoly:
     """A polynomial in the momenta (px, py) with Expr coefficients,
-    stored as {(i, j): coefficient of px^i py^j}."""
+    stored as {(i, j): coefficient of px^i py^j}.
+
+    Each coefficient is the tree of a nonzero normal form (NF) and carries
+    it; the algebra combines the NFs, with one nf_sum and one tree per
+    coefficient of its result (_poly)."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Optional[Dict[Tuple[int, int], Expr]] = None):
-        cl: Dict[Tuple[int, int], Expr] = {}
-        for k, v in (coeffs or {}).items():
-            e = simplify(as_expr(v))
-            if not nf_is_zero(e):
-                cl[(int(k[0]), int(k[1]))] = e
-        self.coeffs = cl
+        self.coeffs = _poly(((int(k[0]), int(k[1])), to_nf(as_expr(v)))
+                            for k, v in (coeffs or {}).items()).coeffs
 
     # -- algebra -------------------------------------------------------
     def __add__(self, other: "MomentumPoly") -> "MomentumPoly":
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out[k] + v if k in out else v
-        return MomentumPoly(out)
+        return _poly((k, to_nf(v)) for p in (self, other)
+                     for k, v in p.coeffs.items())
 
     def __sub__(self, other: "MomentumPoly") -> "MomentumPoly":
-        return self + other.scaled(Rat(-1))
+        return _poly([*((k, to_nf(v)) for k, v in self.coeffs.items()),
+                      *((k, nf_neg(to_nf(v))) for k, v in other.coeffs.items())])
 
     def __mul__(self, other: "MomentumPoly") -> "MomentumPoly":
-        out: Dict[Tuple[int, int], Expr] = {}
-        for (i1, j1), c1 in self.coeffs.items():
-            for (i2, j2), c2 in other.coeffs.items():
-                k = (i1 + i2, j1 + j2)
-                t = c1 * c2
-                out[k] = out[k] + t if k in out else t
-        return MomentumPoly(out)
-
-    def scaled(self, c) -> "MomentumPoly":
-        c = as_expr(c)
-        return MomentumPoly({k: c * v for k, v in self.coeffs.items()})
+        return _poly(((i1 + i2, j1 + j2), nf_mul(to_nf(c1), to_nf(c2)))
+                     for (i1, j1), c1 in self.coeffs.items()
+                     for (i2, j2), c2 in other.coeffs.items())
 
     def is_trivial(self) -> bool:
         return not self.coeffs
@@ -87,37 +79,48 @@ class MomentumPoly:
             bits.append(f"({to_str(self.coeffs[(i, j)])})" + (f"*{mon}" if mon else ""))
         return "MomentumPoly(" + " + ".join(bits) + ")"
 
-    # -- calculus ------------------------------------------------------
-    def d_base(self, var: str) -> "MomentumPoly":
-        """Derivative in a base variable x or y (acts on coefficients)."""
-        return MomentumPoly({k: diff(v, var) for k, v in self.coeffs.items()})
 
-    def d_momentum(self, which: str) -> "MomentumPoly":
-        """Derivative in px or py (shifts momentum exponents)."""
-        out: Dict[Tuple[int, int], Expr] = {}
-        for (i, j), c in self.coeffs.items():
-            if which == "px" and i > 0:
-                out[(i - 1, j)] = Rat(i) * c
-            elif which == "py" and j > 0:
-                out[(i, j - 1)] = Rat(j) * c
-        return MomentumPoly(out)
+def _poly(terms) -> MomentumPoly:
+    """The MomentumPoly of (key, NF) pairs: one nf_sum of the normal forms
+    at each key, zero sums dropped, one tree per remaining key."""
+    sums: Dict[Tuple[int, int], list] = {}
+    for k, a in terms:
+        sums.setdefault(k, []).append(a)
+    p = object.__new__(MomentumPoly)
+    p.coeffs = {}
+    for k, nfs in sums.items():
+        s = nf_sum(nfs)
+        if not s.is_zero():
+            p.coeffs[k] = nf_to_expr(s)
+    return p
 
 
 def hamiltonian_poly(metric: Metric) -> MomentumPoly:
     """H = (1/2) g^{ij} p_i p_j as a momentum polynomial."""
-    i11, i12, i22 = metric.inv
-    return MomentumPoly({(2, 0): Rat(1, 2) * i11,
-                         (1, 1): i12,
-                         (0, 2): Rat(1, 2) * i22})
+    i11, i12, i22 = (to_nf(c) for c in metric.inv)
+    return _poly((((2, 0), nf_scale(i11, HALF)), ((1, 1), i12),
+                  ((0, 2), nf_scale(i22, HALF))))
 
 
 def canonical_bracket(f: MomentumPoly, h: MomentumPoly) -> MomentumPoly:
-    """{f, h} = sum_i (df/dx^i dh/dp_i - df/dp_i dh/dx^i)."""
-    out = MomentumPoly({})
-    for (base, mom) in (("x", "px"), ("y", "py")):
-        out = out + f.d_base(base) * h.d_momentum(mom)
-        out = out - f.d_momentum(mom) * h.d_base(base)
-    return out
+    """{f, h} = sum_i (df/dx^i dh/dp_i - df/dp_i dh/dx^i).
+
+    Terms c1 px^i1 py^j1 of f and c2 px^i2 py^j2 of h give
+    (i2 dc1/dx c2 - i1 c1 dc2/dx) px^(i1+i2-1) py^(j1+j2) and the like
+    term in y; each coefficient of the result is one nf_sum of these
+    products."""
+    fs = [(k, to_nf(c)) for k, c in f.coeffs.items()]
+    hs = [(k, to_nf(c)) for k, c in h.coeffs.items()]
+    terms = []
+    for (i1, j1), c1 in fs:
+        for (i2, j2), c2 in hs:
+            for v, n1, n2, k in (("x", i1, i2, (i1 + i2 - 1, j1 + j2)),
+                                 ("y", j1, j2, (i1 + i2, j1 + j2 - 1))):
+                if n2:
+                    terms.append((k, nf_scale(nf_mul(nf_diff(c1, v), c2), n2)))
+                if n1:
+                    terms.append((k, nf_scale(nf_mul(c1, nf_diff(c2, v)), -n1)))
+    return _poly(terms)
 
 
 def canonical_bracket_FH(metric: Metric, f: MomentumPoly) -> MomentumPoly:
@@ -148,15 +151,10 @@ def _pq_monomials(i: int, j: int) -> Dict[Tuple[int, int], Tuple[Fraction, Fract
     return {k: (re * scale, im * scale) for k, (re, im) in acc.items()}
 
 
-def _real_part_poly(terms) -> MomentumPoly:
-    """Re(sum c * p^i pbar^j) for complex coefficients c as a MomentumPoly."""
-    out: Dict[Tuple[int, int], Expr] = {}
-    for c, i, j in terms:
-        for mono, (re_w, im_w) in _pq_monomials(i, j).items():
-            piece = (Rat(re_w.numerator, re_w.denominator) * c.re
-                     - Rat(im_w.numerator, im_w.denominator) * c.im)
-            out[mono] = out.get(mono, as_expr(0)) + piece
-    return MomentumPoly(out)
+def _cubic_nfs(f: MomentumPoly):
+    """The normal forms of f's px^3, px^2 py, px py^2, py^3 coefficients."""
+    return [to_nf(f.coeffs[k]) if k in f.coeffs else _NF_ZERO
+            for k in ((3, 0), (2, 1), (1, 2), (0, 3))]
 
 
 def _structured_iso(metric: Metric, f: MomentumPoly) -> MomentumPoly:
@@ -164,52 +162,53 @@ def _structured_iso(metric: Metric, f: MomentumPoly) -> MomentumPoly:
 
     The cubic F = Re(a p^3 + b p^2 pbar) brackets to
     (2 / lam^2) Re(p^4 lam a_zbar + p^3 pbar (b lam_zbar + 3 a lam_z
-    + lam b_zbar + lam a_z) + p^2 pbar^2 (2 b lam_z + lam b_z)).
+    + lam b_zbar + lam a_z) + p^2 pbar^2 (2 b lam_z + lam b_z)),
+    with the complex values as (re, im) pairs of normal forms.
     """
-    z = as_expr(0)
-    f30 = f.coeffs.get((3, 0), z)
-    f21 = f.coeffs.get((2, 1), z)
-    f12 = f.coeffs.get((1, 2), z)
-    f03 = f.coeffs.get((0, 3), z)
-    a = CExpr(simplify(Rat(2) * (f30 - f12)), simplify(Rat(2) * (f21 - f03)))
-    b = CExpr(simplify(Rat(6) * f30 + Rat(2) * f12),
-              simplify(Rat(2) * f21 + Rat(6) * f03))
-    lam = CExpr(metric.lam, z)
-    lam_z = wirtinger_z(lam)
-    lam_zb = wirtinger_zbar(lam)
-    c4 = lam * wirtinger_zbar(a)
-    c3 = (b * lam_zb + a * Rat(3) * lam_z
-          + lam * wirtinger_zbar(b) + lam * wirtinger_z(a))
-    c2 = b * Rat(2) * lam_z + lam * wirtinger_z(b)
-    quartic = _real_part_poly(((c4, 4, 0), (c3, 3, 1), (c2, 2, 2)))
-    pref = simplify(Rat(2) / (metric.lam * metric.lam))
-    return quartic.scaled(pref)
+    f30, f21, f12, f03 = _cubic_nfs(f)
+    a = (nf_scale(nf_sum([f30, nf_neg(f12)]), 2),
+         nf_scale(nf_sum([f21, nf_neg(f03)]), 2))
+    b = (nf_sum([nf_scale(f30, 6), nf_scale(f12, 2)]),
+         nf_sum([nf_scale(f21, 2), nf_scale(f03, 6)]))
+    lam = (to_nf(metric.lam), _NF_ZERO)
+    lam_z, lam_zb = _wirtinger(lam, -1), _wirtinger(lam, 1)
+    r = nf_recip(lam[0])
+    pref = nf_scale(nf_mul(r, r), 2)
+    terms = []
+    # (i, j, w, c): the term w c p^i pbar^j inside Re(...)
+    for i, j, w, (re, im) in (
+            (4, 0, 1, _c_mul(lam, _wirtinger(a, 1))),
+            (3, 1, 1, _c_mul(b, lam_zb)), (3, 1, 3, _c_mul(a, lam_z)),
+            (3, 1, 1, _c_mul(lam, _wirtinger(b, 1))),
+            (3, 1, 1, _c_mul(lam, _wirtinger(a, -1))),
+            (2, 2, 2, _c_mul(b, lam_z)), (2, 2, 1, _c_mul(lam, _wirtinger(b, -1)))):
+        re, im = nf_mul(pref, re), nf_mul(pref, im)
+        for mono, (re_w, im_w) in _pq_monomials(i, j).items():
+            terms += [(mono, nf_scale(re, w * re_w)),
+                      (mono, nf_scale(im, -w * im_w))]
+    return _poly(terms)
 
 
 def _structured_null(metric: Metric, f: MomentumPoly) -> MomentumPoly:
     """Translated form of {F, H} for a null metric: with
     F = A1 px^3 + A2 py^3 + (B1 px + B2 py) px py, the five quartic
     coefficients are first derivatives of (A1, A2, B1, B2) and lam."""
-    z = as_expr(0)
-    a1 = f.coeffs.get((3, 0), z)
-    b1 = f.coeffs.get((2, 1), z)
-    b2 = f.coeffs.get((1, 2), z)
-    a2 = f.coeffs.get((0, 3), z)
-    lam = metric.lam
-    lx, ly = diff(lam, "x"), diff(lam, "y")
-    inv1 = simplify(Rat(2) / lam)
-    inv2 = simplify(Rat(2) / (lam * lam))
-    out = {
-        (4, 0): inv1 * diff(a1, "y"),
-        (3, 1): inv2 * (lam * diff(a1, "x") + lam * diff(b1, "y")
-                        + Rat(3) * a1 * lx + b1 * ly),
-        (2, 2): inv2 * (lam * diff(b1, "x") + lam * diff(b2, "y")
-                        + Rat(2) * b1 * lx + Rat(2) * b2 * ly),
-        (1, 3): inv2 * (lam * diff(b2, "x") + lam * diff(a2, "y")
-                        + b2 * lx + Rat(3) * a2 * ly),
-        (0, 4): inv1 * diff(a2, "x"),
-    }
-    return MomentumPoly(out)
+    a1, b1, b2, a2 = _cubic_nfs(f)
+    lam = to_nf(metric.lam)
+    lx, ly = nf_diff(lam, "x"), nf_diff(lam, "y")
+    inv1 = nf_scale(nf_recip(lam), 2)
+    inv2 = nf_mul(inv1, nf_recip(lam))
+
+    def mid(p, q, np, nq):
+        # inv2 * (lam (p_x + q_y) + np p lam_x + nq q lam_y)
+        return nf_mul(inv2, nf_sum([
+            nf_mul(lam, nf_sum([nf_diff(p, "x"), nf_diff(q, "y")])),
+            nf_scale(nf_mul(p, lx), np), nf_scale(nf_mul(q, ly), nq)]))
+    return _poly((((4, 0), nf_mul(inv1, nf_diff(a1, "y"))),
+                  ((3, 1), mid(a1, b1, 3, 1)),
+                  ((2, 2), mid(b1, b2, 2, 2)),
+                  ((1, 3), mid(b2, a2, 1, 3)),
+                  ((0, 4), nf_mul(inv1, nf_diff(a2, "x")))))
 
 
 def bracket_FH(metric: Metric, f) -> MomentumPoly:

@@ -12,7 +12,9 @@ nf_diff_reference and p_diff_reference, its former pairwise sum and
 derivatives, which normalized every intermediate sum and product,
 closure_compile with rk4_reference, the former closure compiler and RK4
 driver of the geodesic flow, momentum_poly_reference, the
-former per-polynomial evaluator of H and F, compile_float_reference, the
+former per-polynomial evaluator of H and F, canonical_bracket_reference,
+the canonical bracket as a tree algebra that simplified every
+intermediate momentum polynomial, compile_float_reference, the
 float compiler as it was when its finiteness check read every node,
 is_zero_reference, the zero test's float probes as they were when every
 probe took its scale, and the hand-written rank-3
@@ -36,7 +38,7 @@ from fractions import Fraction
 
 from cubint.expr import (DEFAULT_CFG, Add, Const, EvalDomainError, Func, Mul,
                          Pow, Rat, Var, ZeroVerdict, as_expr, diff,
-                         eval_scaled, simplify)
+                         eval_scaled, nf_is_zero, simplify)
 from cubint.expr import (NF, _EVAL_CHAIN, _EVAL_FUNC_IDENT,
                          _EVAL_GLOBALS, _MAX_FAIL_FRAC, _NF_ONE, _NF_ZERO,
                          _STRONG_FACTOR, _UNIT,
@@ -658,6 +660,64 @@ def momentum_poly_reference(p):
             s += c(x, y) * (px ** i) * (py ** j)
         return s
     return _eval
+
+
+class _TreeMomentumPoly:
+    """A momentum polynomial {(i, j): coefficient tree} whose algebra
+    simplifies every coefficient of every result and drops the zero ones:
+    MomentumPoly before it combined normal forms."""
+
+    def __init__(self, coeffs):
+        self.coeffs = {}
+        for k, v in coeffs.items():
+            e = simplify(as_expr(v))
+            if not nf_is_zero(e):
+                self.coeffs[k] = e
+
+    def __add__(self, other):
+        out = dict(self.coeffs)
+        for k, v in other.coeffs.items():
+            out[k] = out[k] + v if k in out else v
+        return _TreeMomentumPoly(out)
+
+    def __sub__(self, other):
+        return self + other.scaled(Rat(-1))
+
+    def __mul__(self, other):
+        out = {}
+        for (i1, j1), c1 in self.coeffs.items():
+            for (i2, j2), c2 in other.coeffs.items():
+                k = (i1 + i2, j1 + j2)
+                t = c1 * c2
+                out[k] = out[k] + t if k in out else t
+        return _TreeMomentumPoly(out)
+
+    def scaled(self, c):
+        return _TreeMomentumPoly({k: c * v for k, v in self.coeffs.items()})
+
+    def d_base(self, var):
+        return _TreeMomentumPoly({k: diff(v, var)
+                                  for k, v in self.coeffs.items()})
+
+    def d_momentum(self, which):
+        out = {}
+        for (i, j), c in self.coeffs.items():
+            if which == "px" and i > 0:
+                out[(i - 1, j)] = Rat(i) * c
+            elif which == "py" and j > 0:
+                out[(i, j - 1)] = Rat(j) * c
+        return _TreeMomentumPoly(out)
+
+
+def canonical_bracket_reference(f, h):
+    """{f, h} of two coefficient dicts {(i, j): Expr} as four pairwise
+    sums of _TreeMomentumPoly products; returns the coefficient dict."""
+    f, h = _TreeMomentumPoly(f), _TreeMomentumPoly(h)
+    out = _TreeMomentumPoly({})
+    for (base, mom) in (("x", "px"), ("y", "py")):
+        out = out + f.d_base(base) * h.d_momentum(mom)
+        out = out - f.d_momentum(mom) * h.d_base(base)
+    return out.coeffs
 
 
 def apply_j_slot3_reference(d, j, slot):

@@ -161,7 +161,8 @@ def test_generated_code_reads_every_bound_global(monkeypatch):
 
 # modules whose formulas combine normal forms (nf_sum, nf_mul, nf_diff): an
 # operator tree built only to be simplified is the round trip they replaced
-NF_NATIVE = ("cnum", "geometry", "invariants", "tensorcoords")
+NF_NATIVE = ("cnum", "geometry", "invariants", "pseudo", "tensorcoords",
+             "verify")
 
 
 def _simplified_operator_trees(tree):

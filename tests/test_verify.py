@@ -5,6 +5,9 @@ import random
 import pytest
 
 from cubint import verify
+from hypothesis import given, settings, strategies as st
+
+from cubint import expr
 from cubint.expr import (Box, EvalDomainError, Rat, nf_is_zero, parse,
                          simplify, to_str)
 from cubint.geometry import general_metric, isothermal_metric, null_metric
@@ -13,8 +16,8 @@ from cubint.verify import (
     canonical_bracket_FH, certificate_all_zero, conservation_report,
     hamiltonian_poly, homogeneous_components, integrate_geodesic,
 )
-from oracles import (momentum_poly_reference, poisson_bracket_canonical,
-                     rk4_reference)
+from oracles import (canonical_bracket_reference, momentum_poly_reference,
+                     poisson_bracket_canonical, rk4_reference)
 
 
 BOX = Box(-0.9, 0.9, -0.9, 0.9)
@@ -46,16 +49,6 @@ def test_homogeneous_components():
     assert set(comps) == {0, 1, 3}
     assert set(comps[3].coeffs) == {(3, 0), (1, 2)}
     assert set(comps[1].coeffs) == {(1, 0)}
-
-
-def test_momentum_derivatives():
-    p = MomentumPoly({(2, 1): parse("x*y")})
-    dx = p.d_momentum("px")
-    assert to_str(dx.coeffs[(1, 1)]) == "2*x*y"
-    dy = p.d_momentum("py")
-    assert to_str(dy.coeffs[(2, 0)]) == "x*y"
-    db = p.d_base("x")
-    assert to_str(db.coeffs[(2, 1)]) == "y"
 
 
 # --------------------------------------------------------------------------
@@ -98,6 +91,63 @@ def test_bracket_leibniz():
     lhs = canonical_bracket(f * g, h)
     rhs = canonical_bracket(f, h) * g + f * canonical_bracket(g, h)
     assert (lhs - rhs).is_trivial()
+
+
+# --------------------------------------------------------------------------
+# canonical bracket on normal forms against the tree algebra it replaced
+
+_COEF = st.sampled_from(["1", "-1", "1/2", "-1/3", "2/3", "3"])
+_TERM = st.tuples(_COEF, st.sampled_from(["1", "x", "y", "x*y", "x^2", "y^2"]))
+_CUBIC_KEYS = ((3, 0), (2, 1), (1, 2), (0, 3))
+
+
+def _lane_metric(lane, c):
+    lam = "1 + (%s)*x^2 + (%s)*y^2 + (%s)*x" % tuple(c[:3])
+    if lane == "iso":
+        return isothermal_metric(lam)
+    if lane == "null":
+        return null_metric(lam)
+    return general_metric(lam, "(%s)*x*y" % c[3], "2 + (%s)*y^2" % c[4])
+
+
+@pytest.mark.parametrize("lane", ["iso", "null", "general"])
+@given(st.lists(_COEF, min_size=5, max_size=5),
+       st.lists(_TERM, min_size=14, max_size=14), st.booleans())
+@settings(max_examples=8, deadline=None)
+def test_canonical_bracket_matches_tree_reference(lane, c, terms, cubic):
+    m = _lane_metric(lane, c)
+    keys = _CUBIC_KEYS if cubic else _CUBIC_KEYS + ((1, 1), (0, 1), (0, 0))
+    f = {k: parse("(%s)*%s + (%s)*%s" % (*terms[2 * n], *terms[2 * n + 1]))
+         for n, k in enumerate(keys)}
+    i11, i12, i22 = m.inv
+    h = {(2, 0): Rat(1, 2) * i11, (1, 1): i12, (0, 2): Rat(1, 2) * i22}
+    got = canonical_bracket_FH(m, MomentumPoly(f)).coeffs
+    want = canonical_bracket_reference(f, h)
+    for k in set(got) | set(want):
+        assert nf_is_zero(got.get(k, Rat(0)) - want.get(k, Rat(0))), k
+
+
+@pytest.mark.parametrize("metric", [
+    lambda: isothermal_metric("1 + x^2 + y^2/2"),
+    lambda: general_metric("1 + x^2", "x*y/4", "2 + y^2"),
+], ids=["iso", "general"])
+def test_canonical_bracket_builds_one_tree_per_coefficient(monkeypatch, metric):
+    # each coefficient is one nf_sum of normal-form products; no tree is
+    # built for a derivative, a product or a partial sum
+    h = hamiltonian_poly(metric())
+    f = MomentumPoly({(3, 0): parse("x"), (2, 1): parse("y^2"),
+                      (0, 3): parse("1 + x*y")})
+    real = expr.nf_to_expr
+    built = []
+
+    def counted(nf):
+        built.append(nf)
+        return real(nf)
+    monkeypatch.setattr(expr, "nf_to_expr", counted)
+    monkeypatch.setattr(verify, "nf_to_expr", counted, raising=False)
+    br = canonical_bracket(f, h)
+    assert len(br.coeffs) == 5
+    assert len(built) == 5
 
 
 # --------------------------------------------------------------------------
