@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .expr import (Box, DEFAULT_CFG, Expr, ZeroTestConfig, ZeroVerdict,
-                   _combine, diff, is_zero)
+                   _combine, is_zero)
 from .geometry import ChartMismatch, Metric
 from .invariants import (Codifferential, DEFAULT_DOMAIN, DegenerateBracket,
                          InvariantEngine)
@@ -69,10 +69,6 @@ class Verdict:
     @property
     def is_incompatible(self) -> bool:
         return self.status == "Incompatible"
-
-    @property
-    def is_undetermined(self) -> bool:
-        return self.status == "Undetermined"
 
     def path(self) -> List[str]:
         return [s.box for s in self.trace]
@@ -186,9 +182,9 @@ def _decision_walk(eng: InvariantEngine, domain: Box, cfg: ZeroTestConfig,
 
     trace: List[TraceStep] = [TraceStep("Input g and A", None)]
 
-    # (i) constant curvature short-circuit
-    vx = zs(diff(eng.phi0, "x"))
-    vy = zs(diff(eng.phi0, "y"))
+    # (i) constant curvature short-circuit; the G brackets read the same
+    # gradient trees of phi0
+    vx, vy = map(zs, eng._gradient("phi0"))
     const_v = _combine(vx, vy)
     trace.append(TraceStep("Is phi0 constant?", const_v))
     if const_v.is_unknown:

@@ -79,19 +79,17 @@ class Expr:
     """Immutable expression node.  Structural equality, cached hash.
 
     _nf caches the normal form, so that the next operation on a result
-    reads it without normalizing the tree again; _fn caches the compiled
-    float evaluator and _d the derivative trees built so far, {variable
-    name: tree}, so that the G trees share them.
+    reads it without normalizing the tree again (its derivatives are kept
+    there, in NF.d); _fn caches the compiled float evaluator.
     """
 
-    __slots__ = ("_hash", "_nf", "_skey", "_fn", "_d")
+    __slots__ = ("_hash", "_nf", "_skey", "_fn")
 
     def _init_meta(self):
         self._hash = None
         self._nf = None
         self._skey = None
         self._fn = None
-        self._d = None
 
     def __getstate__(self):
         # the caches are left out and built again on demand: _fn cannot be
@@ -99,7 +97,7 @@ class Expr:
         # which unpickling would hash before the atoms' fields are set
         state = {k: getattr(self, k) for c in type(self).__mro__
                  for k in getattr(c, "__slots__", ())}
-        state.update(_nf=None, _fn=None, _d=None)
+        state.update(_nf=None, _fn=None)
         return None, state
 
     # -- operators -----------------------------------------------------
@@ -270,8 +268,8 @@ def _atoms(cls, names) -> dict:
 
     Every caller and thread shares an atom's caches, and none of them can
     decide a verdict: to_nf and nf_to_expr never store an atom's _nf (it
-    would hold the atom itself), and _skey, _fn (the compiled atom) and _d
-    (its derivatives, 0 or 1) hold the same values whoever builds them."""
+    would hold the atom itself), and _skey and _fn (the compiled atom) hold
+    the same values whoever builds them."""
     out = {}
     for name in names:
         a = object.__new__(cls)
@@ -1442,18 +1440,13 @@ def simplify(e: Expr) -> Expr:
 
 def diff(e: Expr, v: Union[str, Var]) -> Expr:
     """Exact partial derivative, simplified: the tree of nf_diff of e's
-    normal form, built once per node and variable (a race keeps the
-    tree stored last)."""
+    normal form.  The normal form keeps its derivative, so a repeated call
+    builds the tree again but differentiates nothing; a caller that reads
+    one derivative tree many times keeps it (InvariantEngine._gradient)."""
     name = v.name if isinstance(v, Var) else v
     if name not in _VAR_NAMES:
         raise ValueError(f"not a chart variable: {v!r}")
-    d = e._d
-    if d is None:
-        d = e._d = {}
-    out = d.get(name)
-    if out is None:
-        out = d[name] = nf_to_expr(nf_diff(to_nf(e), name))
-    return out
+    return nf_to_expr(nf_diff(to_nf(e), name))
 
 
 def nf_diff(a: NF, var: str) -> NF:
@@ -1810,9 +1803,6 @@ class Box:
     def sample(self, rng: random.Random):
         return (rng.uniform(self.x_min, self.x_max),
                 rng.uniform(self.y_min, self.y_max))
-
-    def center(self):
-        return (0.5 * (self.x_min + self.x_max), 0.5 * (self.y_min + self.y_max))
 
     def contains(self, pt) -> bool:
         return (self.x_min <= pt[0] <= self.x_max

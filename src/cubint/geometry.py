@@ -8,8 +8,8 @@ Chart lanes:
 * null         g = lambda dx dy, the light-cone chart of a signature (1,1)
   metric; the weighted machinery is real and acts with plain d/dx, d/dy;
 * general      g = g11 dx^2 + 2 g12 dx dy + g22 dy^2 with arbitrary
-  components; everything runs through Christoffel symbols and real tensor
-  coordinates instead of weights.
+  components of a Riemannian metric; everything runs through Christoffel
+  symbols and real tensor coordinates instead of weights.
 
 The scalar curvature exposed here is the lane curvature used by the
 invariant chains: in the isothermal lane it is the classical Gauss
@@ -26,7 +26,7 @@ from typing import Optional, Union
 
 from .cnum import CExpr, _c_mul, _wirtinger
 from .expr import (
-    NF, _NF_ZERO, Expr, Func, Rat, as_expr, diff, nf_diff, nf_mul, nf_neg,
+    NF, _NF_ZERO, Expr, Func, Rat, as_expr, nf_diff, nf_mul, nf_neg,
     nf_pow, nf_recip, nf_scale, nf_sum, nf_to_expr, parse, simplify, to_nf,
     to_str,
 )
@@ -56,17 +56,16 @@ class Metric:
     """
 
     def __init__(self, kind: str, g11: Expr, g12: Expr, g22: Expr,
-                 lam: Optional[Expr] = None, signature: int = 1):
+                 lam: Optional[Expr] = None):
         if kind not in ("iso", "null", "general"):
             raise ValueError(f"unknown chart kind {kind!r}")
-        if signature not in (1, -1):
-            raise ValueError("signature must be +1 (Riemannian) or -1 (split)")
         self.kind = kind
         self.g11 = simplify(g11)
         self.g12 = simplify(g12)
         self.g22 = simplify(g22)
         self.lam = simplify(lam) if lam is not None else None
-        self.signature = signature
+        # the null lane is the split-signature (1,1) chart
+        self.signature = -1 if kind == "null" else 1
         self._cache: dict = {}
 
     # -- scalar invariants of the component matrix ---------------------
@@ -80,16 +79,15 @@ class Metric:
     @property
     def mu(self) -> Expr:
         """Positive volume density sqrt(|det g|); exact in the iso/null
-        lanes, a symbolic square root (collapsed when a perfect square)
-        in the general lane."""
+        lanes, a symbolic square root of det g (collapsed when a perfect
+        square) in the general lane, which is Riemannian."""
         if "mu" not in self._cache:
             if self.kind == "iso":
                 m = self.lam
             elif self.kind == "null":
                 m = nf_to_expr(nf_scale(to_nf(self.lam), HALF))
             else:
-                m = nf_to_expr(nf_pow(nf_scale(to_nf(self.det), self.signature),
-                                      HALF))
+                m = nf_to_expr(nf_pow(to_nf(self.det), HALF))
             self._cache["mu"] = m
         return self._cache["mu"]
 
@@ -139,14 +137,6 @@ class Metric:
             self._cache[key] = out
         return self._cache[key]
 
-    @property
-    def u_x(self) -> Expr:
-        return diff(self.log_lam, "x")
-
-    @property
-    def u_y(self) -> Expr:
-        return diff(self.log_lam, "y")
-
     def __repr__(self):
         if self.kind == "iso":
             return f"Metric(iso, lambda = {to_str(self.lam)})"
@@ -158,21 +148,20 @@ class Metric:
 
 def isothermal_metric(lam: Union[Expr, str]) -> Metric:
     lam = parse(lam) if isinstance(lam, str) else as_expr(lam)
-    return Metric("iso", lam, Rat(0), lam, lam=lam, signature=1)
+    return Metric("iso", lam, Rat(0), lam, lam=lam)
 
 
 def null_metric(lam: Union[Expr, str]) -> Metric:
     """g = lambda dx dy (components g12 = g21 = lambda/2)."""
     lam = parse(lam) if isinstance(lam, str) else as_expr(lam)
     return Metric("null", Rat(0), nf_to_expr(nf_scale(to_nf(lam), HALF)),
-                  Rat(0), lam=lam, signature=-1)
+                  Rat(0), lam=lam)
 
 
 def general_metric(g11: Union[Expr, str], g12: Union[Expr, str],
-                   g22: Union[Expr, str], signature: int = 1) -> Metric:
+                   g22: Union[Expr, str]) -> Metric:
     conv = lambda v: parse(v) if isinstance(v, str) else as_expr(v)
-    return Metric("general", conv(g11), conv(g12), conv(g22),
-                  signature=signature)
+    return Metric("general", conv(g11), conv(g12), conv(g22))
 
 
 # --------------------------------------------------------------------------

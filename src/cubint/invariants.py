@@ -93,8 +93,9 @@ class Codifferential:
             return nf_is_zero(self.a1) and nf_is_zero(self.a2)
         return self.a_hat.is_trivial()
 
-    def a_hat_for(self, metric: Metric) -> SymTensor3:
-        """The tensor representation in the chart of `metric`."""
+    def a_hat_for(self) -> SymTensor3:
+        """The tensor representation A-hat, in the chart of the metric the
+        encoding belongs to."""
         if self.variant == "iso":
             return a_hat_from_complex(self.a)
         if self.variant == "null":
@@ -151,23 +152,26 @@ _TAGS = {
 # --------------------------------------------------------------------------
 # formulas the engine applies to more than one family of invariants
 
-def _gee(metric: Metric, fa, fb, fc, da, db, dc) -> Expr:
-    """{fa,fb} dc + {fb,fc} da + {fc,fa} db.
+def _gee(eng: "InvariantEngine", fa, fb, fc, da, db, dc) -> Expr:
+    """{fa,fb} dc + {fb,fc} da + {fc,fa} db over the invariants of eng
+    that the arguments name.
 
-    Terms with an identically-zero D-multiplier are dropped before the
-    bracket is ever formed, and the surviving combination is left an
-    unnormalized tree: the first zero test of it normalizes it.
-    Normalizing it here instead, for every G of a report, made the
-    set-up of bench/run.py's invariant-grid, which builds its reports
-    before any timed round, about 40 % slower."""
-    om = metric.mu
+    Each D-multiplier is read first, and a term whose D is identically
+    zero is dropped before the gradients of its phi's are fetched, so a
+    phi that only such terms read is never built.  The brackets are
+    formed from the engine's gradient trees, which the G's share, and the
+    surviving combination is left an unnormalized tree: the first zero
+    test of it normalizes it.  Normalizing it here instead, for every G of
+    a report, made the set-up of bench/run.py's invariant-grid, which
+    builds its reports before any timed round, about 40 % slower."""
+    om = eng.metric.mu
     terms = []
     for (f1, f2, d) in ((fa, fb, dc), (fb, fc, da), (fc, fa, db)):
+        d = getattr(eng, d)
         if nf_is_zero(d):
             continue
-        br = (diff(f1, "x") * diff(f2, "y")
-              - diff(f1, "y") * diff(f2, "x")) / om
-        terms.append(br * d)
+        (f1x, f1y), (f2x, f2y) = eng._gradient(f1), eng._gradient(f2)
+        terms.append((f1x * f2y - f1y * f2x) / om * d)
     if not terms:
         return as_expr(0)
     out = terms[0]
@@ -208,6 +212,12 @@ def _formula(key: str, fn, *names):
         eng.metric, *(getattr(eng, n) for n in names))))
 
 
+def _obstruction(key: str, *names):
+    """An InvariantEngine property: the G of the invariants named, built
+    once."""
+    return property(lambda eng: eng._get(key, lambda: _gee(eng, *names)))
+
+
 class InvariantEngine:
     """Lazy, memoized invariant computation for one (metric, codifferential).
 
@@ -236,6 +246,14 @@ class InvariantEngine:
         if key not in self._memo:
             self._memo[key] = builder()
         return self._memo[key]
+
+    def _gradient(self, name: str) -> Tuple[Expr, Expr]:
+        """(d/dx, d/dy) of the invariant named, as trees built once: the
+        G brackets and the flowchart's constant-curvature box share them."""
+        def build():
+            f = getattr(self, name)
+            return diff(f, "x"), diff(f, "y")
+        return self._get(("grad", name), build)
 
     def _is_zero(self, e: Expr):
         return is_zero(e, self.domain, self.cfg)
@@ -400,14 +418,14 @@ class InvariantEngine:
 
     # -- G combinations: {fa,fb} dc + {fb,fc} da + {fc,fa} db
 
-    gee0 = _formula("G0", _gee, "phi1", "phi2", "phi3", "dee1", "dee2", "dee3")
-    gee1 = _formula("G1", _gee, "phi0", "phi2", "phi3", "dee0", "dee2", "dee3")
-    gee2 = _formula("G2", _gee, "phi0", "phi1", "phi3", "dee0", "dee1", "dee3")
-    gee3 = _formula("G3", _gee, "phi0", "phi1", "phi2", "dee0", "dee1", "dee2")
-    geestar2 = _formula("Gstar2", _gee, "phi0", "phistar1", "phistar3",
-                        "dee0", "deestar1", "deestar3")
-    geestar3 = _formula("Gstar3", _gee, "phi0", "phistar1", "phistar2",
-                        "dee0", "deestar1", "deestar2")
+    gee0 = _obstruction("G0", "phi1", "phi2", "phi3", "dee1", "dee2", "dee3")
+    gee1 = _obstruction("G1", "phi0", "phi2", "phi3", "dee0", "dee2", "dee3")
+    gee2 = _obstruction("G2", "phi0", "phi1", "phi3", "dee0", "dee1", "dee3")
+    gee3 = _obstruction("G3", "phi0", "phi1", "phi2", "dee0", "dee1", "dee2")
+    geestar2 = _obstruction("Gstar2", "phi0", "phistar1", "phistar3",
+                            "dee0", "deestar1", "deestar3")
+    geestar3 = _obstruction("Gstar3", "phi0", "phistar1", "phistar2",
+                            "dee0", "deestar1", "deestar2")
 
     # -- K covector, B-hat, candidate F ------------------------------------
 
@@ -459,7 +477,7 @@ class InvariantEngine:
         phi-family covector."""
         if kay is None:
             kay = self.kay
-        a_hat = self.codiff.a_hat_for(self.metric)
+        a_hat = self.codiff.a_hat_for()
         return a_hat + self.b_hat(kay)
 
     # -- 1-forms for the degenerate branch ---------------------------------

@@ -114,7 +114,7 @@ def decide_pseudo(metric: Metric, codiff,
     eng.check_holomorphic()
     v = _decision_walk(eng, domain, cfg, phi1_guard=True)
     if v.status == "CompatibleConstCurvature":
-        f = c.a_hat_for(metric)
+        f = c.a_hat_for()
         cert = bracket_certificate(metric, f.to_momentum_poly(), domain, cfg)
         cv = _combine(*cert.values())
         if cv.is_zero:

@@ -213,10 +213,10 @@ def test_concurrent_decisions_match_serial_ones():
     threads = [threading.Thread(target=worker, args=(i,))
                for i in range(len(pairs))]
     # x and y are one node each, shared by every thread: the threads race
-    # to build the derivatives and compiled function that the atoms keep
+    # to build the compiled function that the atoms keep
     from cubint.expr import X, Y
     for atom in (X, Y):
-        atom._d = atom._fn = None
+        atom._fn = None
     saved = sys.getswitchinterval()
     sys.setswitchinterval(1e-4)
     try:
@@ -274,6 +274,26 @@ def test_rational_pair_is_decided_without_float_code(monkeypatch, lam,
     if v.is_compatible:
         assert certificate_all_zero(v.certificate)
     assert calls == []
+
+
+def test_decide_differentiates_each_tree_once(monkeypatch):
+    # the constant-curvature box and the G brackets read one pair of
+    # gradient trees per invariant, which the engine keeps
+    import importlib
+    calls = []
+    for name in ("decision", "invariants", "pseudo", "verify"):
+        mod = importlib.import_module("cubint." + name)
+        if hasattr(mod, "diff"):
+            real = mod.diff
+
+            def counted(e, v, real=real):
+                calls.append((e, v))
+                return real(e, v)
+            monkeypatch.setattr(mod, "diff", counted)
+    v = decide(isothermal_metric("2 + x/3 + y^2/5"),
+               Codifferential.isothermal(("1", "0")), BOX11)
+    assert v.status == "Incompatible" and v.failed == "G2"
+    assert calls and len(set(calls)) == len(calls)
 
 
 @pytest.mark.parametrize("decider, metric, codiff", [

@@ -178,3 +178,66 @@ def _simplified_operator_trees(tree):
 def test_no_operator_tree_built_to_be_simplified(name):
     path = ROOT / "src" / "cubint" / (name + ".py")
     assert _simplified_operator_trees(ast.parse(path.read_text())) == []
+
+
+def _params(fn):
+    a = fn.args
+    return [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                            *filter(None, (a.vararg, a.kwarg)))]
+
+
+def _unread_parameters(tree):
+    """(line, function, parameter) for each parameter of a def or lambda
+    that its body never reads; self, cls and _-prefixed names are exempt."""
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            continue
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for b in body for n in ast.walk(b)
+                if isinstance(n, ast.Name)}
+        out += [(node.lineno, getattr(node, "name", "lambda"), p)
+                for p in _params(node)
+                if p not in read and p not in ("self", "cls")
+                and not p.startswith("_")]
+    return out
+
+
+@pytest.mark.parametrize("path", PACKAGE)
+def test_no_unread_parameters(path):
+    tree = ast.parse((ROOT / path).read_text(), path)
+    assert _unread_parameters(tree) == []
+
+
+def _foreign_override(path, cls_name, name):
+    """Whether method name of class cls_name, defined in path, overrides
+    a base outside the package, such as argparse's ArgumentParser.error."""
+    mod = importlib.import_module("cubint." + pathlib.Path(path).stem)
+    cls = getattr(mod, cls_name, None)
+    return cls is not None and any(
+        name in vars(base) for base in cls.__mro__[1:]
+        if not base.__module__.startswith("cubint"))
+
+
+def test_no_unread_public_functions():
+    # a public function or method whose name no file of the repository
+    # reads outside its own definition is a dead entry point
+    readers = [p for d in ("src", "tests", "bench", "tools")
+               for p in sorted((ROOT / d).rglob("*.py"))]
+    uses = collections.Counter(
+        n for p in readers for n in _name_uses(ast.parse(p.read_text())))
+    dead = []
+    for path in PACKAGE:
+        tree = ast.parse((ROOT / path).read_text(), path)
+        scopes = [(None, tree)] + [(c.name, c) for c in tree.body
+                                   if isinstance(c, ast.ClassDef)]
+        for cls_name, scope in scopes:
+            for node in scope.body:
+                if (isinstance(node, ast.FunctionDef)
+                        and not node.name.startswith("_")
+                        and uses[node.name]
+                        == list(_name_uses(node)).count(node.name)
+                        and not (cls_name and _foreign_override(
+                            path, cls_name, node.name))):
+                    dead.append(f"{path}: {cls_name or ''}.{node.name}")
+    assert dead == []

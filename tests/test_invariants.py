@@ -68,11 +68,11 @@ def test_codifferential_is_trivial():
 def test_codifferential_tensor_dictionaries():
     # a = -i encodes py^3: A-hat = (0, -1/4, 0, 1/4)
     c = Codifferential.isothermal(("0", "-1"))
-    ah = c.a_hat_for(isothermal_metric("1+x^2"))
+    ah = c.a_hat_for()
     assert ah == a_hat_from_complex(parse_complex("0", "-1"))
     assert to_str(ah.c[1]) == "-1/4" and to_str(ah.c[0]) == "0"
     n = Codifferential.null_pair("x", "y^2")
-    nh = n.a_hat_for(null_metric("2+x*y"))
+    nh = n.a_hat_for()
     assert to_str(nh.c[0]) == "x" and to_str(nh.c[3]) == "y^2"
     assert to_str(nh.c[1]) == "0" and to_str(nh.c[2]) == "0"
 
@@ -232,6 +232,16 @@ def test_gee_det_forms_match_bracket_forms():
             assert nf_is_zero(simplify(got - want)), (eng.metric.kind, name)
 
 
+def test_gee_builds_no_phi_that_only_vanishing_terms_read():
+    # with a zero codifferential every D vanishes identically, so no term
+    # of G2 or G*2 survives, and phi3 and phi*3 are never built
+    eng = InvariantEngine(isothermal_metric("1 + x^2 + y^2/2"),
+                          Codifferential.isothermal(("0", "0")), BOX)
+    assert nf_is_zero(eng.gee2) and nf_is_zero(eng.geestar2)
+    assert "phi3" not in eng._memo and "phistar3" not in eng._memo
+    assert not nf_is_zero(eng.phi3)
+
+
 def test_killing_fixture_obstructions_vanish():
     # the compatible surface-with-symmetry pair: every obstruction the
     # degenerate branch consults is identically zero
@@ -290,7 +300,7 @@ def test_b_hat_matches_complex_b_dictionary():
 def test_f_tensor_is_a_hat_plus_b_hat():
     eng = generic_engine()
     f = eng.f_tensor()
-    ah = eng.codiff.a_hat_for(eng.metric)
+    ah = eng.codiff.a_hat_for()
     bh = eng.b_hat(eng.kay)
     for i in range(4):
         assert nf_is_zero(simplify(f.c[i] - ah.c[i] - bh.c[i]))
