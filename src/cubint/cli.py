@@ -48,9 +48,9 @@ import sys
 from typing import Dict, Optional, Tuple
 
 from .decision import Verdict, decide
-from .expr import (Box, EvalDomainError, Expr, ExpressionSyntaxError,
-                   UnknownIdentifier, ZeroTestConfig, ZeroVerdict, eval_at,
-                   parse, simplify, to_nf, to_str)
+from .expr import (Box, EvalDomainError, ExponentRangeError, Expr,
+                   ExpressionSyntaxError, UnknownIdentifier, ZeroTestConfig,
+                   ZeroVerdict, eval_at, parse, simplify, to_nf, to_str)
 from .geometry import (ChartMismatch, general_metric, isothermal_metric,
                        null_metric)
 from .invariants import (Codifferential, HolomorphicityViolated,
@@ -554,7 +554,7 @@ def main(argv=None) -> int:
         sys.stderr.write("input error: %s\n" % exc)
         return EXIT_INPUT_ERROR
     except (ExpressionSyntaxError, UnknownIdentifier, ChartMismatch,
-            HolomorphicityViolated, EvalDomainError,
+            HolomorphicityViolated, EvalDomainError, ExponentRangeError,
             ZeroDivisionError) as exc:
         sys.stderr.write("input error: %s: %s\n"
                          % (type(exc).__name__, exc))

@@ -19,8 +19,8 @@ import math
 import random
 from fractions import Fraction
 
-from .expr import (X, Y, Box, NF, ZeroTestConfig, ZeroVerdict, _PolyBase,
-                   _pb_prim)
+from .expr import (_MASK, _OUT, _S, X, Y, Box, NF, ZeroTestConfig,
+                   ZeroVerdict, _m_pairs, _PolyBase, _pb_prim)
 
 __all__ = ["NotRationalError", "nf_at", "rational_verdict"]
 
@@ -37,17 +37,11 @@ def _poly_at(p: dict, x: Fraction, y: Fraction):
     denominator of the terms, then one division."""
     terms = []
     for m, c in p.items():
-        i = j = 0
-        for b, e in m:
-            if type(e) is not int or e < 0:
-                raise NotRationalError(f"exponent {e} in a polynomial")
-            if b is X:
-                i = e
-            elif b is Y:
-                j = e
-            else:
-                raise NotRationalError(f"base {b!r} is not x or y")
-        terms.append((c, i, j))
+        # a packed key with no negative exponent sets no bit of _OUT
+        if type(m) is not int or m & _OUT:
+            raise NotRationalError(
+                f"monomial {_m_pairs(m)!r} is not x^i*y^j with i, j >= 0")
+        terms.append((c, m >> _S & _MASK, m & _MASK))
     xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
     dx = max((t[1] for t in terms), default=0)
     dy = max((t[2] for t in terms), default=0)

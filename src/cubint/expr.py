@@ -62,6 +62,10 @@ class EvalDomainError(ExprError):
     value, or a non-finite intermediate; samplers treat this as 'resample'."""
 
 
+class ExponentRangeError(ExprError, OverflowError):
+    """An exponent of x or y reached 2^_T (see the normal form)."""
+
+
 # --------------------------------------------------------------------------
 # AST
 
@@ -323,7 +327,8 @@ def _skey(e) -> tuple:
 
 
 def _mono_skey(m) -> tuple:
-    return tuple((_skey(b), ex.numerator, ex.denominator) for (b, ex) in m)
+    return tuple((_skey(b), ex.numerator, ex.denominator)
+                 for (b, ex) in _m_pairs(m))
 
 
 # --------------------------------------------------------------------------
@@ -413,11 +418,21 @@ def pw(base: Expr, e) -> Expr:
 #
 #   NF  = content * num / den
 #   content = positive Fraction
-#   num = dict {mono: int}, primitive (the coefficients are coprime),
-#         monomials with strictly positive exponents
-#   den = mono with positive integer exponents (coefficient 1, folded to num)
-#   mono = tuple of (base, exponent), one pair per base, sorted by _skey
-#          of the base, no zero exponent
+#   num = dict {monomial key: int}, primitive (the coefficients are
+#         coprime), monomials with non-negative exponents
+#   den = tuple of (base, positive int exponent), one pair per base,
+#         sorted by _skey of the base (coefficient 1, folded to num)
+#
+# A monomial key is x^i*y^j packed into one int, (i + j) << 2*_S | i << _S
+# | j with signed fields (the constant monomial is 0), when i and j are
+# ints; any other monomial is a tuple of (base, exponent) pairs, one per
+# base, sorted by _skey of the base, no zero exponent.  The rule is
+# canonical (_m_pack; _m_pairs gives the pairs back).  Packing is additive,
+# so a product of packed monomials is one add, and for fields well inside
+# +-2^(_S-2) the key order is the graded-lex order of _glex_key.  Exponents
+# of x and y stay below 2^_T (_m_pack and _mk_nf raise ExponentRangeError),
+# so a few sums of keys cannot carry into the next field.  Output sorts by
+# _skey, so the key order never reaches it.
 #
 # An exponent is an int when it is integral and a Fraction only when it is
 # not.  An int and a Fraction of equal value compare and hash alike, so this
@@ -427,7 +442,7 @@ def pw(base: Expr, e) -> Expr:
 # internal kinds below.  A base folds (_folds) when a product of its powers
 # is not the sum of their exponents: exp atoms combine through their
 # arguments and integer powers of a _RatPow go into the coefficient.  Only
-# _m_build folds; _m_mul and _p_div_exact hand such products to it.
+# _m_build folds; _m_mul and _p_div_tuples hand such products to it.
 #
 # One content per normal form keeps the polynomial arithmetic on ints: a
 # product of primitive polynomials is primitive (Gauss's lemma; the
@@ -511,14 +526,19 @@ class NF:
 # test it by identity to skip the multiply
 _UNIT = Fraction(1)
 _NF_ZERO = NF(_UNIT, {}, ())
-_NF_ONE = NF(_UNIT, {(): 1}, ())
+_NF_ONE = NF(_UNIT, {0: 1}, ())
+# the field width of a packed monomial key, the bound on its exponents,
+# and the bits that a negative field, or one at or above 2^_T, sets
+_S, _T = 24, 20
+_MASK = (1 << _S) - 1
+_OUT = ((1 << _S) - (1 << _T)) * ((1 << _S) + 1)
 
 
 def _nf_rat(v: Fraction) -> NF:
     """The constant v."""
     if v == 0:
         return _NF_ZERO
-    return NF(v, {(): 1}, ()) if v > 0 else NF(-v, {(): -1}, ())
+    return NF(v, {0: 1}, ()) if v > 0 else NF(-v, {0: -1}, ())
 
 
 # ---- term budget (used by is_zero's bounded symbolic confirmation) -------
@@ -555,10 +575,33 @@ def _folds(b) -> bool:
     return t is _RatPow or (t is Func and b.name == "exp")
 
 
+def _m_pack(m: tuple):
+    """The key of a monomial given as its sorted (base, exponent) pairs:
+    the packed int when its bases are x and y with int exponents, else m."""
+    d = dict(m)
+    i, j = d.pop(X, 0), d.pop(Y, 0)
+    if d or type(i) is not int or type(j) is not int:
+        return m
+    if abs(i) >> _T or abs(j) >> _T:
+        raise ExponentRangeError(f"x^{i}*y^{j}: an exponent reaches 2^{_T}")
+    return (i + j << 2 * _S) + (i << _S) + j
+
+
+def _m_pairs(m) -> tuple:
+    """The (base, exponent) pairs of monomial key m."""
+    if type(m) is not int:
+        return m
+    h = 1 << _S - 1
+    j = (m + h & _MASK) - h
+    i = ((m - j >> _S) + h & _MASK) - h
+    return ((X, i), (Y, j)) if i and j else ((X, i),) if i else (
+        ((Y, j),) if j else ())
+
+
 def _m_build(pairs) -> tuple:
     """Merge (base, exp) pairs into a canonical monomial.
 
-    Returns (coeff_multiplier, mono).  Folds: exp-atoms combine through
+    Returns (coeff_multiplier, monomial key).  Folds: exp-atoms combine through
     their arguments (exp(u)^a * exp(v)^b -> exp(a*u+b*v)); integer powers
     of _RatPow bases fold into the coefficient; e^rational stays a power
     of the named constant e.
@@ -584,7 +627,7 @@ def _m_build(pairs) -> tuple:
             # exp(ln(u)) = u for a one-term u; a compound u stays an atom
             ((m, c),) = u.num.items()
             coeff = u.content * c
-            for b, e in m + tuple((b, -e) for (b, e) in u.den):
+            for b, e in _m_pairs(m) + tuple((b, -e) for (b, e) in u.den):
                 acc[b] = acc.get(b, 0) + e
         elif not total.is_zero():
             b = Func("exp", nf_to_expr(total))
@@ -608,44 +651,37 @@ def _m_build(pairs) -> tuple:
                 continue
         out.append((b, _int_exp(e)))
     out.sort(key=lambda p: _skey(p[0]))
-    return coeff, tuple(out)
+    return coeff, _m_pack(tuple(out))
 
 
 def _nf_const_value(nf: NF) -> Optional[Fraction]:
     """Rational value of an NF if it is a bare rational constant."""
-    if nf.den:
+    if nf.den or nf.num.keys() - {0}:
         return None
-    if not nf.num:
-        return Fraction(0)
-    if len(nf.num) == 1:
-        ((m, c),) = nf.num.items()
-        if m == ():
-            return nf.content * c
-    return None
+    return nf.content * nf.num.get(0, 0)
 
 
 def _nf_split_const(nf: NF):
     """(k, nf - k) for the rational constant term k of nf; k is 0 when nf
     has a denominator."""
-    if nf.den or () not in nf.num:
+    if nf.den or 0 not in nf.num:
         return 0, nf
     num = dict(nf.num)
-    k = nf.content * num.pop(())
+    k = nf.content * num.pop(0)
     if not num:
         return k, _NF_ZERO
     return k, NF(*_primitive(nf.content, num), ())
 
 
-def _m_mul(m1: tuple, m2: tuple):
-    """m1*m2 for canonical monomials: (coeff_multiplier, mono).
+def _m_mul(m1, m2):
+    """m1*m2 for monomial keys: (coeff_multiplier, key).
 
-    One merge along _skey order that adds the exponents of equal bases;
-    the multiplier is _UNIT.  A product with a base that folds is made by
-    _m_build instead."""
-    if not m1:
-        return _UNIT, m2
-    if not m2:
-        return _UNIT, m1
+    Packed keys add.  Otherwise one merge along _skey order that adds the
+    exponents of equal bases; the multiplier is _UNIT.  A product with a
+    base that folds is made by _m_build instead."""
+    if type(m1) is int and type(m2) is int:
+        return _UNIT, m1 + m2
+    m1, m2 = _m_pairs(m1), _m_pairs(m2)
     n1, n2 = len(m1), len(m2)
     out = []
     i = j = 0
@@ -673,25 +709,18 @@ def _m_mul(m1: tuple, m2: tuple):
     # the bases left in one monomial meet no base of the other, and a
     # canonical monomial has at most one exp atom: none of them folds
     out += m1[i:] + m2[j:]
-    return _UNIT, tuple(out)
+    return _UNIT, _m_pack(tuple(out))
 
 
-def _m_pow(m: tuple, e: Fraction):
-    return _m_build([(b, x * e) for (b, x) in m])
-
-
-def _m_divides(m1: tuple, m2: tuple) -> bool:
+def _m_divides(m1, m2) -> bool:
     """Does m1 divide m2 (componentwise exponents <=)?"""
-    d = dict(m2)
-    for (b, e) in m1:
-        if d.get(b, 0) < e:
-            return False
-    return True
+    d = dict(_m_pairs(m2))
+    return all(d.get(b, 0) >= e for (b, e) in _m_pairs(m1))
 
 
-def _m_div(m2: tuple, m1: tuple):
+def _m_div(m2, m1):
     """m2 / m1 (exponent subtraction; may produce negative exponents)."""
-    return _m_build(list(m2) + [(b, -e) for (b, e) in m1])
+    return _m_build(list(_m_pairs(m2)) + [(b, -e) for (b, e) in _m_pairs(m1)])
 
 
 # ---- polynomial helpers --------------------------------------------------
@@ -701,12 +730,11 @@ def _p_add_into(p: dict, q: dict, s: Fraction = 1):
     for m, c in q.items():
         if scaled:
             c = c * s
-        old = p.get(m)
-        if old is not None:
-            c = old + c
+        # no coefficient is zero, so a zero sum had a term to cancel
+        c += p.get(m, 0)
         if c:
             p[m] = c
-        elif old is not None:
+        else:
             del p[m]
 
 
@@ -716,31 +744,30 @@ def _p_mul(p: dict, q: dict) -> dict:
     _charge(len(p) * len(q))
     out: dict = {}
     for m1, c1 in p.items():
+        packed = type(m1) is int
         for m2, c2 in q.items():
-            cm, m = _m_mul(m1, m2)
             c = c1 * c2
-            if cm is not _UNIT:
-                c = c * cm
-            old = out.get(m)
-            if old is not None:
-                c = old + c
+            if packed and type(m2) is int:
+                m = m1 + m2
+            else:
+                cm, m = _m_mul(m1, m2)
+                if cm is not _UNIT:
+                    c = c * cm
+            c += out.get(m, 0)
             if c:
                 out[m] = c
-            elif old is not None:
+            else:
                 del out[m]
     return out
 
 
 def _p_scale(p: dict, s: Fraction) -> dict:
-    if s == 0:
-        return {}
+    """p*s for s != 0."""
     return {m: c * s for m, c in p.items()}
 
 
 def _p_mul_mono(p: dict, mono: tuple, s: Fraction = 1) -> dict:
     scaled = s != 1
-    if not mono:
-        return {m: c * s for m, c in p.items()} if scaled else dict(p)
     out: dict = {}
     for m, c in p.items():
         cm, nm = _m_mul(m, mono)
@@ -748,18 +775,17 @@ def _p_mul_mono(p: dict, mono: tuple, s: Fraction = 1) -> dict:
             c = c * s
         if cm is not _UNIT:
             c = c * cm
-        old = out.get(nm)
-        if old is not None:
-            c = old + c
+        # no coefficient is zero, so a zero sum had a term to cancel
+        c += out.get(nm, 0)
         if c:
             out[nm] = c
-        elif old is not None:
+        else:
             del out[nm]
     return out
 
 
 def _p_pow_int(p: dict, n: int) -> dict:
-    out = {(): 1}
+    out = {0: 1}
     b = p
     while n:
         if n & 1:
@@ -767,7 +793,17 @@ def _p_pow_int(p: dict, n: int) -> dict:
         n >>= 1
         if n:
             b = _p_mul(b, b)
+            # a square doubles the exponents: _m_pack raises at 2^_T,
+            # before a field of a packed key overflows
+            for m in b:
+                if type(m) is int and m & _OUT:
+                    _m_pack(_m_pairs(m))
     return out
+
+
+def _xy(p: dict) -> bool:
+    """Is every monomial key of p packed?"""
+    return all(type(m) is int for m in p)
 
 
 def _glex_key(bases):
@@ -783,7 +819,7 @@ def _glex_key(bases):
     def key(m):
         v = [0] * n
         d = 0
-        for (b, e) in m:
+        for (b, e) in _m_pairs(m):
             v[idx[b]] = e
             d += e
         return d, tuple(v)
@@ -791,29 +827,22 @@ def _glex_key(bases):
 
 
 def _p_leading(p: dict):
-    """(monomial, coefficient) of p's leading term in graded-lex order."""
-    if len(p) == 1:
-        return next(iter(p.items()))
-    _, key = _glex_key({b for m in p for (b, _) in m})
+    """(monomial, coefficient) of p's leading term in graded-lex order:
+    the largest key when every key is packed."""
+    key = None if len(p) == 1 or _xy(p) else _glex_key(
+        {b for m in p for (b, _) in _m_pairs(m)})[1]
     m = max(p, key=key)
     return m, p[m]
 
 
 def _p_content(p: dict) -> dict:
-    """Per-base minimum exponent over all monomials (bases present in all)."""
-    it = iter(p)
-    first = next(it)
-    content = dict(first)
-    for m in it:
-        d = dict(m)
-        for b in list(content):
-            if b in d:
-                content[b] = min(content[b], d[b])
-            else:
-                del content[b]
-        if not content:
-            break
-    return content
+    """Per-base minimum exponent over all monomials (bases present in all;
+    a packed p, whose exponents are not negative, gives both x and y)."""
+    if _xy(p):
+        return {X: min(m >> _S & _MASK for m in p),
+                Y: min(m & _MASK for m in p)}
+    ds = [dict(_m_pairs(m)) for m in p]
+    return {b: min(d[b] for d in ds) for b in ds[0] if all(b in d for d in ds)}
 
 
 def _primitive(c: Fraction, p: dict):
@@ -849,29 +878,23 @@ def _p_div_exact(p: dict, q: dict) -> Optional[dict]:
     """Exact polynomial division p/q, or None, for p with integer and q
     with coprime integer coefficients.
 
-    Long division on the _glex_key vectors over the bases of p and q, where
-    a monomial product is a vector add.  Such a p/q is a polynomial over
+    Long division on packed keys, where the leading term has the largest
+    key and a monomial product is an add.  Such a p/q is a polynomial over
     the integers when it is one at all (Gauss's lemma), so a step whose
     leading coefficient lc(q) does not divide proves that it is not one.
-    A base that folds breaks both, and _p_div_folding runs the division on
-    monomial tuples and rational coefficients instead.  Both loops stay
-    because one tuple loop for every input made the division about a
-    quarter slower on the decide-suite benchmark.
+    Any other key (a base that folds breaks both) sends the division to
+    _p_div_tuples, on monomial tuples and rational coefficients.
 
     The same lemma gives a pre-check: an integer quotient s takes an
     integer value s(t) = p(t)/q(t) at the integer point t of _p_eval_int,
     so q(t) not dividing p(t) proves that there is none.  Most trial
     divisions of _mk_nf fail, and this rejects them with one evaluation
-    each instead of long division on exponent vectors.
+    each instead of long division.
     """
     if not p:
         return {}
-    bases = {b for m in p for (b, _) in m}
-    bases.update(b for m in q for (b, _) in m)
-    # a product of monomials with a base that folds is not the sum of their
-    # exponent vectors
-    if any(map(_folds, bases)):
-        return _p_div_folding(p, q)
+    if not (_xy(p) and _xy(q)):
+        return _p_div_tuples(p, q)
     if len(p) == 1 and len(q) > 1:
         # graded-lex order is compatible with products, so q*s has the
         # distinct terms lead(q)*lead(s) > trail(q)*trail(s): never one term
@@ -881,41 +904,36 @@ def _p_div_exact(p: dict, q: dict) -> Optional[dict]:
         pt = _p_eval_int(p)
         if pt is not None and pt % qt:
             return None
-    order, key = _glex_key(bases)
-    qk = {key(m): c for m, c in q.items()}
-    qlk = max(qk)
-    qlc = qk.pop(qlk)
-    qlv = qlk[1]
-    # _m_divides(lead(q), lead(rem)) looks only at the bases of lead(q)
-    support = [i for i, e in enumerate(qlv) if e]
-    rem = {key(m): c for m, c in p.items()}
-    quot: dict = {}
     guard = 4 * (len(p) + len(q)) + 64
+    q = dict(q)
+    ql = max(q)
+    qlc = q.pop(ql)
+    rem = dict(p)
+    quot: dict = {}
     while rem:
         guard -= 1
         if guard < 0:
             return None
-        rlk = max(rem)
-        rlv = rlk[1]
-        if any(rlv[i] < qlv[i] for i in support):
+        lead = max(rem)
+        t = lead - ql
+        # t has no negative field where lead(q) divides lead(rem); a
+        # Laurent rem may go below 0 where lead(q) has no exponent
+        if t & _OUT and not _m_divides(ql, lead):
             return None
-        tc, r = divmod(rem.pop(rlk), qlc)
+        tc, r = divmod(rem.pop(lead), qlc)
         if r:
             return None
-        td = rlk[0] - qlk[0]
-        tv = tuple([r - s for r, s in zip(rlv, qlv)])
         # the leading term falls at every step, so no quotient term repeats
-        quot[tv] = tc
+        quot[t] = tc
         # rem -= tc*t*q; its leading term cancels exactly and was popped
-        for (d, v), c in qk.items():
-            nk = (d + td, tuple([a + b for a, b in zip(v, tv)]))
-            nc = rem.get(nk, 0) - tc * c
-            if nc == 0:
-                rem.pop(nk, None)
+        for m, c in q.items():
+            m += t
+            c = rem.get(m, 0) - tc * c
+            if c:
+                rem[m] = c
             else:
-                rem[nk] = nc
-    return {tuple((order[i], _int_exp(e)) for i, e in enumerate(v) if e): c
-            for v, c in quot.items()}
+                del rem[m]
+    return quot
 
 
 # the point of _p_eval_int: two primes of different size, so that few
@@ -924,29 +942,22 @@ _X_AT, _Y_AT = 1009, 2003
 
 
 def _p_eval_int(p: dict) -> Optional[int]:
-    """p at x = _X_AT, y = _Y_AT, or None when that value need not be an
-    integer: a base other than x and y, an exponent that is negative or
-    not an integer, or a coefficient that is not an int (a Fraction
-    coefficient makes the sum a Fraction)."""
+    """p at x = _X_AT, y = _Y_AT for a packed p, or None when that value
+    need not be an integer: an exponent that is negative, or a coefficient
+    that is not an int (a Fraction coefficient makes the sum a Fraction)."""
     s = 0
     for m, c in p.items():
-        for (b, e) in m:
-            if type(e) is not int or e < 0:
-                return None
-            if b is X:
-                c *= _X_AT ** e
-            elif b is Y:
-                c *= _Y_AT ** e
-            else:
-                return None
-        s += c
+        if m & _OUT:
+            return None
+        s += c * _X_AT ** (m >> _S & _MASK) * _Y_AT ** (m & _MASK)
     return s if type(s) is int else None
 
 
-def _p_div_folding(p: dict, q: dict) -> Optional[dict]:
-    """_p_div_exact for monomials whose products fold (exp atoms, rational
-    bases of radicals): the same long division on monomial tuples, with
-    rational coefficients in the quotient."""
+def _p_div_tuples(p: dict, q: dict) -> Optional[dict]:
+    """_p_div_exact for keys that are not all packed, such as monomials
+    whose products fold (exp atoms, rational bases of radicals): the same
+    long division on monomial tuples, with rational coefficients in the
+    quotient."""
     qlm, qlc = _p_leading(q)
     rem = dict(p)
     quot: dict = {}
@@ -973,7 +984,7 @@ def _p_sqrt(p: dict) -> Optional[dict]:
     cr = _exact_rat_root(lc, 2) if lc > 0 else None
     if cr is None:
         return None
-    cm, hm = _m_pow(lm, Fraction(1, 2))
+    cm, hm = _m_build([(b, Fraction(e, 2)) for (b, e) in _m_pairs(lm)])
     if cm != 1:
         return None
     q = {hm: cr}
@@ -1001,22 +1012,13 @@ def _p_expand_pb(p: dict) -> dict:
     monomials; otherwise two spellings of one value would not cancel.
     Fractional powers (radical atoms) stay opaque.  A base brings in its
     content, so the expansion may have rational coefficients."""
-    while True:
-        need = False
-        for m in p:
-            for (b, e) in m:
-                if type(b) is _PolyBase and e >= 1:
-                    need = True
-                    break
-            if need:
-                break
-        if not need:
-            return p
+    while any(type(b) is _PolyBase and e >= 1
+              for m in p if type(m) is tuple for (b, e) in m):
         out: dict = {}
         for m, c in p.items():
-            poly = {(): 1}
+            poly = {0: 1}
             rest = []
-            for (b, e) in m:
+            for (b, e) in _m_pairs(m):
                 if type(b) is _PolyBase and e >= 1:
                     k = math.floor(e)
                     r = e - k
@@ -1030,20 +1032,32 @@ def _p_expand_pb(p: dict) -> dict:
             cm, rm = _m_build(rest)
             _p_add_into(out, _p_mul_mono(poly, rm, c * cm))
         p = out
+    return p
 
 
-def _mk_nf(c: Fraction, num: dict, den: tuple) -> NF:
+def _mk_nf(c: Fraction, num: dict, den) -> NF:
     """The normal form of c*num/den, for num with exact rational
-    coefficients (integers but where a product folded) and den a monomial
-    with positive integer exponents."""
+    coefficients (integers but where a product folded) and den an iterable
+    of (base, positive integer exponent) pairs, in which a base may repeat
+    (its exponents add)."""
     if not num:
         return _NF_ZERO
     num = _p_expand_pb(num)
     if not num:
         return _NF_ZERO
-    # resolve negative exponents inside numerator monomials
+    den_d: dict = {}
+    for b, e in den:
+        den_d[b] = den_d.get(b, 0) + e
+    # resolve negative exponents inside numerator monomials; a packed key
+    # sets no bit of _OUT when its exponents lie in [0, 2^_T), and _m_pack
+    # raises on one at or above 2^_T
     need: dict = {}
     for m in num:
+        if type(m) is int:
+            if not m & _OUT:
+                continue
+            m = _m_pairs(m)
+            _m_pack(m)
         for (b, e) in m:
             if e < 0:
                 k = -math.floor(e)  # ceil of -e
@@ -1052,48 +1066,34 @@ def _mk_nf(c: Fraction, num: dict, den: tuple) -> NF:
     if need:
         # num * b^k / (den * b^k) for every such base b; a compound b goes
         # into den monic, as nf_recip puts it there (a radical's base is
-        # only normalized by |lc|), and c takes the factor lc^-k
-        lift, lift_den = [], []
+        # only normalized by |lc|), and c takes the factor lc^-k.  No base
+        # that folds has a negative exponent, so b^k has multiplier 1.
+        num = _p_mul_mono(num, _m_build(list(need.items()))[1])
         for b, k in need.items():
-            lift.append((b, k))
             if type(b) is _PolyBase:
                 _, lc = _p_leading(_thaw(b.fp))
                 if lc != 1:
                     c = c / lc ** k
                     b = _PolyBase(_freeze(_p_scale(_thaw(b.fp), 1 / lc)))
-            lift_den.append((b, k))
-        cm, lift_m = _m_build(lift)
-        num = _p_mul_mono(num, lift_m)
-        cden, den = _m_mul(den, _m_build(lift_den)[1])
-        # cden is 1: den bases are never exp-atoms/_RatPow
-        c = c * cm / cden
+            den_d[b] = den_d.get(b, 0) + k
     c, num = _primitive(c, num)
-    if not den:
+    if not den_d:
         return NF(c, num, ())
     # cancel integer monomial content against the denominator
     mcontent = _p_content(num)
-    den_d = dict(den)
-    changed = False
-    for b in list(den_d):
-        have = mcontent.get(b)
-        if have is None:
-            continue
-        k = min(den_d[b], math.floor(have))
+    cancel = []
+    for b, e in den_d.items():
+        k = min(e, math.floor(mcontent.get(b, 0)))
         if k > 0:
-            den_d[b] -= k
-            changed = True
-            if den_d[b] == 0:
-                del den_d[b]
-    if changed:
-        canceled = [(b, e - den_d.get(b, 0)) for (b, e) in den if e - den_d.get(b, 0) > 0]
+            den_d[b] = e - k
+            cancel.append((b, -k))
+    if cancel:
         # den bases never fold, so the multiplier is 1 and num stays primitive
-        _, cmono = _m_build([(b, -e) for (b, e) in canceled])
-        num = _p_mul_mono(num, cmono)
+        num = _p_mul_mono(num, _m_build(cancel)[1])
     # trial division by compound denominator factors, on the primitive
     # integer form of each
-    den_items = sorted(den_d.items(), key=lambda p: _skey(p[0]))
     out_den = []
-    for (b, e) in den_items:
+    for (b, e) in sorted(den_d.items(), key=lambda p: _skey(p[0])):
         if isinstance(b, _PolyBase) and len(b.fp) > 1:
             bc, P = _pb_prim(b)
             while e > 0:
@@ -1136,8 +1136,7 @@ def nf_sum(nfs) -> NF:
         # den bases never fold, so this monomial comes with multiplier 1
         _, m = _m_build([(b, e - da.get(b, 0)) for b, e in lcm.items()])
         _p_add_into(num, _p_mul_mono(a.num, m) if m else a.num, s)
-    den = tuple(sorted(lcm.items(), key=lambda p: _skey(p[0])))
-    return _mk_nf(Fraction(g, l), num, den)
+    return _mk_nf(Fraction(g, l), num, lcm.items())
 
 
 def nf_neg(a: NF) -> NF:
@@ -1155,21 +1154,16 @@ def nf_scale(a: NF, s: Fraction) -> NF:
 def nf_mul(a: NF, b: NF) -> NF:
     if a.is_zero() or b.is_zero():
         return _NF_ZERO
-    num = _p_mul(a.num, b.num)
-    cm, den = _m_mul(a.den, b.den)
-    c = a.content * b.content
-    if cm is not _UNIT:
-        c = c / cm
-    return _mk_nf(c, num, den)
+    return _mk_nf(a.content * b.content, _p_mul(a.num, b.num), a.den + b.den)
 
 
 def nf_recip(a: NF) -> NF:
     if a.is_zero():
         raise ZeroDivisionError("reciprocal of zero expression")
-    den_poly = {a.den: 1} if a.den else {(): 1}
+    den_poly = {_m_pack(a.den): 1}
     if len(a.num) == 1:
         ((m, c),) = a.num.items()
-        cm, invm = _m_build([(b, -e) for (b, e) in m])
+        cm, invm = _m_build([(b, -e) for (b, e) in _m_pairs(m)])
         return _mk_nf(cm / (a.content * c), _p_mul_mono(den_poly, invm), ())
     # a.num = mcontent * core with core free of monomial content; keep core
     # as a factored denominator base, monic so equal denominators hash equal
@@ -1195,9 +1189,8 @@ def nf_pow(a: NF, e: Fraction) -> NF:
     if e.denominator == 1:
         n = int(e)
         if n > 0:
-            num = _p_pow_int(a.num, n)
-            cm, den = _m_pow(a.den, n)
-            return _mk_nf(a.content ** n / cm, num, den)
+            return _mk_nf(a.content ** n, _p_pow_int(a.num, n),
+                          ((b, e * n) for b, e in a.den))
         return nf_pow(nf_recip(a), Fraction(-n))
     k = math.floor(e)
     r = e - k
@@ -1215,7 +1208,7 @@ def _nf_frac_pow(a: NF, r: Fraction) -> NF:
         parts.append((b, -e * r))
     if len(num) == 1:
         ((m, c),) = num.items()
-        parts.extend((b, e * r) for (b, e) in m)
+        parts.extend((b, e * r) for (b, e) in _m_pairs(m))
         cpart = _rat_frac_pow(a.content * c, r)
         cm, mono = _m_build(parts)
         return _mk_nf(cm, _p_mul_mono(cpart, mono), ())
@@ -1235,7 +1228,7 @@ def _nf_frac_pow(a: NF, r: Fraction) -> NF:
     _, lc = _p_leading(core)
     scale = abs(lc)
     core_n = _p_scale(core, _UNIT / scale)
-    parts.extend((b, e * r) for (b, e) in cmono)
+    parts.extend((b, e * r) for (b, e) in _m_pairs(cmono))
     parts.append((_PolyBase(_freeze(core_n)), r))
     cpart = _rat_frac_pow(a.content * ccm * scale, r)
     cm, mono = _m_build(parts)
@@ -1247,11 +1240,11 @@ def _rat_frac_pow(c: Fraction, r: Fraction) -> dict:
     integer, (p/q)^(1/n) = (p*q^(n-1))^(1/n)/q, so that one value has one
     form."""
     if c == 1:
-        return {(): 1}
+        return {0: 1}
     if c > 0:
         root = _exact_rat_root(c, r.denominator)
         if root is not None:
-            return {(): root ** r.numerator}
+            return {0: root ** r.numerator}
     q = c.denominator
     radicand = Fraction(c.numerator * q ** (r.denominator - 1))
     cm, mono = _m_build([(_RatPow(radicand), r)])
@@ -1350,7 +1343,7 @@ def _func_nf(name: str, argnf: NF) -> NF:
         # ln(e^k * exp(u)) -> k + u, e^k partly in the denominator for k < 0
         if len(argnf.num) == 1:
             ((m, c),) = argnf.num.items()
-            pairs = m + tuple((b, -ex) for (b, ex) in argnf.den)
+            pairs = _m_pairs(m) + tuple((b, -ex) for (b, ex) in argnf.den)
             if c == 1 and argnf.content == 1 and all(
                     b == _E or (type(b) is Func and b.name == "exp")
                     for (b, _) in pairs):
@@ -1375,7 +1368,7 @@ def _exp_ln_arg(nf: NF) -> Optional[NF]:
     if nf.den or len(nf.num) != 1 or nf.content != 1:
         return None
     ((m, c),) = nf.num.items()
-    if c == 1 and len(m) == 1 and m[0][1] == 1:
+    if c == 1 and type(m) is tuple and len(m) == 1 and m[0][1] == 1:
         b = m[0][0]
         if type(b) is Func and b.name == "ln":
             return to_nf(b.arg)
@@ -1387,7 +1380,7 @@ def _func_nf_plain(name: str, argnf: NF) -> NF:
 
 
 def _atom_nf(b) -> NF:
-    return NF(_UNIT, {((b, 1),): 1}, ())
+    return NF(_UNIT, {_m_pack(((b, 1),)): 1}, ())
 
 
 # ---- NF -> AST -----------------------------------------------------------
@@ -1413,7 +1406,7 @@ def nf_to_expr(nf: NF) -> Expr:
     out_terms = []
     for (m, c) in nf.num.items():
         factors = [Rat(c * cn, cd)]
-        for (b, e) in m:
+        for (b, e) in _m_pairs(m):
             factors.append(_base_expr(b) if e == 1 else pw(_base_expr(b), e))
         factors.extend(den_factors)
         out_terms.append(mul(*factors))
@@ -1484,7 +1477,7 @@ def _nf_diff(a: NF, var: str, memo: dict) -> NF:
             nr = n if rest is _NF_ONE else nf_mul(n, rest)
             terms.append(nf_scale(nf_mul(nr, memo[b]), -e))
     db = tuple((b, e + 1) if b in live else (b, e) for (b, e) in a.den)
-    return nf_mul(nf_sum(terms), NF(_UNIT, {(): 1}, db))
+    return nf_mul(nf_sum(terms), NF(_UNIT, {0: 1}, db))
 
 
 def _nf_prod(bases) -> NF:
@@ -1500,7 +1493,15 @@ def _p_diff(p: dict, var: str, memo: dict) -> NF:
     """d(p)/d(var) for a polynomial p: the sum over its bases b of
     (dp/db)*b'."""
     parts: dict = {}   # b -> dp/db, the monomials with b's exponent lowered
+    shift = _S if var == "x" else 0
     for m, c in p.items():
+        if type(m) is int:
+            # x^i*y^j with i, j >= 0: the lowering is one subtraction
+            e = m >> shift & _MASK
+            if e:
+                parts.setdefault(_VARS[var], {})[
+                    m - (1 << 2 * _S) - (1 << shift)] = c * e
+            continue
         for i, (b, e) in enumerate(m):
             if _dbase(b, var, memo).is_zero():
                 continue
@@ -1508,10 +1509,10 @@ def _p_diff(p: dict, var: str, memo: dict) -> NF:
             # zero derivative.  A negative exponent left in the monomial is
             # resolved by nf_mul's _mk_nf.
             low = ((b, e - 1),) if e != 1 else ()
-            parts.setdefault(b, {})[m[:i] + low + m[i + 1:]] = c * e
+            parts.setdefault(b, {})[_m_pack(m[:i] + low + m[i + 1:])] = c * e
     # b' = 1 (b is the variable) needs only _mk_nf, to lift the negative
     # exponents the lowering leaves
-    return nf_sum([_mk_nf(_UNIT, dp, ()) if memo[b] is _NF_ONE
+    return nf_sum([_mk_nf(_UNIT, dp, ()) if _dbase(b, var, memo) is _NF_ONE
                    else nf_mul(NF(_UNIT, dp, ()), memo[b])
                    for b, dp in parts.items()])
 

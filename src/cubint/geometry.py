@@ -60,10 +60,11 @@ class Metric:
         if kind not in ("iso", "null", "general"):
             raise ValueError(f"unknown chart kind {kind!r}")
         self.kind = kind
-        self.g11 = simplify(g11)
-        self.g12 = simplify(g12)
-        self.g22 = simplify(g22)
-        self.lam = simplify(lam) if lam is not None else None
+        # one tree per distinct component (isothermal_metric passes lambda 3x)
+        distinct = {id(g): g for g in (g11, g12, g22, lam) if g is not None}
+        trees = {k: simplify(g) for k, g in distinct.items()}
+        self.g11, self.g12, self.g22 = (trees[id(g)] for g in (g11, g12, g22))
+        self.lam = trees.get(id(lam))
         # the null lane is the split-signature (1,1) chart
         self.signature = -1 if kind == "null" else 1
         self._cache: dict = {}
@@ -114,6 +115,15 @@ class Metric:
         if "1/mu" not in self._cache:
             self._cache["1/mu"] = nf_recip(to_nf(self.mu))
         return self._cache["1/mu"]
+
+    def _j(self):
+        """The complex structure J (see complex_structure) as a row-major
+        2x2 of normal forms."""
+        if "J" not in self._cache:
+            w = to_nf(self.mu)
+            i11, i12, i22 = (nf_mul(to_nf(c), w) for c in self.inv)
+            self._cache["J"] = ((i12, nf_neg(i11)), (i22, nf_neg(i12)))
+        return self._cache["J"]
 
     # -- conformal-factor helpers (iso / null lanes) -------------------
     @property
@@ -302,10 +312,7 @@ def complex_structure(metric: Metric):
 
     J^2 = -Id for Riemannian signature, +Id for split signature.
     """
-    w = to_nf(metric.mu)
-    i11, i12, i22 = (nf_mul(to_nf(c), w) for c in metric.inv)
-    return ((nf_to_expr(i12), nf_to_expr(nf_neg(i11))),
-            (nf_to_expr(i22), nf_to_expr(nf_neg(i12))))
+    return tuple(tuple(map(nf_to_expr, row)) for row in metric._j())
 
 
 # --------------------------------------------------------------------------

@@ -32,8 +32,8 @@ from .expr import (_NF_ZERO, Box, DEFAULT_CFG, Expr, ZeroTestConfig, as_expr,
 from .cnum import (CExpr, _c_mul, _nfs, _wirtinger, parse_complex,
                    wirtinger_zbar)
 from .geometry import (ChartMismatch, Metric, _bracket, _cross, _grad,
-                       _laplacian, _nabla, _pairing, complex_structure,
-                       gauss_curvature, grad_half_square, laplacian, poisson_g)
+                       _laplacian, _nabla, _pairing, gauss_curvature,
+                       grad_half_square, laplacian, poisson_g)
 from .tensorcoords import (SymTensor3, _cov_deriv3, _div3, _holo_residual,
                            a_hat_from_complex, div1, div2)
 
@@ -99,7 +99,8 @@ class Codifferential:
         if self.variant == "iso":
             return a_hat_from_complex(self.a)
         if self.variant == "null":
-            return SymTensor3((self.a1, as_expr(0), as_expr(0), self.a2))
+            return SymTensor3((to_nf(self.a1), _NF_ZERO, _NF_ZERO,
+                               to_nf(self.a2)))
         return self.a_hat
 
     def __repr__(self):
@@ -447,16 +448,16 @@ class InvariantEngine:
         m = self.metric
         i11, i12, i22 = (to_nf(c) for c in m.inv)
         ginv = ((i11, i12), (i12, i22))
-        jmat = [[to_nf(c) for c in row] for row in complex_structure(m)]
+        jmat = m._j()
         k = [to_nf(c) for c in kay]
         jk = [nf_sum([nf_mul(k[0], jmat[0][l]), nf_mul(k[1], jmat[1][l])])
               for l in range(2)]
 
         def comp(i, j, k):
-            return nf_to_expr(nf_scale(nf_sum([nf_mul(nf_sum([
+            return nf_scale(nf_sum([nf_mul(nf_sum([
                 nf_mul(ginv[i][j], ginv[k][l]), nf_mul(ginv[i][k], ginv[j][l]),
                 nf_mul(ginv[j][k], ginv[i][l])]), jk[l]) for l in range(2)]),
-                Fraction(1, 24)))
+                Fraction(1, 24))
 
         return SymTensor3((comp(0, 0, 0), comp(0, 0, 1),
                            comp(0, 1, 1), comp(1, 1, 1)))

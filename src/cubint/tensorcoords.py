@@ -24,11 +24,11 @@ import itertools
 from fractions import Fraction
 from typing import Iterable, Tuple
 
-from .expr import (_NF_ZERO, Expr, Rat, as_expr, nf_diff, nf_is_zero, nf_mul,
-                   nf_neg, nf_scale, nf_sum, nf_to_expr, simplify, to_nf,
-                   to_str)
+from .expr import (NF, _NF_ZERO, Expr, Rat, as_expr, nf_diff, nf_is_zero,
+                   nf_mul, nf_neg, nf_scale, nf_sum, nf_to_expr, simplify,
+                   to_nf, to_str)
 from .cnum import CExpr
-from .geometry import Metric, christoffel, complex_structure
+from .geometry import Metric, christoffel
 from .verify import MomentumPoly
 
 __all__ = [
@@ -83,22 +83,19 @@ def _symmetrize(rank: int, *arrays):
     return comps
 
 
-def _j_nf(metric: Metric):
-    """The complex structure J as a 2x2 of normal forms."""
-    return [[to_nf(c) for c in row] for row in complex_structure(metric)]
-
-
 # --------------------------------------------------------------------------
 # symmetric tensors by independent components
 
 class _SymTensor:
-    """Fully symmetric contravariant tensor of rank `rank`."""
+    """Fully symmetric contravariant tensor of rank `rank`.  A component
+    given as a normal form becomes its tree; any other is normalized."""
 
     __slots__ = ("c",)
     rank: int
 
     def __init__(self, comps: Iterable):
-        c = tuple(simplify(as_expr(v)) for v in comps)
+        c = tuple(nf_to_expr(v) if type(v) is NF else simplify(as_expr(v))
+                  for v in comps)
         if len(c) != self.rank + 1:
             raise ValueError("%s takes %d components"
                              % (type(self).__name__, self.rank + 1))
@@ -171,8 +168,9 @@ def sym3_from_momentum_poly(p: MomentumPoly) -> SymTensor3:
 def a_hat_from_complex(a: CExpr) -> SymTensor3:
     """Isothermal-lane dictionary: the A-hat tensor whose momentum form is
     Re(conj-paired cubic) for the complex codifferential coefficient a."""
-    q = Rat(1, 4)
-    return SymTensor3((q * a.re, q * a.im, -(q * a.re), -(q * a.im)))
+    re, im, q = to_nf(a.re), to_nf(a.im), Fraction(1, 4)
+    return SymTensor3((nf_scale(re, q), nf_scale(im, q),
+                       nf_scale(re, -q), nf_scale(im, -q)))
 
 
 def _nf_dense(t: _SymTensor):
@@ -190,11 +188,10 @@ def split_AB(metric: Metric, f: SymTensor3) -> Tuple[SymTensor3, SymTensor3]:
     orders of one another and symmetrize alike:
     A = (F - 3 sym F(J.,J.,.)) / 4.
     """
-    j = _j_nf(metric)
+    j = metric._j()
     t01 = _apply_j_slot(_apply_j_slot(_nf_dense(f), j, 0, 3), j, 1, 3)
     a_hat = SymTensor3(
-        nf_to_expr(nf_scale(nf_sum([to_nf(c), nf_scale(s, -3)]),
-                            Fraction(1, 4)))
+        nf_scale(nf_sum([to_nf(c), nf_scale(s, -3)]), Fraction(1, 4))
         for c, s in zip(f.c, _symmetrize(3, t01)))
     return a_hat, f - a_hat
 
@@ -204,8 +201,8 @@ def imag_part(metric: Metric, a_hat: SymTensor3) -> SymTensor3:
     (1/3)(A^{ljk} J_l^i + A^{ilk} J_l^j + A^{ijl} J_l^k).  A-hat is
     symmetric, so the three terms are slot orders of one another and the
     result is the symmetrization of the first."""
-    t0 = _apply_j_slot(_nf_dense(a_hat), _j_nf(metric), 0, 3)
-    return SymTensor3(map(nf_to_expr, _symmetrize(3, t0)))
+    t0 = _apply_j_slot(_nf_dense(a_hat), metric._j(), 0, 3)
+    return SymTensor3(_symmetrize(3, t0))
 
 
 # --------------------------------------------------------------------------
@@ -299,11 +296,11 @@ def _holo_residual(metric: Metric, nt) -> SymTensor4:
                                  for m in range(2)])
         return built[key]
     up = _dense(4, raised)
-    j = _j_nf(metric)
+    j = metric._j()
     jd = up
     for slot in range(4):
         jd = _apply_j_slot(jd, j, slot, 4)
-    return SymTensor4(map(nf_to_expr, _symmetrize(4, up, jd)))
+    return SymTensor4(_symmetrize(4, up, jd))
 
 
 def holo_residual(metric: Metric, a_hat: SymTensor3) -> SymTensor4:
@@ -334,7 +331,7 @@ def principle_residual(metric: Metric, k_potential: Expr,
     is canonically conserved and this residual vanishes identically.
     """
     gam = _gamma(metric)
-    jmat = _j_nf(metric)
+    jmat = metric._j()
     k_nf = to_nf(k_potential)
     dk = [nf_diff(k_nf, v) for v in _VS]
     # second covariant derivative of the scalar potential

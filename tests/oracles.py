@@ -29,6 +29,8 @@ of geometry, cnum and invariants as tree formulas that simplify every
 step: each is kept as the reference for the code that replaced it.
 gee_det_reference, the determinant form of the obstructions G, is the
 second formula for G that the engine computed before it kept one.
+unpack decodes the kernel's packed monomial keys of x and y into the
+tuples of (base, exponent) pairs that the polynomial references read.
 """
 
 import itertools
@@ -41,10 +43,10 @@ from cubint.expr import (DEFAULT_CFG, Add, Const, EvalDomainError, Func, Mul,
                          eval_scaled, nf_is_zero, simplify)
 from cubint.expr import (NF, _EVAL_CHAIN, _EVAL_FUNC_IDENT,
                          _EVAL_GLOBALS, _MAX_FAIL_FRAC, _NF_ONE, _NF_ZERO,
-                         _STRONG_FACTOR, _UNIT,
+                         _S, _STRONG_FACTOR, _UNIT,
                          _atom_nf, _folds,
                          _func_outer_deriv, _glex_key, _int_exp, _m_build,
-                         _m_div, _m_divides, _m_mul, _mk_nf,
+                         _m_div, _m_divides, _mk_nf,
                          _p_add_into, _p_mul_mono, _pb_prim, _PolyBase, _skey,
                          nf_mul, nf_neg, nf_recip, nf_scale, nf_sum,
                          nf_to_expr, to_nf)
@@ -395,14 +397,34 @@ def _m_total_deg(m):
     return sum(e for (_, e) in m)
 
 
+def unpack(m):
+    """Monomial key m as a tuple of (base, exponent) pairs, the kernel's
+    former monomial, or a polynomial {key: coefficient} with every key so
+    unpacked.  A packed key, an int, is x^i*y^j as
+    (i + j)*2^(2S) + i*2^S + j with signed fields of S = expr._S bits;
+    it is decoded here from that formula alone, and its top field must be
+    the total degree i + j."""
+    if type(m) is dict:
+        return {unpack(k): c for k, c in m.items()}
+    if type(m) is not int:
+        return m
+    half, size = 1 << (_S - 1), 1 << _S
+    j = (m + half) % size - half
+    top = (m - j) >> _S
+    i = (top + half) % size - half
+    assert (top - i) >> _S == i + j, m
+    return tuple((b, e) for b, e in ((Var("x"), i), (Var("y"), j)) if e)
+
+
 def p_leading_reference(p):
     """(monomial, coefficient) of p's leading term in graded-lex order: the
     kernel's former search, total degree first and then _m_lex_cmp, walking
     the monomials pairwise instead of through one sort key."""
     best = bd = None
     for m in p:
-        d = _m_total_deg(m)
-        if best is None or d > bd or (d == bd and _m_lex_cmp(m, best) > 0):
+        d = _m_total_deg(unpack(m))
+        if best is None or d > bd or (
+                d == bd and _m_lex_cmp(unpack(m), unpack(best)) > 0):
             best, bd = m, d
     return best, p[best]
 
@@ -440,7 +462,7 @@ def p_mul_reference(p, q):
     out = {}
     for m1, c1 in p.items():
         for m2, c2 in q.items():
-            cm, m = _m_mul(m1, m2)
+            cm, m = m_mul_reference(m1, m2)
             c = Fraction(c1) * c2
             if cm is not _UNIT:
                 c = c * cm
@@ -463,19 +485,19 @@ def p_div_exact_reference(p, q):
         return {}
     p = {m: Fraction(c) for m, c in p.items()}
     q = {m: Fraction(c) for m, c in q.items()}
-    bases = {b for m in p for (b, _) in m}
-    bases.update(b for m in q for (b, _) in m)
+    bases = {b for m in p for (b, _) in unpack(m)}
+    bases.update(b for m in q for (b, _) in unpack(m))
     if any(map(_folds, bases)):
         return p_div_reference(p, q)
     if len(p) == 1 and len(q) > 1:
         return None
     order, key = _glex_key(bases)
-    qk = {key(m): c for m, c in q.items()}
+    qk = {key(unpack(m)): c for m, c in q.items()}
     qlk = max(qk)
     qlc = qk.pop(qlk)
     qlv = qlk[1]
     support = [i for i, e in enumerate(qlv) if e]
-    rem = {key(m): c for m, c in p.items()}
+    rem = {key(unpack(m)): c for m, c in p.items()}
     quot = {}
     guard = 4 * (len(p) + len(q)) + 64
     while rem:
@@ -505,7 +527,7 @@ def m_mul_reference(m1, m2):
     """(coefficient multiplier, monomial) of m1*m2: the kernel's monomial
     product as it was before it became one merge, every pair of both
     monomials summed again by _m_build."""
-    return _m_build(list(m1) + list(m2))
+    return _m_build(list(unpack(m1)) + list(unpack(m2)))
 
 
 _REFERENCE_GLOBALS = dict(_EVAL_GLOBALS, all=all, map=map)
@@ -904,7 +926,7 @@ def nf_diff_reference(a, var):
         dlog = nf_add_reference(dlog, nf_scale(nf_mul(db, binv), Fraction(e)))
     n_nf = NF(a.content, a.num, ())
     total = nf_add_reference(dnum, nf_neg(nf_mul(n_nf, dlog)))
-    return nf_mul(total, nf_recip(NF(_UNIT, {a.den: 1}, ())))
+    return nf_mul(total, nf_recip(NF(_UNIT, {_m_build(a.den)[1]: 1}, ())))
 
 
 def p_diff_reference(p, var):
@@ -912,6 +934,7 @@ def p_diff_reference(p, var):
     pairwise add per (monomial, base)."""
     out = _NF_ZERO
     for m, c in p.items():
+        m = unpack(m)
         for i, (b, e) in enumerate(m):
             db = _dbase_reference(b, var)
             if db.is_zero():

@@ -289,16 +289,19 @@ a222 = 0
 
 # pairs whose metric or codifferential has no meaning (a conformal factor
 # that is zero or negative, a degenerate general metric, a division by
-# zero): normalizing them raises EvalDomainError or ZeroDivisionError, an
-# input error and not the "incompatible" exit 1, from every subcommand
+# zero), or that the kernel cannot hold (an exponent of x at 2^20, beyond a
+# packed monomial key): normalizing them raises EvalDomainError,
+# ZeroDivisionError or ExponentRangeError, an input error and not the
+# "incompatible" exit 1, from every subcommand
 @pytest.mark.parametrize("manifest", [
     FLAT_TRIVIAL.replace("lambda = 1", "lambda = 0"),
     FLAT_TRIVIAL.replace("lambda = 1", "lambda = x - x"),
     FLAT_TRIVIAL.replace("lambda = 1", "lambda = -1"),
     GENERAL_DEGENERATE,
     KILLING.replace("a_re = 0", "a_re = 1/(x-x)"),
+    FLAT_TRIVIAL.replace("lambda = 1", "lambda = 1 + x^1048576"),
 ], ids=["lambda-0", "lambda-x-minus-x", "lambda-negative", "general-singular",
-        "a-divides-by-zero"])
+        "a-divides-by-zero", "exponent-beyond-packed-key"])
 def test_degenerate_pair_exit_64(tmp_path, capsys, manifest):
     man = _write(tmp_path, "m.ini", manifest)
     extra = {

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from cubint.exact import NotRationalError, nf_at
 from cubint.expr import (X, Y, Box, EvalDomainError, Pow, ZeroTestConfig,
                          eval_at, eval_scaled, is_zero, parse, to_nf)
+from oracles import unpack
 
 BOX = Box(-2.0, 2.0, -2.0, 2.0)
 
@@ -54,7 +55,7 @@ def _nf_value_reference(nf, x, y):
         s = Fraction(0)
         for m, c in items:
             t = Fraction(c)
-            for b, e in m:
+            for b, e in unpack(m):
                 t *= (x if b is X else y) ** e
             s += t
         return s

@@ -25,7 +25,7 @@ from cubint.exact import NotRationalError, nf_at
 from oracles import (compile_float_reference, fd_partial, is_zero_reference,
                      m_mul_reference, nf_add_reference,
                      nf_diff_reference, p_div_exact_reference, p_div_reference,
-                     p_leading_reference, p_mul_reference, tree_eval)
+                     p_leading_reference, p_mul_reference, tree_eval, unpack)
 
 
 BOX = Box(-2.0, 2.0, -2.0, 2.0)
@@ -537,7 +537,7 @@ def _fractions(p):
 
 def _same_division(p, q):
     got = expr_mod._p_div_exact(p, q)
-    assert got == p_div_exact_reference(p, q)
+    assert unpack(got) == unpack(p_div_exact_reference(p, q))
     assert got == p_div_reference(_fractions(p), _fractions(q))
     return got
 
@@ -549,7 +549,8 @@ def _poly(text):
 # (x + y^3)/x: the leading term in graded-lex order is y^3/x, so the
 # division succeeds; in plain lex order it would be 1, which x does not divide
 _X_PLUS_Y3 = _poly("x + y^3")
-_X_PLUS_Y3_OVER_X = expr_mod._p_mul(_X_PLUS_Y3, {((Var("x"), -1),): 1})
+_X_PLUS_Y3_OVER_X = expr_mod._p_mul(
+    _X_PLUS_Y3, {expr_mod._m_build([(Var("x"), -1)])[1]: 1})
 
 
 def _product_and_factor(q_text, s_text):
@@ -578,7 +579,7 @@ def test_leading_term_matches_reference(p):
 # exp(x)*exp(-x) = 1 merges two monomials
 @example(_poly("x + 2^(1/2)"), _poly("2^(1/2) - x"))
 @example({expr_mod._m_build([(_FOLDING_BASES[4], Fraction(1, 2))])[1]: 3,
-          ((Var("y"), 1),): 1},
+          expr_mod._m_build([(Var("y"), 1)])[1]: 1},
          {expr_mod._m_build([(_FOLDING_BASES[4], Fraction(1, 2))])[1]: 1})
 @example(_poly("exp(x) + y"), _poly("exp(-x) - 1"))
 def test_product_matches_reference(p, q):
@@ -586,7 +587,7 @@ def test_product_matches_reference(p, q):
     assert got == p_mul_reference(p, q)
     # only a product that folds leaves the integers
     if not any(map(expr_mod._folds, {b for r in (p, q) for m in r
-                                     for (b, _) in m})):
+                                     for (b, _) in unpack(m)})):
         assert all(type(c) is int for c in got.values())
 
 
@@ -655,7 +656,7 @@ def test_division_stops_at_guard():
     # (1 - x^-n)/(1 - 1/x) = 1 + 1/x + ... + x^-(n-1) takes n steps, and
     # the guard allows 4*(2 + 2) + 64 = 80 of them
     def one_minus(n):
-        return {(): 1, ((Var("x"), -n),): -1}
+        return {0: 1, expr_mod._m_build([(Var("x"), -n)])[1]: -1}
 
     assert len(_same_division(one_minus(80), one_minus(1))) == 80
     assert _same_division(one_minus(81), one_minus(1)) is None
@@ -687,7 +688,8 @@ def _monos():
 
 
 def _integral_exponents_are_ints(mono):
-    return all(type(e) is int for (_, e) in mono if e.denominator == 1)
+    return all(type(e) is int for (_, e) in unpack(mono)
+               if e.denominator == 1)
 
 
 @given(_monos(), _monos())
@@ -702,6 +704,77 @@ def test_monomial_product_matches_reference(m1, m2):
     assert _integral_exponents_are_ints(got[1])
 
 
+# --------------------------------------------------------------------------
+# packed keys of monomials in x and y
+
+def _assert_packed_where_packable(p):
+    """Every key of p that is x^i*y^j with int i and j is an int."""
+    bad = [m for m in p if type(m) is not int and all(
+        b in (Var("x"), Var("y")) and type(e) is int for b, e in m)]
+    assert not bad, bad
+
+
+_SIN_X = Func("sin", Var("x"))
+
+
+@given(_monos(), _monos())
+@settings(max_examples=300, deadline=None)
+# sin(x)*x times x/sin(x): the other base cancels, and x^2 is an int
+@example(expr_mod._m_build([(_SIN_X, 1), (Var("x"), 1)])[1],
+         expr_mod._m_build([(_SIN_X, -1), (Var("x"), 1)])[1])
+def test_monomial_products_of_x_and_y_are_packed(m1, m2):
+    _assert_packed_where_packable(
+        {m1: 1, m2: 1, expr_mod._m_mul(m1, m2)[1]: 1})
+    _assert_packed_where_packable(expr_mod._p_mul({m1: 1}, {m2: 1}))
+
+
+@given(_nf_exprs(3))
+@settings(max_examples=150, deadline=None)
+@example(parse("sin(x)*x*(x/sin(x))"))
+@example(parse("(x*(1 + y^2) + sin(x))/(x*sin(x))"))
+@example(parse("y/(x^2*(1 + x^2)^(1/2))"))
+def test_normal_forms_and_derivatives_keep_packed_keys(e):
+    # to_nf reaches _mk_nf, whose lifting and cancelling build keys too
+    try:
+        nf = to_nf(e)
+        nfs = [nf, nf_diff(nf, "x"), nf_diff(nf, "y")]
+    except (ZeroDivisionError, EvalDomainError):
+        return
+    for a in nfs:
+        _assert_packed_where_packable(a.num)
+
+
+_FIELD = 1 << expr_mod._T
+
+
+@given(*[st.integers(-_FIELD // 2 + 1, _FIELD // 2 - 1)] * 4)
+@settings(max_examples=300, deadline=None)
+@example(_FIELD // 2 - 1, 0, _FIELD // 2 - 1, 1 - _FIELD // 2)
+def test_packed_keys_add_and_compare_as_exponents(i1, j1, i2, j2):
+    x, y = Var("x"), Var("y")
+    k1 = expr_mod._m_build([(x, i1), (y, j1)])[1]
+    k2 = expr_mod._m_build([(x, i2), (y, j2)])[1]
+    assert unpack(k1 + k2) == unpack(
+        expr_mod._m_build([(x, i1 + i2), (y, j1 + j2)])[1])
+    # graded-lex order: total degree, then the exponent of x
+    assert (k1 < k2) == ((i1 + j1, i1) < (i2 + j2, i2))
+
+
+def test_exponents_up_to_the_field_bound():
+    assert to_str(simplify(parse("x^300000*y^-7"))) == "x^300000/y^7"
+    top = _FIELD - 1
+    (m,) = to_nf(parse(f"x^{top}*y^{top}")).num
+    assert unpack(m) == ((Var("x"), top), (Var("y"), top))
+    # an exponent at the bound, however reached, raises a typed error
+    # instead of carrying into the next field of the key
+    for text in (f"x^{top + 1}", f"x^{top}*x", f"(x^{top}*y)^2",
+                 f"(x*y^{top // 2 + 1})^2", f"x^{2 ** 100}*y", f"x^{2 ** 40}"):
+        with pytest.raises(expr_mod.ExponentRangeError):
+            to_nf(parse(text))
+    # a denominator keeps its exponents as pairs
+    assert to_str(simplify(parse(f"x^-{2 ** 40}"))) == f"1/x^{2 ** 40}"
+
+
 def _nf_exponents(nf, seen):
     """Every exponent of nf's monomials, of the monomials of each compound
     base they reach, and of the normal forms of function arguments."""
@@ -709,7 +782,7 @@ def _nf_exponents(nf, seen):
     if nf.den:
         monos.append(nf.den)
     while monos:
-        for (b, e) in monos.pop():
+        for (b, e) in unpack(monos.pop()):
             yield e
             if b in seen:
                 continue
@@ -740,8 +813,8 @@ def test_plain_products_build_no_monomial(monkeypatch):
     # x, y, sin(x) and a radical do not fold, so their products are merges
     polys = [_poly(t) for t in ("x + y^2/3", "sin(x)*y - 1",
                                 "(1 + x^2)^(1/2)*x + y^(3/2)", "x^-1 + y")]
-    fold = [(_poly("exp(x)"), _poly("exp(-x)"), {(): 1}),
-            (_poly("2^(1/2)"), _poly("2^(1/2)"), {(): 2})]
+    fold = [(_poly("exp(x)"), _poly("exp(-x)"), {0: 1}),
+            (_poly("2^(1/2)"), _poly("2^(1/2)"), {0: 2})]
     calls = []
     real = expr_mod._m_build
 

@@ -21,8 +21,8 @@ Families, each run in-process on this checkout's src/:
 * folding    -- `cubint check` and `cubint invariants --symbolic` on three
                 isothermal pairs whose normal forms carry radicals of
                 rationals and exp atoms, so exact division takes the
-                kernel's folding loop (_p_div_folding), which no other
-                family reaches;
+                kernel's tuple loop (_p_div_tuples) on monomials that
+                fold, which no other family reaches;
 * zero-tests -- every field (kind, method, reason, witness and value, each
                 as its repr) of the is_zero verdict on each invariant of
                 the example manifest in README.md, in the isothermal lane
