@@ -1,7 +1,7 @@
 """Manifest-driven command-line frontend with JSON reporting.
 
 A manifest is a sectioned INI file describing one (metric, codifferential)
-pair, the probing domain and the tolerances::
+pair, the probing domain and the drift tolerance of the geodesic flow::
 
     [metric]
     kind = isothermal          ; isothermal | general | null
@@ -24,9 +24,12 @@ pair, the probing domain and the tolerances::
     seed = 10007
 
     [tolerances]               ; optional
-    abs = 1e-9
-    rel = 1e-9
     drift = 1e-8
+
+Zero tests need no tolerance: Zero comes only from a zero normal form, and
+NonZero from an exact value or a proved enclosure that excludes 0.  The
+keys abs and rel, read by an earlier float test, are rejected (exit 64),
+so that a manifest written for that test does not silently change meaning.
 
 Subcommands: `check` (decision walk), `invariants` (report surface),
 `verify` (bracket certificate for a supplied integral), `geodesic`
@@ -82,7 +85,7 @@ class ManifestError(ValueError):
 
 
 class Manifest:
-    """Parsed manifest: the pair plus probing domain and tolerances."""
+    """Parsed manifest: the pair plus probing domain and drift tolerance."""
 
     __slots__ = ("metric", "codiff", "domain", "cfg", "seed", "drift_tol",
                  "metric_kind", "codiff_kind")
@@ -204,8 +207,12 @@ def load_manifest(path: str) -> Manifest:
     seed = _get_int(dsec, "seed", None, "domain")
 
     tsec = cp["tolerances"] if "tolerances" in cp else {}
-    abs_tol = _get_float(tsec, "abs", 1e-9, "tolerances")
-    rel_tol = _get_float(tsec, "rel", 1e-9, "tolerances")
+    # the thresholds of a former float zero test
+    for key in ("abs", "rel"):
+        if key in tsec:
+            raise ManifestError(
+                "tolerances.%s is no longer read: zero tests are exact or "
+                "proved, with no tolerance; remove the key" % key)
     drift_tol = _get_float(tsec, "drift", 1e-8, "tolerances")
     if not (math.isfinite(drift_tol) and drift_tol >= 0):
         raise ManifestError("tolerances.drift must be finite and "
@@ -213,10 +220,9 @@ def load_manifest(path: str) -> Manifest:
 
     try:
         domain = Box(x_min, x_max, y_min, y_max)
-        cfg = ZeroTestConfig(n_probes=samples, abs_tol=abs_tol,
-                             rel_tol=rel_tol)
+        cfg = ZeroTestConfig(n_probes=samples)
     except ValueError as exc:
-        raise ManifestError("bad [domain] or [tolerances]: %s" % exc) from exc
+        raise ManifestError("bad [domain]: %s" % exc) from exc
     if seed is not None:
         cfg = cfg.with_seed(seed)
     return Manifest(metric, codiff, domain, cfg, seed, drift_tol,

@@ -2,8 +2,9 @@
 
 Everything downstream (Wirtinger calculus, curvature, the invariant chains)
 reduces to four operations on immutable expression trees: parse, diff,
-simplify, eval_at — plus a tri-state identically-zero test that replaces
-exact "== 0" decisions by symbolic normalization and seeded numeric probing.
+simplify, eval_at — plus a tri-state identically-zero test that reads the
+normal form: Zero when it is zero, NonZero when its value at a grid point
+is proved nonzero (cubint.exact), Unknown otherwise.
 
 The canonical form is a rational function over a multiplicative kernel of
 atoms: variables, named constants (pi, e), and applications of the fixed
@@ -27,7 +28,7 @@ __all__ = [
     "Expr", "Rat", "Const", "Var", "Add", "Mul", "Pow", "Func",
     "X", "Y", "ZERO", "ONE",
     "parse", "to_str", "diff", "simplify",
-    "eval_at", "eval_scaled", "compile_float", "is_zero", "nf_is_zero",
+    "eval_at", "compile_float", "is_zero", "nf_is_zero",
     "Box", "ZeroTestConfig", "ZeroVerdict",
     "ExprError", "ExpressionSyntaxError", "UnknownIdentifier",
     "EvalDomainError", "FUNCTIONS", "as_expr",
@@ -541,7 +542,7 @@ def _nf_rat(v: Fraction) -> NF:
     return NF(v, {0: 1}, ()) if v > 0 else NF(-v, {0: -1}, ())
 
 
-# ---- term budget (used by is_zero's bounded symbolic confirmation) -------
+# ---- term budget (is_zero normalizes under one) --------------------------
 
 class _BudgetExceeded(Exception):
     pass
@@ -1597,34 +1598,18 @@ def eval_at(e: Expr, point) -> float:
     poles, ln(<=0), sqrt(<0), fractional powers of negatives, or non-finite
     intermediates.
 
-    Takes the value-only return of e's compiled function, which builds no
-    tuple of node values; the value, and the error raised, are bitwise
-    what eval_scaled gives at the same point."""
-    return _evaluator(e)(float(point[0]), float(point[1]), False)[0]
-
-
-def eval_scaled(e: Expr, point):
-    """(value, scale) where scale = max |value| over all subexpressions."""
-    v, nodes = _evaluator(e)(float(point[0]), float(point[1]))
-    return v, max(map(abs, nodes))
-
-
-def _evaluator(e: Expr):
-    """e's compiled evaluator, built on first use and kept on the node.
-
+    e's compiled function is built on first use and kept on the node.
     Threads racing on a first use each build an equal function; whichever
     is stored last is kept."""
     f = e._fn
     if f is None:
         f = e._fn = compile_float(e)
-    return f
+    return f(float(point[0]), float(point[1]))[0]
 
 
 def compile_float(*roots: Expr, returns: Optional[str] = None):
-    """Straight-line function f(x, y) -> (v1, ..., vn, T) evaluating the
-    roots, where T is the tuple of the values of all their nodes.
-    f(x, y, False) is the value-only return (v1, ..., vn): the same
-    operations and checks, with no T built.
+    """Straight-line function f(x, y) -> (v1, ..., vn) evaluating the
+    roots.
 
     Structurally equal subtrees, within a root or across roots, share one
     temporary, so the DAG is evaluated, not the tree.  Every node does the
@@ -1639,8 +1624,7 @@ def compile_float(*roots: Expr, returns: Optional[str] = None):
     defaults of f's parameters after x and y.
 
     Every node's value must be finite, else EvalDomainError('non-finite
-    value'); merging equal subtrees changes neither that nor
-    max(map(abs, T)), the scale that eval_scaled reads.  Finiteness is
+    value'); merging equal subtrees does not change that.  Finiteness is
     checked once all nodes are computed, so where a non-finite value
     reaches a domain check first, the EvalDomainError names that check.
     One test checks the roots, the bases of powers with exponent <= 0 and
@@ -1656,9 +1640,8 @@ def compile_float(*roots: Expr, returns: Optional[str] = None):
 
     With returns, f takes (x, y, px, py) and returns the value of the
     source text returns, written over the roots' values {0} ... {n-1} and
-    the momenta px and py, with no T and no value-only flag.  An
-    OverflowError there, after the finiteness check, also gives
-    EvalDomainError('float overflow')."""
+    the momenta px and py.  An OverflowError there, after the finiteness
+    check, also gives EvalDomainError('float overflow')."""
     lines = []
     names = {}      # node -> name holding its value
     consts = {}     # (type, value) -> name of a bound constant
@@ -1757,17 +1740,10 @@ def compile_float(*roots: Expr, returns: Optional[str] = None):
            "  raise EvalDomainError('non-finite value')"] if finite else []),
     ]
     if returns is None:
-        params = "x, y, nodes, "
-        roots_tuple = "".join(n + ", " for n in res)
-        values = "".join(n + ", " for n in dict.fromkeys(names.values()))
-        body += [" if not nodes:",
-                 f"  return ({roots_tuple})",
-                 f" T = ({values})",
-                 f" return ({roots_tuple}T,)"]
-        defaults = (True,)
+        params = "x, y, "
+        body.append(f" return ({''.join(n + ', ' for n in res)})")
     else:
         params = "x, y, px, py, "
-        defaults = ()
         body += [" try:",
                  f"  return {returns.format(*res)}",
                  " except OverflowError:",
@@ -1778,7 +1754,7 @@ def compile_float(*roots: Expr, returns: Optional[str] = None):
     ns = {}
     exec(compile(src, "<cubint.expr evaluator>", "exec"), _EVAL_GLOBALS, ns)
     f = ns["f"]
-    f.__defaults__ = (*defaults, *(v for _, v in consts))
+    f.__defaults__ = tuple(v for _, v in consts)
     return f
 
 
@@ -1821,46 +1797,37 @@ class Box:
         return hash((self.x_min, self.x_max, self.y_min, self.y_max))
 
 
-# A probe counts as a NonZero witness only above this multiple of its
-# threshold; values between the threshold and it are "in the band".
-_STRONG_FACTOR = 10.0
-# Unknown when more than this share of the probes fails to evaluate.
-_MAX_FAIL_FRAC = 0.5
 # Term-products is_zero may spend normalizing an expression that carries
-# no normal form before it probes that expression in floats.
+# no normal form.
 _TERM_BUDGET = 200_000
 
 
 class ZeroTestConfig:
-    __slots__ = ("n_probes", "seeds", "abs_tol", "rel_tol")
+    """The probe points of a zero test: n_probes points drawn from
+    seeds[0]; with_seed gives the configuration of another seed."""
 
-    def __init__(self, n_probes: int = 64, seeds=(10007, 20011, 30013),
-                 abs_tol: float = 1e-9, rel_tol: float = 1e-9):
-        # no probe, or an infinite or NaN threshold, would let every
-        # expression pass as Zero(probed)
+    __slots__ = ("n_probes", "seeds")
+
+    def __init__(self, n_probes: int = 64, seeds=(10007, 20011, 30013)):
+        # with no probe point no NonZero could be found
         if n_probes < 1:
             raise ValueError(f"n_probes must be at least 1, got {n_probes}")
         seeds = tuple(seeds)
         if not seeds:
             raise ValueError("seeds must name at least one seed")
-        if not all(math.isfinite(t) and t >= 0 for t in (abs_tol, rel_tol)):
-            raise ValueError("abs_tol and rel_tol must be finite and "
-                             "non-negative")
         self.n_probes = n_probes
         self.seeds = seeds
-        self.abs_tol = abs_tol
-        self.rel_tol = rel_tol
 
     def with_seed(self, seed: int) -> "ZeroTestConfig":
-        return ZeroTestConfig(self.n_probes, (seed, seed + 1, seed + 2),
-                              self.abs_tol, self.rel_tol)
+        return ZeroTestConfig(self.n_probes, (seed, seed + 1, seed + 2))
 
 
 DEFAULT_CFG = ZeroTestConfig()
 
 
 class ZeroVerdict:
-    """Tri-state outcome: Zero | NonZero(witness, value) | Unknown(reason)."""
+    """Tri-state outcome: Zero | NonZero(witness, value) | Unknown(reason).
+    A Zero has method "symbolic"; a NonZero "exact" or "enclosure"."""
 
     __slots__ = ("kind", "witness", "value", "reason", "method")
 
@@ -1872,11 +1839,11 @@ class ZeroVerdict:
         self.method = method
 
     @classmethod
-    def zero(cls, method="probed"):
-        return cls("zero", method=method)
+    def zero(cls):
+        return cls("zero", method="symbolic")
 
     @classmethod
-    def nonzero(cls, witness, value, method="probed"):
+    def nonzero(cls, witness, value, method):
         return cls("nonzero", witness=witness, value=value, method=method)
 
     @classmethod
@@ -1905,99 +1872,40 @@ class ZeroVerdict:
 
 def _combine(*vs: ZeroVerdict) -> ZeroVerdict:
     """Conjunction of zero-verdicts: NonZero dominates (the conjunct is
-    falsified), then Unknown; all-Zero keeps the weaker method."""
+    falsified), then Unknown, then Zero."""
     for v in vs:
         if v.is_nonzero:
             return v
     for v in vs:
         if v.is_unknown:
             return v
-    if not vs:
-        return ZeroVerdict.zero(method="symbolic")
-    method = ("symbolic" if all(v.method == "symbolic" for v in vs)
-              else "probed")
-    return ZeroVerdict.zero(method=method)
+    return ZeroVerdict.zero()
 
 
 def is_zero(e: Expr, domain: Box, cfg: ZeroTestConfig = DEFAULT_CFG) -> ZeroVerdict:
     """Tri-state identically-zero test on the domain box.
 
-    Reads e's normal form first, normalizing e under a term budget if it
-    carries none.  A zero normal form is Zero(symbolic).  A nonzero one
-    that is rational in x and y is decided exactly (exact.rational_verdict):
-    NonZero with method "exact" at the first probe point where its exact
-    numerator and denominator are nonzero, else Unknown, never Zero.
-
-    Only a normal form that is not rational in x and y (function atoms,
-    constants, radicals), or one over the budget, is probed in floats, and
-    only there do the tolerances apply.  Such a Zero is Zero(probed): the
-    kernel need not know sin^2+cos^2 = 1.  A probe value |v| vanishes at or
-    below abs_tol + rel_tol*scale, scale the largest |value| of e's nodes
-    there; above ten times that it is strong, and the strongest probe is
-    the NonZero witness, method "probed"; in between it is in the band.
-    Each probe computes its value alone (eval_at), and its scale
-    (eval_scaled) only where the scale can change the verdict.  In two
-    cases it cannot:
-    - |v| <= abs_tol.  The threshold is at least abs_tol for any scale,
-      so the probe vanishes.
-    - A witness exists and |v| <= |witness value|.  The probe cannot
-      become the witness, and once a witness exists the counts of band
-      and failed probes are never read.
-    So the verdict (kind, method, reason, witness and value) is bitwise
-    what scaling every probe gives.
+    Reads e's normal form, normalizing e under a term budget if it
+    carries none.  A zero normal form is Zero(symbolic), and no other
+    verdict is Zero.  A nonzero one is NonZero at the first probe point
+    where its value, exact or a proved enclosure, excludes 0
+    (exact.nf_verdict), else Unknown.  A normal form over the budget, or
+    one that fails to build, is Unknown: the kernel need not know
+    sin^2 + cos^2 = 1, and no evaluation proves an identity.
     """
     token = _BUDGET_LEFT.set(_TERM_BUDGET)
     try:
         nf = to_nf(e)
-    except (_BudgetExceeded, OverflowError, ZeroDivisionError,
-            EvalDomainError):
-        nf = None
+    except _BudgetExceeded:
+        return ZeroVerdict.unknown("over the term budget")
+    except (OverflowError, ZeroDivisionError, EvalDomainError) as exc:
+        return ZeroVerdict.unknown(f"no normal form: {exc}")
     finally:
         _BUDGET_LEFT.reset(token)
-    if nf is not None:
-        if nf.is_zero():
-            return ZeroVerdict.zero(method="symbolic")
-        from .exact import rational_verdict
-        v = rational_verdict(nf, domain, cfg)
-        if v is not None:
-            return v
-    n_fail = 0
-    n_band = 0
-    best_val = 0.0
-    best_pt = None
-    total = cfg.n_probes * len(cfg.seeds)
-    for seed in cfg.seeds:
-        rng = random.Random(seed)
-        for _ in range(cfg.n_probes):
-            pt = domain.sample(rng)
-            try:
-                v = eval_at(e, pt)
-            except EvalDomainError:
-                n_fail += 1
-                continue
-            av = abs(v)
-            if av <= cfg.abs_tol or (best_pt is not None
-                                     and av <= abs(best_val)):
-                continue
-            scale = eval_scaled(e, pt)[1]
-            thr = cfg.abs_tol + cfg.rel_tol * scale
-            if av <= thr:
-                continue
-            if av > _STRONG_FACTOR * thr:
-                if av > abs(best_val):
-                    best_val = v
-                    best_pt = pt
-            else:
-                n_band += 1
-    if best_pt is not None:
-        return ZeroVerdict.nonzero(best_pt, best_val)
-    if n_fail > _MAX_FAIL_FRAC * total:
-        return ZeroVerdict.unknown(
-            f"evaluation failed at {n_fail}/{total} probes")
-    if n_band > 0:
-        return ZeroVerdict.unknown(
-            f"{n_band} probe values inside the tolerance band")
-    return ZeroVerdict.zero(method="probed")
+    if nf.is_zero():
+        return ZeroVerdict.zero()
+    from .exact import nf_verdict
+    return nf_verdict(nf, domain, cfg)
 
 
 # --------------------------------------------------------------------------

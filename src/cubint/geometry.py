@@ -26,7 +26,7 @@ from typing import Optional, Union
 
 from .cnum import CExpr, _c_mul, _wirtinger
 from .expr import (
-    NF, _NF_ZERO, Expr, Func, Rat, as_expr, nf_diff, nf_mul, nf_neg,
+    NF, _NF_ZERO, Expr, Rat, _func_nf, as_expr, nf_diff, nf_mul, nf_neg,
     nf_pow, nf_recip, nf_scale, nf_sum, nf_to_expr, parse, simplify, to_nf,
     to_str,
 )
@@ -127,11 +127,12 @@ class Metric:
 
     # -- conformal-factor helpers (iso / null lanes) -------------------
     @property
-    def log_lam(self) -> Expr:
+    def log_lam(self) -> NF:
+        """The normal form of u = ln lambda."""
         if self.lam is None:
             raise ChartMismatch("metric has no conformal factor in this chart")
         if "u" not in self._cache:
-            self._cache["u"] = simplify(Func("ln", self.lam))
+            self._cache["u"] = _func_nf("ln", to_nf(self.lam))
         return self._cache["u"]
 
     def _u_grad(self, first: bool):
@@ -139,7 +140,7 @@ class Metric:
         lane, of u_x (u_y) in the null lane, with u = ln lambda."""
         key = ("du", first)
         if key not in self._cache:
-            u = to_nf(self.log_lam)
+            u = self.log_lam
             if self.kind == "iso":
                 out = _wirtinger((u, _NF_ZERO), -1 if first else 1)
             else:
@@ -230,7 +231,7 @@ def gauss_curvature(metric: Metric) -> Expr:
     if metric.kind == "general":
         r = _classical_curvature(metric)
     else:
-        ux, uy = _grad(to_nf(metric.log_lam))
+        ux, uy = _grad(metric.log_lam)
         if metric.kind == "iso":
             flat_lap = nf_sum([nf_diff(ux, "x"), nf_diff(uy, "y")])
             r = nf_scale(flat_lap, -HALF)

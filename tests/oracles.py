@@ -15,9 +15,8 @@ driver of the geodesic flow, momentum_poly_reference, the
 former per-polynomial evaluator of H and F, canonical_bracket_reference,
 the canonical bracket as a tree algebra that simplified every
 intermediate momentum polynomial, compile_float_reference, the
-float compiler as it was when its finiteness check read every node,
-is_zero_reference, the zero test's float probes as they were when every
-probe took its scale, and the hand-written rank-3
+float compiler as it was when its finiteness check read every node and
+it returned the tuple T of all node values, and the hand-written rank-3
 and rank-4 J contractions and symmetrizations of tensorcoords
 (apply_j_slot3_reference, apply_j_slot4_reference, sym3_reference,
 sym4_reference), the rank-generic tree versions that replaced them and
@@ -35,15 +34,12 @@ tuples of (base, exponent) pairs that the polynomial references read.
 
 import itertools
 import math
-import random
 from fractions import Fraction
 
-from cubint.expr import (DEFAULT_CFG, Add, Const, EvalDomainError, Func, Mul,
-                         Pow, Rat, Var, ZeroVerdict, as_expr, diff,
-                         eval_scaled, nf_is_zero, simplify)
+from cubint.expr import (Add, Const, EvalDomainError, Func, Mul, Pow, Rat,
+                         Var, as_expr, diff, nf_is_zero, simplify)
 from cubint.expr import (NF, _EVAL_CHAIN, _EVAL_FUNC_IDENT,
-                         _EVAL_GLOBALS, _MAX_FAIL_FRAC, _NF_ONE, _NF_ZERO,
-                         _S, _STRONG_FACTOR, _UNIT,
+                         _EVAL_GLOBALS, _NF_ONE, _NF_ZERO, _S, _UNIT,
                          _atom_nf, _folds,
                          _func_outer_deriv, _glex_key, _int_exp, _m_build,
                          _m_div, _m_divides, _mk_nf,
@@ -628,46 +624,6 @@ def compile_float_reference(*roots):
     f = ns["f"]
     f.__defaults__ = tuple(v for _, v in consts)
     return f
-
-
-def is_zero_reference(e, domain, cfg=DEFAULT_CFG):
-    """The float probes of the zero test as they were when every probe took
-    its scale: eval_scaled at each point, then the verdict from value and
-    scale.  is_zero runs them on a normal form that is not rational in x
-    and y."""
-    n_fail = 0
-    n_band = 0
-    best_val = 0.0
-    best_pt = None
-    total = cfg.n_probes * len(cfg.seeds)
-    for seed in cfg.seeds:
-        rng = random.Random(seed)
-        for _ in range(cfg.n_probes):
-            pt = domain.sample(rng)
-            try:
-                v, scale = eval_scaled(e, pt)
-            except EvalDomainError:
-                n_fail += 1
-                continue
-            thr = cfg.abs_tol + cfg.rel_tol * scale
-            av = abs(v)
-            if av <= thr:
-                continue
-            if av > _STRONG_FACTOR * thr:
-                if av > abs(best_val):
-                    best_val = v
-                    best_pt = pt
-            else:
-                n_band += 1
-    if best_pt is not None:
-        return ZeroVerdict.nonzero(best_pt, best_val)
-    if n_fail > _MAX_FAIL_FRAC * total:
-        return ZeroVerdict.unknown(
-            f"evaluation failed at {n_fail}/{total} probes")
-    if n_band > 0:
-        return ZeroVerdict.unknown(
-            f"{n_band} probe values inside the tolerance band")
-    return ZeroVerdict.zero(method="probed")
 
 
 def momentum_poly_reference(p):

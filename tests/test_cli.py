@@ -66,9 +66,8 @@ y_max = 1
 """
 
 # flat metric, a = z^3 + exp(z)/100: D0 = 48 + 2/25*cos(y)*exp(x), whose
-# exp atom sends the zero test to the float probes; abs tolerance 10 parks
-# every probe inside the (thr, 10 thr] band -> Unknown -> exit 2
-BANDED = """\
+# exp atom is decided by an enclosure
+EXP_ATOM = """\
 [metric]
 kind = isothermal
 lambda = 1
@@ -77,10 +76,19 @@ lambda = 1
 kind = isothermal-complex
 a_re = x^3 - 3*x*y^2 + exp(x)*cos(y)/100
 a_im = 3*x^2*y - y^3 + exp(x)*sin(y)/100
+"""
 
-[tolerances]
-abs = 10
-rel = 0
+# flat metric, a = z^2 + (sin(x)^2 + cos(x)^2 - 1)*exp(z): D0 is 0, but its
+# normal form is not, and no enclosure excludes 0 -> Unknown -> exit 2
+IDENTITY = """\
+[metric]
+kind = isothermal
+lambda = 1
+
+[codifferential]
+kind = isothermal-complex
+a_re = x^2 - y^2 + (sin(x)^2 + cos(x)^2 - 1)*exp(x)*cos(y)
+a_im = 2*x*y + (sin(x)^2 + cos(x)^2 - 1)*exp(x)*sin(y)
 """
 
 GENERAL_TRIVIAL = """\
@@ -158,23 +166,22 @@ def test_check_incompatible_null_exit_1(tmp_path, capsys):
 
 
 def test_check_undetermined_exit_2(tmp_path, capsys):
-    man = _write(tmp_path, "m.ini", BANDED)
+    man = _write(tmp_path, "m.ini", IDENTITY)
     code, rep = _run(capsys, ["check", man])
     assert code == 2
     assert rep["status"] == "Undetermined"
     assert rep["reason"] == "Is D0 == 0?"
-    assert "inside the tolerance band" in rep["trace"][-1]["verdict"]["reason"]
+    assert "no enclosure excludes 0" in rep["trace"][-1]["verdict"]["reason"]
 
 
 def test_check_reports_how_a_nonzero_was_found(tmp_path, capsys):
-    # a rational D0 is decided on its normal form, D0 with an exp atom by
-    # the float probes; the tolerances reach only the second
-    exact = _write(tmp_path, "exact.ini", BANDED.replace(
+    # a rational D0 is decided on its exact value, D0 with an exp atom on
+    # an enclosure
+    exact = _write(tmp_path, "exact.ini", EXP_ATOM.replace(
         "exp(x)*cos(y)/100", "(x^4 - 6*x^2*y^2 + y^4)/100").replace(
         "exp(x)*sin(y)/100", "(4*x^3*y - 4*x*y^3)/100"))
-    probed = _write(tmp_path, "probed.ini", BANDED.replace(
-        "abs = 10", "abs = 1"))
-    for man, method in ((exact, "exact"), (probed, "probed")):
+    enclosed = _write(tmp_path, "enclosed.ini", EXP_ATOM)
+    for man, method in ((exact, "exact"), (enclosed, "enclosure")):
         code, rep = _run(capsys, ["check", man])
         assert code == 1
         assert rep["failed"] == "D0"
@@ -337,8 +344,9 @@ def test_check_incompatible_with_default_settings(tmp_path, capsys):
     assert rep["status"] == "Incompatible"
 
 
-# settings that were accepted: with no probe, or an infinite threshold,
-# every zero test passed as Zero(probed) and the verdict was wrong
+# settings without meaning: no probe point, an infinite box, a drift
+# bound that is not a number, and the thresholds abs and rel of a former
+# float zero test, which no longer exist and must not be read as before
 @pytest.mark.parametrize("section, setting", [
     ("domain", "samples = 0"),
     ("domain", "samples = -5"),
@@ -347,6 +355,8 @@ def test_check_incompatible_with_default_settings(tmp_path, capsys):
     ("tolerances", "rel = inf"),
     ("tolerances", "abs = nan"),
     ("tolerances", "abs = -1e-9"),
+    ("tolerances", "abs = 1e-9"),
+    ("tolerances", "rel = 1e-9"),
     ("tolerances", "drift = nan"),
     ("tolerances", "drift = -1"),
 ])
@@ -358,6 +368,8 @@ def test_check_rejects_settings_without_meaning(tmp_path, capsys, section,
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("input error:")
+    if setting.split()[0] in ("abs", "rel"):
+        assert "no longer read" in err
 
 
 def test_check_byte_reproducible(tmp_path, capsys):

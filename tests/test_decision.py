@@ -128,22 +128,20 @@ def test_both_formula_routes_agree_when_both_brackets_nondegenerate():
 # helper semantics: verdict conjunction and the 1-form selection rule
 
 def test_combine_conjunction():
-    z_sym = ZeroVerdict.zero(method="symbolic")
-    z_prb = ZeroVerdict.zero(method="probed")
-    nz = ZeroVerdict.nonzero((0.1, 0.2), 3.5)
+    z = ZeroVerdict.zero()
+    nz = ZeroVerdict.nonzero((0.1, 0.2), 3.5, "exact")
     unk = ZeroVerdict.unknown("band")
-    assert _combine(z_sym, nz).is_nonzero
+    assert _combine(z, nz).is_nonzero
     assert _combine(unk, nz).is_nonzero
-    assert _combine(z_sym, unk).is_unknown
-    assert _combine(z_sym, z_sym).method == "symbolic"
-    assert _combine(z_sym, z_prb).method == "probed"
+    assert _combine(z, unk).is_unknown
+    assert _combine(z, z).method == "symbolic"
     assert _combine().is_zero
 
 
 def test_dform_selection_single_candidate():
     box = Box(-1.0, 1.0, -1.0, 1.0)
     zs = lambda e: is_zero(e, box)
-    nzx = ZeroVerdict.nonzero((0.5, 0.5), 1.0)
+    nzx = ZeroVerdict.nonzero((0.5, 0.5), 1.0, "exact")
     zy = ZeroVerdict.zero()
     # only Dx consulted; it vanishes -> walk continues (None)
     trace = []
@@ -162,7 +160,7 @@ def test_dform_selection_single_candidate():
 def test_dform_selection_both_candidates_must_agree():
     box = Box(-1.0, 1.0, -1.0, 1.0)
     zs = lambda e: is_zero(e, box)
-    nz = ZeroVerdict.nonzero((0.5, 0.5), 1.0)
+    nz = ZeroVerdict.nonzero((0.5, 0.5), 1.0, "exact")
     # agreement: both zero -> continue
     trace = []
     out = _dform_test(trace, zs, nz, nz,
@@ -315,13 +313,28 @@ def test_large_coefficient_metric_is_not_constant_curvature():
     assert v.path() == KILLING_PATH
 
 
-@pytest.mark.xfail(strict=True, reason="float probes on a normal form with "
-                   "exp atoms use a tolerance scaled by the largest node")
+def _assert_incompatible_at_g2_by_enclosure(lam):
+    m = isothermal_metric(lam)
+    c = Codifferential.isothermal(("1", "0"))
+    v = decide(m, c, BOX11)
+    assert v.status == "Incompatible" and v.failed == "G2"
+    assert v.trace[-1].verdict.method == "enclosure"
+    # the witness is proved by an enclosure that excludes 0
+    lo, hi = nf_at(to_nf(InvariantEngine(m, c, BOX11).gee2),
+                   *map(Fraction, v.witness))
+    assert lo > 0 or hi < 0
+    assert float((lo + hi) / 2) == v.witness_value
+
+
 def test_nonzero_obstruction_with_exp_atom_is_not_zero():
     # G2 and G3 of this pair are nonzero (|G2| from 1.4e-11 to 2.6e-9 at
-    # four probes, by 60-digit evaluation), below the threshold
-    # abs_tol + rel_tol*scale, scale about 2.8e7
-    eng = InvariantEngine(isothermal_metric("2 + exp(x*y)"),
-                          Codifferential.isothermal(("1", "0")), BOX11)
-    verdicts = [is_zero(g, BOX11) for g in (eng.gee2, eng.gee3)]
-    assert not any(v.is_zero for v in verdicts)
+    # four points, by 60-digit evaluation), far below the largest node of
+    # their trees, which a float threshold once scaled by
+    _assert_incompatible_at_g2_by_enclosure("2 + exp(x*y)")
+
+
+def test_nonzero_obstruction_with_cos_atoms_is_not_zero():
+    # G2 of this pair runs from 1.1e-18 to -2.8e-9 at four points (60-digit
+    # evaluation); its normal form has hundreds of terms over a power of
+    # the conformal factor
+    _assert_incompatible_at_g2_by_enclosure("2 + cos(x)*cos(y)")

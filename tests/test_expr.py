@@ -11,19 +11,17 @@ import threading
 from fractions import Fraction
 
 import pytest
-from hypothesis import Phase, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cubint.expr import (
     FUNCTIONS, Add, Box, Const, EvalDomainError, ExpressionSyntaxError, Func,
     Mul, Pow, Rat, UnknownIdentifier, Var, ZeroTestConfig,
-    compile_float, diff, eval_at, eval_scaled, is_zero, nf_diff, nf_is_zero,
+    compile_float, diff, eval_at, is_zero, nf_diff, nf_is_zero,
     nf_to_expr, parse, simplify, to_nf, to_str,
 )
 from cubint import (Codifferential, InvariantEngine, expr as expr_mod,
                     isothermal_metric)
-from cubint.exact import NotRationalError, nf_at
-from oracles import (compile_float_reference, fd_partial, is_zero_reference,
-                     m_mul_reference, nf_add_reference,
+from oracles import (compile_float_reference, fd_partial, m_mul_reference, nf_add_reference,
                      nf_diff_reference, p_div_exact_reference, p_div_reference,
                      p_leading_reference, p_mul_reference, tree_eval, unpack)
 
@@ -917,30 +915,17 @@ def _eval_exprs(depth):
 
 
 def _walked(e, pt):
-    acc = [0.0]
     try:
-        return tree_eval(e, pt[0], pt[1], acc), acc[0]
+        return tree_eval(e, pt[0], pt[1])
     except EvalDomainError:
         return "EvalDomainError"
 
 
 def _compiled(e, pt):
     try:
-        return eval_scaled(e, pt)
+        return eval_at(e, pt)
     except EvalDomainError:
         return "EvalDomainError"
-
-
-def _assert_value_only_agrees(e, pt):
-    # eval_at raises eval_scaled's error, or returns its value bitwise
-    try:
-        want = eval_scaled(e, pt)[0]
-    except EvalDomainError as exc:
-        with pytest.raises(EvalDomainError) as got:
-            eval_at(e, pt)
-        assert str(got.value) == str(exc)
-    else:
-        assert repr(eval_at(e, pt)) == repr(want)
 
 
 _COORDS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
@@ -962,8 +947,6 @@ def test_eval_scaled_matches_tree_walk_bitwise(e, pts, others):
         assert repr(_compiled(e, pt)) == want
         assert repr(_compiled(e, pt)) == want   # the cached evaluator
         singles = [_compiled(r, pt) for r in roots]
-        for r in roots:
-            _assert_value_only_agrees(r, pt)
         try:
             got = many(*pt)
         except EvalDomainError:
@@ -971,11 +954,7 @@ def test_eval_scaled_matches_tree_walk_bitwise(e, pts, others):
         if "EvalDomainError" in singles:
             assert got == "EvalDomainError"
         else:
-            values = tuple(eval_at(r, pt) for r in roots)
-            scale = max(sc for _, sc in singles)
-            assert repr(got[:-1]) == repr(values)
-            assert repr(many(*pt, False)) == repr(values)
-            assert repr(max(map(abs, got[-1]))) == repr(scale)
+            assert repr(got) == repr(tuple(singles))
 
 
 def _outcome(f, pt):
@@ -1000,21 +979,13 @@ _EXTREMES = st.one_of(_COORDS, st.sampled_from(
 def test_finiteness_check_rejects_what_every_node_check_rejects(e, others,
                                                                pts):
     # the check reads the roots and the operands of functions and of
-    # powers with exponent <= 0; the reference reads every node
+    # powers with exponent <= 0; the reference reads every node, and
+    # returns their values T after the roots'
     roots = (e, *others)
     got, want = compile_float(*roots), compile_float_reference(*roots)
     for pt in pts:
-        outcome = _outcome(got, pt)
-        assert outcome == _outcome(want, pt)
-        # the value-only return raises the same error, or returns the
-        # values without T
-        value_only = _outcome(lambda x, y: got(x, y, False), pt)
-        if outcome.startswith("EvalDomainError"):
-            assert value_only == outcome
-        else:
-            assert value_only == repr(got(*pt)[:-1])
-        for r in roots:
-            _assert_value_only_agrees(r, pt)
+        assert _outcome(got, pt) == _outcome(
+            lambda x, y: want(x, y)[:-1], pt)
 
 
 @pytest.mark.parametrize("text", ["exp(-x)", "x^(-1)", "tanh(x)"])
@@ -1033,7 +1004,7 @@ def test_generated_code_has_no_no_op_operation():
     assert raises.count("EvalDomainError") == 4
     g = compile_float(parse("x*y*sin(x)"))
     assert 1.0 not in g.__code__.co_consts
-    assert math.copysign(1.0, g(0.5, -0.0, False)[0]) == -1.0
+    assert math.copysign(1.0, g(0.5, -0.0)[0]) == -1.0
 
 
 def test_compile_float_leaves_no_reference_cycle():
@@ -1058,7 +1029,7 @@ def test_first_evaluation_from_two_threads_agrees():
 
     def first_eval():
         barrier.wait(30)
-        got.append(eval_scaled(e, pt))
+        got.append(eval_at(e, pt))
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -1071,18 +1042,16 @@ def test_first_evaluation_from_two_threads_agrees():
     finally:
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
-    acc = [0.0]
-    want = (tree_eval(e, pt[0], pt[1], acc), acc[0])
+    want = tree_eval(e, pt[0], pt[1])
     assert got == [want, want]
-    assert eval_scaled(e, pt) == want
+    assert eval_at(e, pt) == want
 
 
 def test_long_sum_evaluates():
     # one Add of 3000 operands: a single chained expression that long is
     # deeper than the Python compiler recurses
     e = Add(tuple(Mul((Rat(k), Var("x"))) for k in range(1, 3001)))
-    acc = [0.0]
-    assert eval_scaled(e, (0.1, 0.0)) == (tree_eval(e, 0.1, 0.0, acc), acc[0])
+    assert eval_at(e, (0.1, 0.0)) == tree_eval(e, 0.1, 0.0)
 
 
 def test_evaluated_expression_pickles():
@@ -1231,10 +1200,10 @@ def test_is_zero_on_structural_zero():
 
 
 def test_is_zero_numeric_identity():
-    # sanctioned numeric path: identity beyond the rational normal form
+    # an identity beyond the normal form: no evaluation proves it, and
+    # every enclosure holds 0
     v = is_zero(parse("sin(x)^2 + cos(x)^2 - 1"), BOX)
-    assert v.is_zero
-    assert v.method == "probed"
+    assert v.is_unknown
 
 
 def test_is_zero_nonzero_with_witness():
@@ -1245,11 +1214,14 @@ def test_is_zero_nonzero_with_witness():
     assert BOX.contains(v.witness)
     assert v.witness[0] * 1024 == int(v.witness[0] * 1024)
     assert v.value == v.witness[0] != 0
-    # float probes: |e*x| is maximized near the domain edge
-    v = is_zero(parse("e*x"), BOX)
-    assert v.is_nonzero and v.method == "probed"
-    assert BOX.contains(v.witness)
-    assert abs(v.witness[0]) > 1.0
+    # not rational: the first grid point is the witness, where the
+    # enclosure excludes 0, however small the value
+    for text, c in (("e*x", math.e), ("e*x/10^12", math.e / 10 ** 12)):
+        v = is_zero(parse(text), BOX)
+        assert v.is_nonzero and v.method == "enclosure"
+        assert BOX.contains(v.witness)
+        assert v.witness[0] * 1024 == int(v.witness[0] * 1024)
+        assert v.value == pytest.approx(c * v.witness[0], rel=1e-15)
 
 
 def test_is_zero_deterministic_for_fixed_seed():
@@ -1269,22 +1241,21 @@ def test_is_zero_survives_eval_failures():
 
 
 def test_is_zero_unknown_on_mostly_singular():
-    # undefined on the whole box: too many evaluation failures
+    # undefined on the whole box: no point proves a value
     v = is_zero(parse("sqrt(-1-x^2)"), BOX)
     assert v.is_unknown
 
 
 def test_is_zero_scale_aware():
-    # huge cancellation: (x+1e8)^2 - x^2 - 2e8 x - 1e16 is identically 0;
-    # naive float evaluation leaves ~1e0 noise, the relative-scale tolerance
-    # must absorb it
+    # huge cancellation: (x+1e8)^2 - x^2 - 2e8 x - 1e16 is identically 0,
+    # and so is its normal form; naive float evaluation leaves ~1e0 noise
     e = parse("(x+100000000)^2 - x^2 - 200000000*x - 10000000000000000")
     v = is_zero(e, BOX)
     assert v.is_zero
 
 
 def test_zero_test_budget_charges_only_its_own_thread(monkeypatch):
-    # a worker's symbolic confirmation exhausts its term budget and blocks
+    # a worker's normalization exhausts its term budget and blocks
     # inside it; a simplify on the main thread meanwhile must not be
     # charged against that budget
     inside, release = threading.Event(), threading.Event()
@@ -1312,12 +1283,12 @@ def test_zero_test_budget_charges_only_its_own_thread(monkeypatch):
         release.set()
         worker.join(30)
     assert not worker.is_alive()
-    assert verdicts[0].is_zero
+    assert repr(verdicts[0]) == "Unknown(over the term budget)"
     assert s == simplify(parse("(1+x)^3*(2+y)^2"))
 
 
 def test_zero_test_config_rejects_no_seeds():
-    # with no seed no probe runs, and every expression would pass as Zero
+    # with no seed no probe point can be drawn
     with pytest.raises(ValueError):
         ZeroTestConfig(seeds=())
 
@@ -1325,101 +1296,6 @@ def test_zero_test_config_rejects_no_seeds():
 def test_is_zero_small_but_nonzero_function():
     v = is_zero(parse("1/1000000*x"), BOX, ZeroTestConfig())
     assert v.is_nonzero
-
-
-def _verdict_bytes(v):
-    # repr of every field, so that signed zeros and all digits count
-    return repr((v.kind, v.method, v.reason, v.witness, v.value))
-
-
-_TOLS = st.sampled_from([0.0, 1e-12, 1e-9, 1e-3, 1e3])
-# only a normal form that is not rational in x and y goes to the float
-# probes: a function, a radical or a constant atom in every expression
-_NON_RATIONAL = st.one_of(
-    st.builds(Func, st.sampled_from(["exp", "sin"]), _eval_exprs(1)),
-    st.builds(Pow, _eval_exprs(1), st.sampled_from(
-        [Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3)])),
-    st.sampled_from([Const("pi"), Const("e")]))
-# values near every tolerance: an expression times a power of ten
-_ZERO_TEST_EXPRS = st.builds(
-    lambda e, atom, op, k: Mul((Rat(Fraction(10) ** k), op((e, atom)))),
-    _eval_exprs(2), _NON_RATIONAL, st.sampled_from([Add, Mul]),
-    st.integers(-14, 4))
-
-
-def _float_probed(e):
-    """Does is_zero probe e in floats: is e's normal form out of reach or
-    not rational in x and y?  None when the normal form is zero."""
-    try:
-        nf = to_nf(e)
-    except (ZeroDivisionError, OverflowError, EvalDomainError):
-        return True
-    if nf.is_zero():
-        return None
-    try:
-        nf_at(nf, 0, 0)
-    except NotRationalError:
-        return True
-    except ZeroDivisionError:
-        pass
-    return False
-_BOXES = st.builds(
-    lambda x0, w, y0, h: Box(x0, x0 + w, y0, y0 + h),
-    st.floats(-3.0, 3.0), st.floats(1e-3, 4.0),
-    st.floats(-3.0, 3.0), st.floats(1e-3, 4.0))
-
-
-@given(_ZERO_TEST_EXPRS, _BOXES, st.integers(1, 16),
-       st.lists(st.integers(0, 2 ** 32), min_size=1, max_size=3),
-       _TOLS, _TOLS)
-# no shrinking: each shrink step reruns up to 192 probes on a fresh copy,
-# and a failure shrank for minutes; the failing example is reported as drawn
-@settings(max_examples=300, deadline=None,
-          phases=(Phase.explicit, Phase.reuse, Phase.generate))
-# a constant: every later probe ties the witness
-@example(e=Const("pi"), box=BOX, n_probes=16, seeds=[1], abs_tol=1e-9,
-         rel_tol=1e-9)
-# no probe above ten times abs_tol, some above abs_tol: in the band
-@example(e=Mul((Rat(Fraction(1, 6 * 10 ** 8)), Const("e"), Var("x"))),
-         box=BOX, n_probes=16, seeds=[1], abs_tol=1e-9, rel_tol=0.0)
-def test_is_zero_matches_reference_that_scales_every_probe(
-        e, box, n_probes, seeds, abs_tol, rel_tol):
-    cfg = ZeroTestConfig(n_probes, seeds, abs_tol, rel_tol)
-    # each test on its own copy, cache-free but for the shared atoms x, y,
-    # pi and e: a normal form that one test leaves on the nodes could
-    # decide the other's symbolic confirmation, and an atom keeps none
-    got = is_zero(pickle.loads(pickle.dumps(e)), box, cfg)
-    probed = _float_probed(pickle.loads(pickle.dumps(e)))
-    if probed is None:
-        assert repr(got) == "Zero(symbolic)"
-    elif probed:
-        want = is_zero_reference(pickle.loads(pickle.dumps(e)), box, cfg)
-        assert _verdict_bytes(got) == _verdict_bytes(want)
-    else:
-        assert got.method == "exact" or got.is_unknown
-
-
-def test_is_zero_scales_only_probes_that_can_change_the_verdict(
-        monkeypatch):
-    calls = []
-    real = expr_mod.eval_scaled
-
-    def counted(e, pt):
-        calls.append(pt)
-        return real(e, pt)
-    monkeypatch.setattr(expr_mod, "eval_scaled", counted)
-    # scaling every probe takes 192 calls; here only a probe larger than
-    # the witness so far takes one
-    assert is_zero(parse("x + e"), BOX).is_nonzero
-    assert len(calls) <= 16
-    # every probe is below abs_tol
-    calls.clear()
-    assert repr(is_zero(parse("e*x/10^12"), BOX)) == "Zero(probed)"
-    assert calls == []
-    # a constant: after the first probe each one ties the witness
-    calls.clear()
-    assert is_zero(Const("pi"), BOX).is_nonzero
-    assert len(calls) == 1
 
 
 @given(st.sampled_from(DIFF_CASES), st.sampled_from(["x", "y"]))

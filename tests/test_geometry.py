@@ -3,7 +3,8 @@ import random
 import pytest
 
 from cubint.cnum import CExpr, parse_complex
-from cubint.expr import Box, Rat, diff, eval_at, is_zero, nf_is_zero, parse, simplify, to_str
+from cubint.expr import (Box, Rat, diff, eval_at, is_zero, nf_is_zero,
+                         nf_to_expr, parse, simplify, to_str)
 from cubint.geometry import (
     ChartMismatch, Section, christoffel, complex_structure, gauss_curvature,
     general_metric, grad_half_square, grad_pairing, isothermal_metric,
@@ -113,12 +114,32 @@ def test_christoffel_metric_compatibility():
                 assert nf_is_zero(e), (i, j, k)
 
 
+def test_log_lambda_builds_no_tree(monkeypatch):
+    # u = ln(lambda) is read through its normal form only: after the
+    # metric normalizes its components, u, its gradient and the curvature
+    # call simplify no more
+    import cubint.geometry as geo
+    calls = []
+    real = geo.simplify
+    monkeypatch.setattr(geo, "simplify", lambda e: calls.append(e) or real(e))
+    for make in (isothermal_metric, null_metric):
+        calls.clear()
+        m = make("1 + x^2 + y^2/3")
+        built = len(calls)
+        m.log_lam
+        gauss_curvature(m)
+        m._u_grad(True)
+        m._u_grad(False)
+        assert len(calls) == built
+
+
 def test_christoffel_isothermal_closed_form():
     # for g = lambda (dx^2+dy^2): Gamma^1_{11} = u_x/2, Gamma^1_{22} = -u_x/2,
     # Gamma^1_{12} = u_y/2 with u = ln lambda (and x<->y symmetrically)
     m = isothermal_metric("1+x^2+y^4/3")
     gam = christoffel(m)
-    ux, uy = diff(m.log_lam, "x"), diff(m.log_lam, "y")
+    u = nf_to_expr(m.log_lam)
+    ux, uy = diff(u, "x"), diff(u, "y")
     half = Rat(1, 2)
     assert nf_is_zero(gam[(0, 0, 0)] - half * ux)
     assert nf_is_zero(gam[(0, 1, 1)] + half * ux)
@@ -269,7 +290,7 @@ def test_codifferential_weighted_derivative_coefficient():
     s = Section(a, (-3, 0), iso)
     d = nabla10(s)
     from cubint.cnum import wirtinger_z
-    u_z = wirtinger_z(CExpr.from_real(iso.log_lam))
+    u_z = wirtinger_z(CExpr.from_real(nf_to_expr(iso.log_lam)))
     want = wirtinger_z(a) + CExpr.from_real(Rat(3)) * u_z * a
     assert (d.value - want).is_zero(BOX).is_zero
 

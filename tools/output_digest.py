@@ -30,6 +30,12 @@ Families, each run in-process on this checkout's src/:
                 DEFAULT_CFG and two of its with_seed configurations,
                 so the NonZero witness selection shows for every
                 invariant, not only through an Incompatible report;
+* nonrational -- `cubint check` on three isothermal pairs whose
+                invariants carry exp and sin atoms, so their NonZero
+                verdicts come from enclosures, and every field of the
+                is_zero verdict on sin(x)^2 + cos(x)^2 - 1, e*x/10^12 and
+                three identities that the normal form does not see
+                (Unknown, never Zero);
 * tensors    -- the to_str of tensorcoords' holo_residual, split_AB,
                 imag_part, div3 and principle_residual on a tensor that
                 is not holomorphic over three general metrics (two
@@ -202,6 +208,39 @@ def zero_test_outputs(cli, tmp):
                              v.value)))
 
 
+# (name, lambda, a_re, a_im) of isothermal pairs, and the expressions
+# whose zero tests the nonrational family prints
+NONRATIONAL = (
+    ("exp-sum", "exp(x) + exp(y)", "1", "0"),
+    ("sin", "2 + sin(x+y)", "1", "0"),
+    ("exp-killing", "1 + exp(x)", "0", "-1"),
+)
+NONRATIONAL_ZERO_TESTS = (
+    "sin(x)^2 + cos(x)^2 - 1",
+    "e*x/10^12",
+    "2^(1/2)*3^(1/2) - 6^(1/2)",
+    "exp(1 + 1/(1+x^2)) - e*exp(1/(1+x^2))",
+    "exp(ln(1 + x^2) + y)*exp(-y) - 1 - x^2",
+)
+
+
+def nonrational_outputs(cli, tmp):
+    for name, lam, a_re, a_im in NONRATIONAL:
+        man = bench.write_file(tmp, "nonrational-%s.ini" % name,
+                               bench.manifest_text(dict(
+                                   lane="iso", metric=[lam],
+                                   codiff=(a_re, a_im), box=bench.BOX)))
+        code, out, _err = _cli(cli, ["check", man])
+        yield "nonrational/%s/check" % name, "%s\n%s" % (code, out)
+    cub = bench.import_cubint()
+    from cubint.expr import Box, parse
+    box = Box(*bench.BOX)
+    for text in NONRATIONAL_ZERO_TESTS:
+        v = cub.is_zero(parse(text), box)
+        yield ("nonrational/is_zero/%s" % text,
+               repr((v.kind, v.method, v.reason, v.witness, v.value)))
+
+
 # (g11, g12, g22) of the tensors family
 TENSOR_METRICS = (("1 + x^2 + y^2/2", "0", "1 + x^2 + y^2/2"),
                   ("2 + x*y", "0", "2 + x*y"),
@@ -237,7 +276,8 @@ FAMILIES = (("check", check_outputs), ("invariants", invariants_outputs),
             ("geodesic", geodesic_outputs),
             ("geodesic-abort", geodesic_abort_outputs),
             ("folding", folding_outputs),
-            ("zero-tests", zero_test_outputs), ("tensors", tensor_outputs))
+            ("zero-tests", zero_test_outputs), ("tensors", tensor_outputs),
+            ("nonrational", nonrational_outputs))
 
 
 def main(argv=None) -> int:
