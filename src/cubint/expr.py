@@ -938,8 +938,12 @@ def _p_div_exact(p: dict, q: dict) -> Optional[dict]:
 
 
 # the point of _p_eval_int: two primes of different size, so that few
-# factors that the kernel divides by vanish there or take the value +-1
+# factors that the kernel divides by vanish there or take the value +-1;
+# their powers below _POW_N are read from tables built once
 _X_AT, _Y_AT = 1009, 2003
+_POW_N = 64
+_X_POW = tuple(_X_AT ** i for i in range(_POW_N))
+_Y_POW = tuple(_Y_AT ** j for j in range(_POW_N))
 
 
 def _p_eval_int(p: dict) -> Optional[int]:
@@ -950,7 +954,9 @@ def _p_eval_int(p: dict) -> Optional[int]:
     for m, c in p.items():
         if m & _OUT:
             return None
-        s += c * _X_AT ** (m >> _S & _MASK) * _Y_AT ** (m & _MASK)
+        i, j = m >> _S & _MASK, m & _MASK
+        s += (c * (_X_POW[i] if i < _POW_N else _X_AT ** i)
+              * (_Y_POW[j] if j < _POW_N else _Y_AT ** j))
     return s if type(s) is int else None
 
 

@@ -103,7 +103,7 @@ class Metric:
                 comps = (Rat(0), nf_to_expr(nf_scale(nf_recip(to_nf(self.lam)), 2)),
                          Rat(0))
             else:
-                r = nf_recip(to_nf(self.det))
+                r = self._inv_det()
                 comps = (nf_to_expr(nf_mul(to_nf(self.g22), r)),
                          nf_to_expr(nf_neg(nf_mul(to_nf(self.g12), r))),
                          nf_to_expr(nf_mul(to_nf(self.g11), r)))
@@ -115,6 +115,16 @@ class Metric:
         if "1/mu" not in self._cache:
             self._cache["1/mu"] = nf_recip(to_nf(self.mu))
         return self._cache["1/mu"]
+
+    def _inv_det(self) -> NF:
+        """1/det as (1/mu)^2 (isothermal and general lanes, det = mu^2):
+        where det is a perfect square, its denominator is mu's base
+        squared, not det expanded as one base, so a conformal general
+        metric gets the isothermal denominators."""
+        if "1/det" not in self._cache:
+            w = self._inv_mu()
+            self._cache["1/det"] = nf_mul(w, w)
+        return self._cache["1/det"]
 
     def _j(self):
         """The complex structure J (see complex_structure) as a row-major
@@ -206,7 +216,8 @@ def christoffel(metric: Metric) -> dict:
 
 
 def _classical_curvature(metric: Metric) -> NF:
-    """K = R_1212 / det via the Christoffel route (any chart)."""
+    """K = R_1212 / det via the Christoffel route (a Riemannian chart,
+    where det = mu^2)."""
     gam = {k: to_nf(v) for k, v in christoffel(metric).items()}
     vs = ("x", "y")
 
@@ -221,7 +232,7 @@ def _classical_curvature(metric: Metric) -> NF:
 
     r1212 = nf_sum([nf_mul(to_nf(metric.g11), riem_up(0, 1, 0, 1)),
                     nf_mul(to_nf(metric.g12), riem_up(1, 1, 0, 1))])
-    return nf_mul(r1212, nf_recip(to_nf(metric.det)))
+    return nf_mul(r1212, metric._inv_det())
 
 
 def gauss_curvature(metric: Metric) -> Expr:

@@ -468,8 +468,7 @@ class InvariantEngine:
         if self.metric.kind != "iso":
             raise ChartMismatch("b_field is defined in the isothermal lane")
         k1, k2 = self.kay
-        lam = to_nf(self.metric.lam)
-        r = nf_recip(nf_mul(lam, lam))
+        r = self.metric._inv_det()
         return CExpr(nf_to_expr(nf_mul(to_nf(k2), r)),
                      nf_to_expr(nf_neg(nf_mul(to_nf(k1), r))))
 

@@ -962,7 +962,8 @@ class InvariantChainReference:
         else:
             self.mu = simplify(Func("sqrt", simplify(Rat(m.signature)
                                                      * self.det)))
-            d = self.det
+            # 1/det as (1/mu)^2, as the general lane builds it
+            d = self.mu * self.mu
             self.inv = (simplify(m.g22 / d), simplify(-m.g12 / d),
                         simplify(m.g11 / d))
         if m.lam is not None:
@@ -1014,7 +1015,7 @@ class InvariantChainReference:
             return s
 
         r1212 = m.g11 * riem_up(0, 1, 0, 1) + m.g12 * riem_up(1, 1, 0, 1)
-        return simplify(r1212 / self.det)
+        return simplify(r1212 / (self.mu * self.mu))
 
     def grad_pairing(self, f, h):
         i11, i12, i22 = self.inv

@@ -635,6 +635,23 @@ def test_division_rejects_by_one_integer_evaluation(monkeypatch):
     assert expr_mod._p_div_exact(expr_mod._p_mul(p, q), q) == p
 
 
+@given(st.dictionaries(st.tuples(st.integers(0, 130), st.integers(0, 130)),
+                       st.integers(-50, 50).filter(bool), max_size=6))
+@settings(max_examples=100, deadline=None)
+@example({(63, 64): 3, (64, 63): -2, (0, 65): 1, (200, 0): 7})
+def test_p_eval_int_is_the_value_at_its_point(terms):
+    # the sum of c * 1009^i * 2003^j, on exponents below and above the
+    # size of the power tables
+    p = {expr_mod._m_build([(Var("x"), i), (Var("y"), j)])[1]: c
+         for (i, j), c in terms.items()}
+    want = sum(c * 1009 ** i * 2003 ** j for (i, j), c in terms.items())
+    assert expr_mod._p_eval_int(p) == want
+    # no int value with a Fraction coefficient or a negative exponent
+    assert expr_mod._p_eval_int({**p, 0: Fraction(1, 2)}) is None
+    inv_y = expr_mod._m_build([(Var("y"), -1)])[1]
+    assert expr_mod._p_eval_int({**p, inv_y: 1}) is None
+
+
 @given(_primitive_polys(_PLAIN_BASES, 4),
        _integral_polys(_PLAIN_BASES, 4, _POSITIVE).filter(bool))
 @settings(max_examples=200, deadline=None)

@@ -4,7 +4,8 @@ import pytest
 
 from cubint.cnum import CExpr, parse_complex
 from cubint.expr import (Box, Rat, diff, eval_at, is_zero, nf_is_zero,
-                         nf_to_expr, parse, simplify, to_str)
+                         nf_mul, nf_neg, nf_recip, nf_to_expr, parse, simplify,
+                         to_nf, to_str)
 from cubint.geometry import (
     ChartMismatch, Section, christoffel, complex_structure, gauss_curvature,
     general_metric, grad_half_square, grad_pairing, isothermal_metric,
@@ -169,6 +170,27 @@ def test_mu_non_square_stays_radical():
     m = general_metric("1", "0", "1+x^2")
     s = to_str(m.mu)
     assert "(1/2)" in s  # an honest half power survives
+
+
+def test_inverse_of_a_square_det_carries_mus_base_squared():
+    # the metric of Theorem 1.2: det = (2/3 x^2 + y/x)^2, so mu is
+    # (2/3)(x^3 + 3/2 y)/x, and g^22 = 1/det keeps mu's one compound base
+    # with exponent 2, not det expanded as a base of its own
+    m = general_metric("1", "0", "(2/3*x^2 + y/x)^2")
+    i22 = to_nf(m.inv[2])
+    (mu_base, _), = nf_recip(to_nf(parse("x^3 + 3/2*y"))).den
+    assert i22.den == ((mu_base, 2),)
+
+
+def test_inverse_of_a_non_square_det_is_the_reciprocal_of_det():
+    # (1/mu)^2 of a radical mu gives nf_recip(det) field for field
+    m = general_metric("1 + x^2", "x*y/3", "2 + y^2")
+    r = nf_recip(to_nf(m.det))
+    want = (nf_mul(to_nf(m.g22), r), nf_neg(nf_mul(to_nf(m.g12), r)),
+            nf_mul(to_nf(m.g11), r))
+    for got, w in zip(m.inv, want):
+        got = to_nf(got)
+        assert (got.content, got.num, got.den) == (w.content, w.num, w.den)
 
 
 # --------------------------------------------------------------------------

@@ -3,8 +3,8 @@ from hypothesis import given, settings, strategies as st
 
 from cubint.cnum import CExpr, parse_complex
 from cubint.expr import (
-    Box, Rat, as_expr, diff, eval_at, is_zero, nf_is_zero, parse, simplify,
-    to_nf, to_str,
+    Box, Rat, as_expr, diff, eval_at, is_zero, nf_is_zero, nf_mul, nf_neg,
+    nf_recip, parse, simplify, to_nf, to_str,
 )
 from cubint.geometry import (
     ChartMismatch, general_metric, isothermal_metric, null_metric, poisson_g,
@@ -213,8 +213,9 @@ _GEE_ROWS = {
 
 def test_gee_det_forms_match_bracket_forms():
     # one pair in each lane; every G is nonzero, so that each term of
-    # the bracket form counts.  Equal values may have NF fields that
-    # differ in the general lane, so the difference is tested
+    # the bracket form counts.  The general lane builds 1/det as (1/mu)^2,
+    # so its denominators are lambda's powers as in the other lanes, and
+    # the two forms have equal NF fields there too
     lam, a = "1 + x^2 + y^2/2", ("x^2 - y^2", "2*x*y")
     engines = (
         generic_engine(),
@@ -230,6 +231,9 @@ def test_gee_det_forms_match_bracket_forms():
                                      *(getattr(eng, r) for r in rows))
             assert not nf_is_zero(got), (eng.metric.kind, name)
             assert nf_is_zero(simplify(got - want)), (eng.metric.kind, name)
+            g, w = to_nf(got), to_nf(want)
+            assert (g.content, g.num, g.den) == (w.content, w.num, w.den), \
+                (eng.metric.kind, name)
 
 
 def test_gee_builds_no_phi_that_only_vanishing_terms_read():
@@ -295,6 +299,24 @@ def test_b_hat_matches_complex_b_dictionary():
     assert nf_is_zero(simplify(bh.c[1] - b.im * Rat(1, 24)))
     assert nf_is_zero(simplify(bh.c[2] - b.re * Rat(1, 24)))
     assert nf_is_zero(simplify(bh.c[3] - b.im * Rat(1, 8)))
+
+
+def test_b_field_divides_by_the_square_of_lambdas_base():
+    # 1/lambda^2 is built as (1/lambda)^2: the only denominator base that b
+    # adds to K's is lambda's, never lambda^2 expanded as a base of its own;
+    # b = (K2 - i K1)/lambda^2
+    eng = generic_engine()
+    lam = to_nf(eng.metric.lam)
+    (lam_base, _), = nf_recip(lam).den
+    k1, k2 = eng.kay
+    b = eng.b_field()
+    for k, part in ((to_nf(k2), to_nf(b.re)),
+                    (nf_neg(to_nf(k1)), to_nf(b.im))):
+        bases = {pb for pb, _ in part.den}
+        assert lam_base in bases
+        assert bases <= {pb for pb, _ in k.den} | {lam_base}
+        back = nf_mul(part, nf_mul(lam, lam))
+        assert (back.content, back.num, back.den) == (k.content, k.num, k.den)
 
 
 def test_f_tensor_is_a_hat_plus_b_hat():
@@ -472,3 +494,31 @@ def test_invariant_chain_matches_tree_reference(lane, coefs):
         assert (got.content, unpack(got.num), got.den) == \
             (ref.content, unpack(ref.num), ref.den), name
         assert to_str(getattr(eng, name)) == to_str(want[name]), name
+
+
+@pytest.mark.parametrize("lam", ["1 + x^2 + y^2/2", "4/(1 + x^2 + y^2)^2",
+                                 "1 + x^2 + x^4/3"])
+def test_conformal_general_chart_has_the_isothermal_normal_forms(lam):
+    # the general chart g = lambda (dx^2 + dy^2) builds 1/det as (1/mu)^2,
+    # so every chain invariant and K has the isothermal lane's denominators
+    # and hence the same normal form, field for field
+    a = ("x^2 - y^2", "2*x*y")
+    iso = InvariantEngine(isothermal_metric(lam), Codifferential.isothermal(a),
+                          BOX)
+    gen = InvariantEngine(general_metric(lam, "0", lam), Codifferential.general(
+        a_hat_from_complex(parse_complex(*a))), BOX)
+
+    def fields(e):
+        f = to_nf(e)
+        return f.content, unpack(f.num), f.den
+
+    for name in _CHAIN:
+        assert fields(getattr(iso, name)) == fields(getattr(gen, name)), name
+    try:
+        kay = iso.kay
+    except DegenerateBracket:
+        # the sphere has constant curvature: no K in either chart
+        with pytest.raises(DegenerateBracket):
+            gen.kay
+        return
+    assert [fields(k) for k in kay] == [fields(k) for k in gen.kay]
